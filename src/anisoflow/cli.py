@@ -29,7 +29,7 @@ from .potential import (DoubleWell, MoreauYosida, ZeroPotential,
                         build_truncation)
 from .stepper import (NonConvergence, StepConfig, TimePartition,
                       UniquenessViolation, check_energy_stability,
-                      solve_trajectory, write_diagnostics)
+                      solve_trajectory, step_regimes, write_diagnostics)
 
 COMMANDS = ("simulate", "optimize", "verify-energy", "study-tau",
             "study-bounds", "study-lipschitz", "study-control")
@@ -361,18 +361,6 @@ def _load_target(cfg, grid, partition):
     raise ConfigError("control.target", f"unknown target kind '{kind}'")
 
 
-def _check_step_rule(partition, pot, step_config):
-    c_psi = pot.semiconvexity()
-    if step_config.enforce_uniqueness and c_psi > 0:
-        bound = 1.0 / c_psi
-        if partition.tau_max >= bound:
-            raise ConfigError(
-                "time", f"tau_max = {partition.tau_max:g} >= 1/c = {bound:g}: "
-                "the implicit step is only guaranteed unique for tau < 1/c "
-                "(c = semiconvexity constant); refine time.N or disable "
-                "solver.enforce_uniqueness")
-
-
 def _config_hash(cfg):
     canon = []
     for section in sorted(cfg):
@@ -381,12 +369,10 @@ def _config_hash(cfg):
     return hashlib.sha256("\n".join(canon).encode()).hexdigest()
 
 
-def _write_manifest(out_dir, command, cfg, grid, partition, aniso, pot, seed):
+def _write_manifest(out_dir, command, cfg, grid, partition, aniso, c_psi,
+                    regimes, seed):
     consts = estimate_constants(aniso, sample_count=200, radius=2.0,
                                 dim=grid.dim, seed=seed)
-    c_psi = pot.semiconvexity()
-    tau = partition.tau_max
-    inv = np.inf if c_psi == 0 else 1.0 / c_psi
     lines = [
         f"command={command}",
         f"config_hash={_config_hash(cfg)}",
@@ -394,13 +380,13 @@ def _write_manifest(out_dir, command, cfg, grid, partition, aniso, pot, seed):
         f"grid_dim={grid.dim}",
         f"grid_nodes={','.join(str(n) for n in grid.shape)}",
         f"grid_lengths={','.join(f'{x:.17g}' for x in grid.lengths)}",
-        f"tau_max={tau:.17g}",
+        f"tau_max={partition.tau_max:.17g}",
         f"semiconvexity={c_psi:.17g}",
         f"monotonicity_estimate={consts.monotonicity:.17g}",
         f"growth_estimate={consts.growth:.17g}",
-        f"tau_below_uniqueness_bound={tau < inv}",
-        f"tau_within_lipschitz_bound={tau <= 1.0 / (1.0 + 2.0 * c_psi)}",
-        f"tau_within_energy_decay_bound={tau <= (np.inf if c_psi == 0 else 2.0 / c_psi)}",
+        f"tau_below_uniqueness_bound={regimes['uniqueness']}",
+        f"tau_within_lipschitz_bound={regimes['lipschitz']}",
+        f"tau_within_energy_decay_bound={regimes['energy_decay']}",
     ]
     with open(os.path.join(out_dir, "manifest.txt"), "w") as f:
         f.write("\n".join(lines) + "\n")
@@ -409,17 +395,6 @@ def _write_manifest(out_dir, command, cfg, grid, partition, aniso, pot, seed):
 def _write_states(out_dir, grid, states):
     for j, state in enumerate(states):
         write_field(os.path.join(out_dir, f"state_{j:04d}.field"), grid, state)
-
-
-def _write_partial_diagnostics(out_dir, partition, diags):
-    t = partition.breakpoints
-    taus = partition.tau_steps
-    with open(os.path.join(out_dir, "diagnostics.csv"), "w", newline="") as f:
-        f.write("j,t_j,tau_j,newton_iters,residual_inf,energy\n")
-        for j, diag in enumerate(diags):
-            tau_j = 0.0 if j == 0 else taus[j - 1]
-            f.write(f"{j},{t[j]:.17g},{tau_j:.17g},{diag.iterations},"
-                    f"{diag.residual_inf:.17g},{diag.energy:.17g}\n")
 
 
 def _study_perturbation_pairs(cfg, grid, partition, y0, forcing, seed):
@@ -447,22 +422,33 @@ def run(command, config_path, overrides=(), out_dir=None, seed=None):
         aniso = _build_anisotropy(cfg, grid.dim)
         pot = _build_potential(cfg)
         step_config = _build_step_config(cfg)
-        _check_step_rule(partition, pot, step_config)
+        c_psi = pot.semiconvexity()
+        bounds, regimes = step_regimes(c_psi, partition.tau_max)
+        if step_config.enforce_uniqueness and not regimes["uniqueness"]:
+            raise ConfigError(
+                "time", f"tau_max = {partition.tau_max:g} >= 1/c = "
+                f"{bounds['uniqueness']:g}: the implicit step is only "
+                "guaranteed unique for tau < 1/c (c = semiconvexity "
+                "constant); refine time.N or disable solver.enforce_uniqueness")
         if out_dir is None:
             out_dir = _get(cfg, "output", "directory", default="out")
         if seed is None:
             seed = _get_int(cfg, "output", "seed", default=0)
 
-        if command == "study-lipschitz":
-            c_psi = pot.semiconvexity()
-            bound = 1.0 / (1.0 + 2.0 * c_psi)
-            if partition.tau_max > bound + 1e-15:
-                raise ConfigError(
-                    "time", f"tau_max = {partition.tau_max:g} exceeds the "
-                    f"stability-study bound 1/(1+2c) = {bound:g}")
+        if (command in ("study-tau", "study-bounds", "study-lipschitz")
+                and np.ptp(partition.tau_steps) > 1e-12 * partition.tau_max):
+            raise ConfigError(
+                "time.breakpoints", f"{command} refines uniform partitions "
+                "only; give time.T and time.N instead")
+        if (command == "study-lipschitz"
+                and partition.tau_max > bounds["lipschitz"] + 1e-15):
+            raise ConfigError(
+                "time", f"tau_max = {partition.tau_max:g} exceeds the "
+                f"stability-study bound 1/(1+2c) = {bounds['lipschitz']:g}")
 
         os.makedirs(out_dir, exist_ok=True)
-        _write_manifest(out_dir, command, cfg, grid, partition, aniso, pot, seed)
+        _write_manifest(out_dir, command, cfg, grid, partition, aniso, c_psi,
+                        regimes, seed)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 1
@@ -474,9 +460,10 @@ def run(command, config_path, overrides=(), out_dir=None, seed=None):
                 traj = solve_trajectory(grid, aniso, pot, _load_y0(cfg, grid),
                                         forcing, partition, step_config)
             except (UniquenessViolation, NonConvergence) as exc:
-                if getattr(exc, "partial_diagnostics", None):
-                    _write_partial_diagnostics(out_dir, partition,
-                                               exc.partial_diagnostics)
+                partial = getattr(exc, "partial_trajectory", None)
+                if partial is not None:
+                    write_diagnostics(partial,
+                                      os.path.join(out_dir, "diagnostics.csv"))
                 print(f"solver failure at step {getattr(exc, 'step_index', '?')}: "
                       f"{exc}", file=sys.stderr)
                 return 2
@@ -488,6 +475,9 @@ def run(command, config_path, overrides=(), out_dir=None, seed=None):
             forcing_spec = _get(cfg, "control", "forcing", default="zero")
             if forcing_spec.strip().lower() != "zero":
                 raise ConfigError("control.forcing",
+                                  "the energy check requires zero forcing")
+            if _get(cfg, "control", "forcing_dir") is not None:
+                raise ConfigError("control.forcing_dir",
                                   "the energy check requires zero forcing")
             traj = solve_trajectory(grid, aniso, pot, _load_y0(cfg, grid),
                                     None, partition, step_config)

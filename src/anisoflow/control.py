@@ -23,11 +23,9 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
-from .grid import element_gradients
 from .linalg import conjugate_gradient
-from .stepper import StepConfig, solve_trajectory
+from .stepper import StepConfig, _newton_matrix, solve_trajectory
 
 
 class AdjointUnavailable(RuntimeError):
@@ -124,7 +122,9 @@ def adjoint_solve(problem, trajectory, linear_rtol=1e-12):
 
     Each step solves (W + tau K_lin + tau W psi''(y_j)) p_j = W p_{j+1} + s_j
     with K_lin the flux linearization at the forward state, terminal value
-    p_{N+1} = 0, and tracking sources s_j given by the target.
+    p_{N+1} = 0, and tracking sources s_j given by the target.  The matrix
+    is tau times the forward Newton matrix at y_j, so that matrix is solved
+    with the right-hand side divided by tau.
     """
     grid, part = problem.grid, problem.partition
     if not problem.aniso.twice_differentiable:
@@ -141,14 +141,12 @@ def adjoint_solve(problem, trajectory, linear_rtol=1e-12):
     for j in range(n_steps, 0, -1):
         tau = taus[j - 1]
         y_j = trajectory.states[j]
-        tensors = problem.aniso.hess(element_gradients(grid, y_j))
-        mat = (grid.assemble_weighted_stiffness(tensors) * tau
-               + sp.diags(w * (1.0 + tau * problem.pot.second(y_j))))
+        mat = _newton_matrix(grid, problem.aniso, problem.pot, y_j, tau)
         if final_time:
             source = w * (y_j - problem.target.values) if j == n_steps else 0.0
         else:
             source = tau * w * (y_j - problem.target.values[j - 1])
-        rhs = w * p_next + source
+        rhs = (w * p_next + source) / tau
         p_j = conjugate_gradient(mat, rhs, rtol=linear_rtol)
         if not np.all(np.isfinite(p_j)):
             raise RuntimeError(f"adjoint state at step {j} is not finite")

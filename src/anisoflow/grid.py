@@ -5,9 +5,12 @@ The domain is a box (0,L1) or (0,L1)x(0,L2) meshed uniformly: intervals in
 lexicographically with the x-index running fastest.  All assembly is built
 on two facts that hold for P1 simplices:
 
-* gradients of nodal basis functions are constant per element, so any
-  divergence-form term (q, grad phi) with an element-constant flux q is
-  assembled exactly;
+* gradients of nodal basis functions are constant per element, so the
+  element gradients of a nodal field are one sparse product y -> D y, with
+  D the (n_elements*dim) x n_nodes gradient operator built once per grid;
+  every divergence-form term (q, grad phi) with an element-constant flux q
+  is then D^T (|e| q), and every stiffness matrix weighted by per-element
+  tensors M_e is D^T blockdiag(|e| M_e) D, all exact;
 * the row sum of the exact P1 element mass matrix is |e|/(d+1), so mass
   lumping reduces every L2 pairing to a diagonal weight vector.
 
@@ -15,7 +18,6 @@ Fields are plain 1-D numpy arrays of nodal values; the grid travels
 alongside them in function signatures.
 """
 
-import hashlib
 from typing import NamedTuple
 
 import numpy as np
@@ -53,6 +55,12 @@ class Grid:
         Constant gradient of each local basis function on each element.
     weights : ndarray, (n_nodes,)
         Lumped mass (row sums of the exact P1 mass matrix).
+    D : scipy.sparse.csr_matrix, (n_elements*dim, n_nodes)
+        P1 gradient operator: row e*dim + k of D @ y is the k-th component
+        of the gradient of y on element e.
+    Dt : scipy.sparse.csr_matrix, (n_nodes, n_elements*dim)
+        Its transpose: Dt @ (|e| q) assembles (q, grad phi_i) for
+        element-constant fluxes q.
     """
 
     def __init__(self, dim, nodes_per_axis, lengths):
@@ -79,10 +87,19 @@ class Grid:
         self._build_element_geometry()
         self.weights = self._lumped_weights()
 
-        # static index arrays for sparse assembly of (d+1)x(d+1) blocks
-        k = dim + 1
-        self._asm_rows = np.repeat(self.elements, k, axis=1).ravel()
-        self._asm_cols = np.tile(self.elements, (1, k)).ravel()
+        # D[e*dim + k, elements[e, l]] = basis_gradients[e, l, k]; the zero
+        # components (edges along an axis) are dropped to thin the products
+        rows = np.arange(self.n_elements * dim).reshape(-1, 1, dim)
+        self.D = sp.csr_matrix(
+            (self.basis_gradients.ravel(),
+             (np.broadcast_to(rows, self.basis_gradients.shape).ravel(),
+              np.repeat(self.elements, dim, axis=1).ravel())),
+            shape=(self.n_elements * dim, self.n_nodes))
+        self.D.eliminate_zeros()
+        self.Dt = self.D.T.tocsr()
+        # CSR pattern of blockdiag(M_e): row e*dim + a holds M_e[a, :]
+        self._block_indptr = np.arange(0, self.n_elements * dim**2 + 1, dim)
+        self._block_indices = np.repeat(rows, dim, axis=1).ravel()
         self._stiffness = None
         self._riesz = None
 
@@ -163,16 +180,13 @@ class Grid:
         ``tensors`` is an (n_elements, dim, dim) array of per-element
         matrices M_e, or None for the identity (plain stiffness).
         """
-        g = self.basis_gradients
         if tensors is None:
-            blocks = np.einsum("eld,emd->elm", g, g)
-        else:
-            blocks = np.einsum("eld,edc,emc->elm", g, tensors, g)
-        blocks = blocks * self.measures[:, None, None]
-        mat = sp.coo_matrix(
-            (blocks.ravel(), (self._asm_rows, self._asm_cols)),
-            shape=(self.n_nodes, self.n_nodes))
-        return mat.tocsr()
+            tensors = np.eye(self.dim)
+        blocks = self.measures[:, None, None] * tensors
+        block_diag = sp.csr_matrix(
+            (blocks.ravel(), self._block_indices, self._block_indptr),
+            shape=(self.D.shape[0],) * 2)
+        return self.Dt @ block_diag @ self.D
 
     def _riesz_matrix(self):
         if self._riesz is None:
@@ -207,8 +221,7 @@ def element_gradients(grid, values):
     Exact for nodal data sampled from an affine function.  Returns an
     (n_elements, dim) array.
     """
-    return np.einsum("eld,el->ed", grid.basis_gradients,
-                     np.asarray(values, dtype=float)[grid.elements])
+    return (grid.D @ values).reshape(grid.n_elements, grid.dim)
 
 
 def assemble_flux_divergence(grid, fluxes):
@@ -223,11 +236,7 @@ def assemble_flux_divergence(grid, fluxes):
         raise ValueError(
             f"fluxes have shape {fluxes.shape}, expected "
             f"({grid.n_elements}, {grid.dim})")
-    contrib = grid.measures[:, None] * np.einsum(
-        "eld,ed->el", grid.basis_gradients, fluxes)
-    out = np.zeros(grid.n_nodes)
-    np.add.at(out, grid.elements, contrib)
-    return out
+    return grid.Dt @ (grid.measures[:, None] * fluxes).ravel()
 
 
 class FieldNorms(NamedTuple):
@@ -322,9 +331,3 @@ def load_field(path, grid):
             f"{path}: snapshot grid {meta} does not match "
             f"dim={grid.dim} n={grid.shape} L={grid.lengths}")
     return grid.check_field(values)
-
-
-def grid_fingerprint(grid):
-    """Short hash of the grid layout, used in run manifests."""
-    desc = f"{grid.dim}|{grid.shape}|{grid.lengths}"
-    return hashlib.sha256(desc.encode()).hexdigest()[:12]

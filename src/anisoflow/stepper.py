@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import assemble_flux_divergence, element_gradients, norms
+from .grid import assemble_flux_divergence, element_gradients, h1_norm
 from .linalg import NonPositiveCurvature, conjugate_gradient
 
 
@@ -92,6 +92,21 @@ class TimePartition:
     def __repr__(self):
         return (f"TimePartition(N={self.n_steps}, T={self.final_time!r}, "
                 f"tau_max={self.tau_max!r})")
+
+
+def step_regimes(c, tau):
+    """The step-size rules for semiconvexity constant ``c``, 1/0 read as
+    infinity: the bounds 1/c, 1/(1+2c) and 2/c, and whether ``tau`` meets
+    each (tau < 1/c: the step is unique; tau <= 1/(1+2c): Lipschitz
+    stability; tau <= 2/c: unforced energy decay).  Returns (bounds, flags),
+    two dicts keyed "uniqueness", "lipschitz", "energy_decay"."""
+    bounds = {"uniqueness": np.inf if c == 0 else 1.0 / c,
+              "lipschitz": 1.0 / (1.0 + 2.0 * c),
+              "energy_decay": np.inf if c == 0 else 2.0 / c}
+    flags = {"uniqueness": tau < bounds["uniqueness"],
+             "lipschitz": tau <= bounds["lipschitz"],
+             "energy_decay": tau <= bounds["energy_decay"]}
+    return bounds, flags
 
 
 @dataclass
@@ -180,10 +195,10 @@ def _newton_matrix(grid, aniso, pot, y, tau):
     return k_mat + sp.diags(diag)
 
 
-def _solve_step(grid, aniso, pot, y_prev, u, tau, config, y_start):
+def _solve_step(grid, aniso, pot, y_prev, u, tau, config, y_start, c_psi):
     w = grid.weights
-    c_psi = pot.semiconvexity()
-    if config.enforce_uniqueness and c_psi > 0 and tau >= 1.0 / c_psi:
+    _, regimes = step_regimes(c_psi, tau)
+    if config.enforce_uniqueness and not regimes["uniqueness"]:
         raise UniquenessViolation(
             f"tau = {tau:g} >= 1/{c_psi:g}: above the uniqueness step bound "
             f"(need tau < 1/c with c the semiconvexity constant)")
@@ -287,7 +302,8 @@ def step(grid, aniso, pot, y_prev, u, tau, config=None, initial_guess=None):
     y_prev = grid.check_field(y_prev)
     u = grid.check_field(u)
     start = y_prev if initial_guess is None else grid.check_field(initial_guess)
-    y, _ = _solve_step(grid, aniso, pot, y_prev, u, tau, config, start)
+    y, _ = _solve_step(grid, aniso, pot, y_prev, u, tau, config, start,
+                       pot.semiconvexity())
     return y
 
 
@@ -299,9 +315,11 @@ def solve_trajectory(grid, aniso, pot, y0, control, partition, config=None):
     control : ndarray (N, n_nodes) or None
         One forcing field per interval; None means zero forcing.
 
-    Raises the per-step errors with the failing index attached, and records
-    solver diagnostics, step-size regime flags, and the space-time bounds
-    (time-derivative and reaction L2(Q) norms, max H1 norm) on the result.
+    Raises the per-step errors with the failing index j (``step_index``)
+    and the trajectory of the states y_0..y_{j-1} (``partial_trajectory``)
+    attached, and records solver diagnostics, step-size regime flags, and
+    the space-time bounds (time-derivative and reaction L2(Q) norms, max H1
+    norm) on the result.
     """
     config = config or StepConfig()
     y0 = grid.check_field(y0)
@@ -317,16 +335,11 @@ def solve_trajectory(grid, aniso, pot, y0, control, partition, config=None):
 
     c_psi = pot.semiconvexity()
     tau = partition.tau_max
-    inv = np.inf if c_psi == 0 else 1.0 / c_psi
-    regimes = {
-        "uniqueness": tau < inv,
-        "lipschitz": tau <= 1.0 / (1.0 + 2.0 * c_psi),
-        "energy_decay": tau <= (np.inf if c_psi == 0 else 2.0 / c_psi),
-    }
+    bounds, regimes = step_regimes(c_psi, tau)
     if not regimes["lipschitz"]:
         warnings.warn(
             f"tau_max = {tau:g} exceeds the Lipschitz-regime bound "
-            f"1/(1+2c) = {1.0 / (1.0 + 2.0 * c_psi):g}; stability constants "
+            f"1/(1+2c) = {bounds['lipschitz']:g}; stability constants "
             "may degrade", RuntimeWarning, stacklevel=2)
 
     states = np.empty((n_steps + 1, grid.n_nodes))
@@ -337,10 +350,11 @@ def solve_trajectory(grid, aniso, pot, y0, control, partition, config=None):
         try:
             y, diag = _solve_step(grid, aniso, pot, states[j - 1],
                                   control[j - 1], taus[j - 1], config,
-                                  states[j - 1])
+                                  states[j - 1], c_psi)
         except (UniquenessViolation, NonConvergence) as exc:
             exc.step_index = j
-            exc.partial_diagnostics = diags
+            exc.partial_trajectory = Trajectory(grid, partition, states[:j],
+                                                diags, config, regimes)
             raise
         diag.energy = energy(grid, aniso, pot, y)
         states[j] = y
@@ -368,10 +382,7 @@ def trajectory_bounds(trajectory, pot):
     w = grid.weights
     diff = backward_difference(trajectory)
     dt_l2 = float(np.sqrt(np.sum(taus * np.sum(w * diff**2, axis=1))))
-    h1_max = 0.0
-    for state in trajectory.states:
-        n = norms(grid, state)
-        h1_max = max(h1_max, float(np.hypot(n.l2, n.h1_semi)))
+    h1_max = max(h1_norm(grid, state) for state in trajectory.states)
     react = pot.prime(trajectory.states[1:])
     react_l2 = float(np.sqrt(np.sum(taus * np.sum(w * react**2, axis=1))))
     return {"time_derivative_l2": dt_l2, "state_h1_max": h1_max,
@@ -410,16 +421,15 @@ def check_energy_stability(trajectory, aniso, pot, tol=None):
     increases = np.diff(energies)
     violations = [(j + 1, float(inc)) for j, inc in enumerate(increases)
                   if inc > tol]
-    c_psi = pot.semiconvexity()
-    decay_regime = trajectory.partition.tau_max <= (
-        np.inf if c_psi == 0 else 2.0 / c_psi)
+    _, regimes = step_regimes(pot.semiconvexity(), trajectory.partition.tau_max)
     return EnergyStabilityReport(energies, not violations, violations,
-                                 tol, decay_regime)
+                                 tol, regimes["energy_decay"])
 
 
 def write_diagnostics(trajectory, path):
     """Write the per-step diagnostics CSV (j, t_j, tau_j, newton_iters,
-    residual_inf, energy)."""
+    residual_inf, energy); reads only ``partition`` and ``diagnostics``, so
+    the partial trajectory of a failed solve is written the same way."""
     t = trajectory.partition.breakpoints
     taus = trajectory.partition.tau_steps
     with open(path, "w", newline="") as f:

@@ -29,8 +29,8 @@ import numpy as np
 
 from .control import (ControlProblem, DistributedTarget, OptimizeOptions,
                       control_norm, cost, optimize)
-from .grid import dual_norm, element_gradients, norms
-from .stepper import TimePartition, solve_trajectory
+from .grid import dual_norm, norms
+from .stepper import TimePartition, solve_trajectory, step_regimes
 
 
 @dataclass
@@ -200,11 +200,9 @@ def perturbation_ratio(grid, partition, delta_states, delta_controls,
     of the control rows.
     """
     taus = partition.tau_steps
-    l2_max = max(norms(grid, dy).l2 for dy in delta_states[1:])
-    grad_sq = np.array([
-        float(np.sum(grid.measures
-                     * np.sum(element_gradients(grid, dy)**2, axis=1)))
-        for dy in delta_states[1:]])
+    state_norms = [norms(grid, dy) for dy in delta_states[1:]]
+    l2_max = max(n.l2 for n in state_norms)
+    grad_sq = np.array([n.h1_semi**2 for n in state_norms])
     numerator = l2_max + float(np.sqrt(np.sum(taus * grad_sq)))
     if dual_norms is None:
         dual_norms = np.array([dual_norm(grid, du) for du in delta_controls])
@@ -223,9 +221,8 @@ def lipschitz_study(grid, aniso, pot, pairs, final_time, base_n, levels,
     the largest perturbation ratio over the pairs; the study passes when no
     level exceeds ``growth`` times the coarsest level's value.
     """
-    c_psi = pot.semiconvexity()
-    bound = 1.0 / (1.0 + 2.0 * c_psi)
     tau0 = final_time / base_n
+    bound = step_regimes(pot.semiconvexity(), tau0)[0]["lipschitz"]
     if tau0 > bound + 1e-15:
         raise ValueError(
             f"coarsest tau = {tau0:g} exceeds the stability regime bound "

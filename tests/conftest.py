@@ -32,3 +32,27 @@ def oracle_stiffness_matrix(grid):
             local = edges @ edges.T / (4.0 * measure)
         k[np.ix_(conn, conn)] += local
     return k
+
+
+def _oracle_basis_gradients(grid, conn):
+    """Basis gradients of one element from its vertex coordinates alone:
+    +-1/h in 1D, the rotated opposite edge over 2|e| in 2D (counterclockwise
+    vertices)."""
+    p = grid.nodes[conn]
+    if grid.dim == 1:
+        h = p[1, 0] - p[0, 0]
+        return np.array([[-1.0 / h], [1.0 / h]])
+    area = 0.5 * ((p[1, 0] - p[0, 0]) * (p[2, 1] - p[0, 1])
+                  - (p[2, 0] - p[0, 0]) * (p[1, 1] - p[0, 1]))
+    edges = np.array([p[2] - p[1], p[0] - p[2], p[1] - p[0]])
+    return np.column_stack([-edges[:, 1], edges[:, 0]]) / (2.0 * area)
+
+
+def oracle_weighted_stiffness(grid, tensors):
+    """Dense K_ij = sum_e |e| grad phi_i^T M_e grad phi_j by an element loop."""
+    n = grid.n_nodes
+    k = np.zeros((n, n))
+    for conn, measure, tensor in zip(grid.elements, grid.measures, tensors):
+        g = _oracle_basis_gradients(grid, conn)
+        k[np.ix_(conn, conn)] += measure * g @ tensor @ g.T
+    return k

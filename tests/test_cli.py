@@ -178,6 +178,15 @@ def test_verify_energy_requires_zero_forcing(tmp_path, capsys):
     assert "forcing" in capsys.readouterr().err
 
 
+def test_verify_energy_rejects_forcing_dir(tmp_path, capsys):
+    path = write_config(tmp_path)
+    code = run("verify-energy", path,
+               overrides=[f"control.forcing_dir={tmp_path / 'nonexistent'}"],
+               out_dir=str(tmp_path / "out"))
+    assert code == 1
+    assert "control.forcing_dir" in capsys.readouterr().err
+
+
 # -- optimize ---------------------------------------------------------------------------------
 
 def test_optimize_trivial_target(tmp_path):
@@ -219,6 +228,16 @@ def test_study_lipschitz_cli_step_guard(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     assert run("study-lipschitz", path, out_dir=str(tmp_path / "out")) == 1
     assert "1/(1+2c)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["study-tau", "study-bounds",
+                                     "study-lipschitz"])
+def test_studies_reject_nonuniform_breakpoints(tmp_path, capsys, command):
+    path = write_config(tmp_path)
+    code = run(command, path, overrides=["time.breakpoints=0 .05 .3 .4"],
+               out_dir=str(tmp_path / "out"))
+    assert code == 1
+    assert "time.breakpoints" in capsys.readouterr().err
 
 
 def test_study_lipschitz_cli_runs(tmp_path):
@@ -301,3 +320,15 @@ def test_solver_failure_exits_2_with_partial_diagnostics(tmp_path, capsys):
     diag = (out / "diagnostics.csv").read_text().strip().splitlines()
     assert diag[0].startswith("j,")
     assert len(diag) == 2  # header + the initial state row
+
+
+def test_partial_diagnostics_match_successful_run(tmp_path):
+    cfg = BASE_CONFIG.replace("constant(1.0)", "random_uniform(-1, 1, 4)")
+    path = write_config(tmp_path, cfg)
+    ok, failed = tmp_path / "ok", tmp_path / "failed"
+    assert run("simulate", path, out_dir=str(ok)) == 0
+    assert run("simulate", path, overrides=["solver.max_newton_iters=1"],
+               out_dir=str(failed)) == 2
+    partial = (failed / "diagnostics.csv").read_bytes().splitlines(True)
+    assert len(partial) == 2
+    assert partial == (ok / "diagnostics.csv").read_bytes().splitlines(True)[:2]

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import oracle_mass_matrix, oracle_stiffness_matrix
+from conftest import (oracle_mass_matrix, oracle_stiffness_matrix,
+                      oracle_weighted_stiffness)
 
 from anisoflow import (assemble_flux_divergence, build_grid, dual_norm,
                        element_gradients, load_field, lumped_mass, norms,
@@ -114,6 +115,26 @@ def test_identity_flux_equals_stiffness_action(dim, nodes, lengths):
     via_matrix = oracle_stiffness_matrix(g) @ y
     assert np.max(np.abs(via_flux - via_matrix)) <= 1e-12 * max(
         1.0, np.max(np.abs(via_matrix)))
+
+
+@pytest.mark.parametrize("dim,nodes,lengths", [
+    (1, [7], [1.3]),
+    (2, [4, 5], [1.0, 2.0]),
+])
+def test_weighted_stiffness_matches_element_loop(dim, nodes, lengths):
+    g = build_grid(dim, nodes, lengths)
+    rng = np.random.default_rng(2)
+    # non-symmetric tensors: a transposed block would change K
+    tensors = rng.standard_normal((g.n_elements, dim, dim))
+    oracle = oracle_weighted_stiffness(g, tensors)
+    if dim == 2:
+        assert np.max(np.abs(oracle - oracle.T)) > 1e-2 * np.max(np.abs(oracle))
+    assembled = g.assemble_weighted_stiffness(tensors).toarray()
+    assert np.max(np.abs(assembled - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+    identity = np.broadcast_to(np.eye(dim), tensors.shape)
+    assert np.allclose(g.assemble_weighted_stiffness(None).toarray(),
+                       oracle_weighted_stiffness(g, identity),
+                       rtol=0, atol=1e-12 * np.max(np.abs(oracle)))
 
 
 def test_flux_divergence_shape_mismatch():

@@ -9,6 +9,7 @@ from anisoflow import (DoubleWell, IsotropicAnisotropy, MatrixFamilyAnisotropy,
                        check_energy_stability, energy, lumped_mass,
                        solve_trajectory, step, step_objective, step_residual,
                        write_diagnostics)
+from anisoflow.stepper import _newton_matrix, step_regimes
 
 ISO = IsotropicAnisotropy()
 DW = DoubleWell()
@@ -137,6 +138,34 @@ def test_step_matches_dense_newton_oracle():
     assert np.max(np.abs(out - expected)) <= 1e-9
 
 
+def test_newton_matrix_is_residual_jacobian_2d():
+    g = build_grid(2, [7, 6], [1.0, 0.8])
+    fam = MatrixFamilyAnisotropy(
+        [np.array([[1.0, 0.3], [0.3, 0.5]]), np.diag([0.04, 1.0])],
+        delta=1e-2)
+    rng = np.random.default_rng(21)
+    y, y_prev, u, v = rng.uniform(-1, 1, (4, g.n_nodes))
+    tau, eps = 0.3, 1e-6
+    fd = (step_residual(g, fam, DW, y + eps * v, y_prev, u, tau)
+          - step_residual(g, fam, DW, y - eps * v, y_prev, u, tau)) / (
+              2.0 * eps * tau)
+    jv = _newton_matrix(g, fam, DW, y, tau) @ v
+    assert np.max(np.abs(jv - fd)) <= 1e-6 * np.max(np.abs(jv))
+
+
+@pytest.mark.parametrize("c,tau,bounds,flags", [
+    (1.0, 0.5, (1.0, 1.0 / 3.0, 2.0), (True, False, True)),
+    (1.0, 1.0, (1.0, 1.0 / 3.0, 2.0), (False, False, True)),
+    (0.25, 1.0 / 1.5, (4.0, 1.0 / 1.5, 8.0), (True, True, True)),
+    (0.0, 5.0, (np.inf, 1.0, np.inf), (True, False, True)),
+])
+def test_step_regimes(c, tau, bounds, flags):
+    keys = ("uniqueness", "lipschitz", "energy_decay")
+    got_bounds, got_flags = step_regimes(c, tau)
+    assert tuple(got_bounds[k] for k in keys) == bounds
+    assert tuple(got_flags[k] for k in keys) == flags
+
+
 def test_step_rejects_tau_above_uniqueness_bound():
     g = build_grid(1, [9], [1.0])
     with pytest.raises(UniquenessViolation):
@@ -254,6 +283,22 @@ def test_trajectory_attaches_failing_step_index():
     with pytest.raises(UniquenessViolation) as err:
         solve_trajectory(g, ISO, DW, np.ones(g.n_nodes), None, part)
     assert err.value.step_index == 1
+
+
+def test_trajectory_attaches_partial_trajectory(tmp_path):
+    g = build_grid(1, [17], [1.0])
+    y0 = np.random.default_rng(4).uniform(-1, 1, g.n_nodes)
+    part = TimePartition.uniform(1.0, 5)
+    with pytest.raises(NonConvergence) as err:
+        solve_trajectory(g, ISO, DW, y0, None, part,
+                         StepConfig(max_newton_iters=1))
+    partial = err.value.partial_trajectory
+    assert partial.states.shape == (1, g.n_nodes)
+    assert np.array_equal(partial.states[0], y0)
+    assert len(partial.diagnostics) == 1
+    path = tmp_path / "partial.csv"
+    write_diagnostics(partial, path)
+    assert len(path.read_text().splitlines()) == 2
 
 
 def test_lipschitz_regime_warning():
