@@ -508,6 +508,7 @@ def run(command, config_path, overrides=(), out_dir=None, seed=None):
                         f"iterations={report.iterations}\n"
                         f"final_cost={report.j_values[-1]:.17g}\n"
                         f"final_grad_norm={report.grad_norms[-1]:.17g}\n"
+                        f"failed_trials={report.failed_trials}\n"
                         f"message={report.message}\n")
             return 0
 

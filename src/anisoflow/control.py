@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import conjugate_gradient
-from .stepper import StepConfig, _newton_matrix, solve_trajectory
+from .stepper import (NonConvergence, StepConfig, _newton_matrix,
+                      solve_trajectory)
 
 
 class AdjointUnavailable(RuntimeError):
@@ -147,7 +148,8 @@ def adjoint_solve(problem, trajectory, linear_rtol=1e-12):
         else:
             source = tau * w * (y_j - problem.target.values[j - 1])
         rhs = (w * p_next + source) / tau
-        p_j = conjugate_gradient(mat, rhs, rtol=linear_rtol)
+        p_j = conjugate_gradient(mat, rhs, rtol=linear_rtol,
+                                 precondition=grid.preconditioner(mat))
         if not np.all(np.isfinite(p_j)):
             raise RuntimeError(f"adjoint state at step {j} is not finite")
         adjoints[j - 1] = p_j
@@ -159,11 +161,13 @@ def reduced_gradient(problem, control, config=None):
     """Gradient of the reduced cost in the weighted control inner product.
 
     Returns (gradient, trajectory); the gradient fields are
-    g_j = lambda u_j + p_j with p the adjoint sweep at the forward solution.
+    g_j = lambda u_j + p_j with p the adjoint sweep at the forward solution,
+    solved to the relative residual ``config.linear_rtol``.
     """
+    config = config or StepConfig()
     control = problem.check_control(control)
     trajectory = solve_state(problem, control, config)
-    adjoints = adjoint_solve(problem, trajectory)
+    adjoints = adjoint_solve(problem, trajectory, config.linear_rtol)
     return problem.lam * control + adjoints, trajectory
 
 
@@ -213,6 +217,7 @@ class OptimizeReport:
     grad_norms: list = field(default_factory=list)
     step_lengths: list = field(default_factory=list)
     linesearch_evals: list = field(default_factory=list)
+    failed_trials: int = 0              # trial forward solves that raised
     converged: bool = False
     message: str = ""
 
@@ -243,9 +248,11 @@ def optimize(problem, u_init, options=None, config=None):
 
     Steepest descent with Armijo backtracking by default; two-loop L-BFGS
     (same line search) behind ``options.use_lbfgs``.  Accepted iterates have
-    non-increasing cost by construction.  Returns
-    (control, trajectory, report); a stalled line search returns the best
-    iterate with ``converged=False``.
+    non-increasing cost by construction.  A trial control whose forward
+    solve raises NonConvergence is rejected like one that fails the Armijo
+    test: the step backtracks, the trial counts as a line-search evaluation
+    and in ``report.failed_trials``.  Returns (control, trajectory, report);
+    a stalled line search returns the best iterate with ``converged=False``.
     """
     opts = options or OptimizeOptions()
     config = config or StepConfig()
@@ -286,9 +293,14 @@ def optimize(problem, u_init, options=None, config=None):
         accepted = False
         while alpha >= opts.armijo_min_step:
             u_trial = u + alpha * direction
-            traj_trial = solve_state(problem, u_trial, config)
-            j_trial = cost(problem, traj_trial, u_trial)
             evals += 1
+            try:
+                traj_trial = solve_state(problem, u_trial, config)
+            except NonConvergence:
+                report.failed_trials += 1
+                alpha *= opts.armijo_backtrack
+                continue
+            j_trial = cost(problem, traj_trial, u_trial)
             if j_trial <= j_val + opts.armijo_slope * alpha * slope:
                 accepted = True
                 break
@@ -297,7 +309,7 @@ def optimize(problem, u_init, options=None, config=None):
             report.message = "line search stalled; returning best iterate"
             return u, traj, report
 
-        adjoints = adjoint_solve(problem, traj_trial)
+        adjoints = adjoint_solve(problem, traj_trial, config.linear_rtol)
         g_new = problem.lam * u_trial + adjoints
         if opts.use_lbfgs:
             s, y = u_trial - u, g_new - g

@@ -3,6 +3,12 @@
 A hand-rolled CG is used instead of scipy's because the Newton stepper needs
 to detect non-positive curvature directions (the signal to fall back from the
 Newton system to plain descent when the per-step objective is not convex).
+
+On 1D grids every one of these matrices is symmetric tridiagonal, and
+:func:`tridiagonal_ldlt` factorizes it exactly in O(n) plain-Python work.
+Passed to :func:`conjugate_gradient` as the preconditioner, it makes the
+solve return after one operator application; CG still checks the residual
+and the curvature, and stays the single solve entry point.
 """
 
 import numpy as np
@@ -16,7 +22,41 @@ class NonPositiveCurvature(RuntimeError):
     """CG found a direction d with d'Ad <= 0: the operator is not SPD."""
 
 
-def conjugate_gradient(apply_a, b, rtol=1e-12, max_iters=None, detect_curvature=False):
+def tridiagonal_ldlt(mat):
+    """Exact solver for a symmetric tridiagonal matrix, by A = L D L^T.
+
+    ``mat`` is a scipy sparse (or dense) matrix read through its main and
+    first upper diagonals only.  Returns a callable ``b -> A^{-1} b``, or
+    None when a pivot is not positive (or is NaN), i.e. when A is not
+    positive definite.
+    """
+    diag = mat.diagonal().tolist()
+    upper = mat.diagonal(1).tolist()
+    pivots = [diag[0]]
+    factors = []
+    for a, e in zip(diag[1:], upper):
+        if not pivots[-1] > 0.0:
+            return None
+        factors.append(e / pivots[-1])
+        pivots.append(a - factors[-1] * e)
+    if not pivots[-1] > 0.0:
+        return None
+
+    def solve(b):
+        # L y = b, then D z = y, then L^T x = z
+        y = b.tolist()
+        for i, l in enumerate(factors):
+            y[i + 1] -= l * y[i]
+        x = [v / p for v, p in zip(y, pivots)]
+        for i in range(len(factors) - 1, -1, -1):
+            x[i] -= factors[i] * x[i + 1]
+        return np.array(x)
+
+    return solve
+
+
+def conjugate_gradient(apply_a, b, rtol=1e-12, max_iters=None,
+                       detect_curvature=False, precondition=None):
     """Solve A x = b for symmetric positive definite A.
 
     Parameters
@@ -33,6 +73,10 @@ def conjugate_gradient(apply_a, b, rtol=1e-12, max_iters=None, detect_curvature=
     detect_curvature : bool
         Raise NonPositiveCurvature when a search direction has d'Ad <= 0
         instead of dividing by it.
+    precondition : callable, optional
+        ``r -> M^{-1} r`` for an SPD approximation M of A (preconditioned
+        CG).  With M = A exactly, one operator application solves the
+        system.  None runs plain CG.
 
     Returns
     -------
@@ -55,11 +99,14 @@ def conjugate_gradient(apply_a, b, rtol=1e-12, max_iters=None, detect_curvature=
         return x
     tol = rtol * bnorm
 
-    d = r.copy()
+    # rz = r'M^{-1}r is the CG scalar and rr = r'r only the stopping test;
+    # without a preconditioner M^{-1}r is r and the two coincide
+    d = r.copy() if precondition is None else precondition(r)
     rr = r @ r
+    rz = rr if precondition is None else r @ d
+    if np.sqrt(rr) <= tol:
+        return x
     for _ in range(max_iters):
-        if np.sqrt(rr) <= tol:
-            return x
         ad = apply_a(d)
         dad = d @ ad
         if dad <= 0.0:
@@ -68,14 +115,16 @@ def conjugate_gradient(apply_a, b, rtol=1e-12, max_iters=None, detect_curvature=
                     f"curvature d'Ad = {dad:.3e} along a CG direction")
             if dad == 0.0:
                 raise LinearSolveError("CG breakdown: d'Ad = 0")
-        alpha = rr / dad
+        alpha = rz / dad
         x += alpha * d
         r -= alpha * ad
-        rr_new = r @ r
-        d = r + (rr_new / rr) * d
-        rr = rr_new
-    if np.sqrt(rr) <= tol:
-        return x
+        rr = r @ r
+        if np.sqrt(rr) <= tol:
+            return x
+        z = r if precondition is None else precondition(r)
+        rz_new = rr if precondition is None else r @ z
+        d = z + (rz_new / rz) * d
+        rz = rz_new
     raise LinearSolveError(
         f"CG did not reach rtol={rtol:g} in {max_iters} iterations "
         f"(residual {np.sqrt(rr) / bnorm:.3e} relative)")

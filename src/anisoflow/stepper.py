@@ -239,7 +239,8 @@ def _solve_step(grid, aniso, pot, y_prev, u, tau, config, y_start, c_psi):
             try:
                 direction = conjugate_gradient(
                     h_mat, -grad_phi, rtol=config.linear_rtol,
-                    detect_curvature=not config.enforce_uniqueness)
+                    detect_curvature=not config.enforce_uniqueness,
+                    precondition=grid.preconditioner(h_mat))
             except NonPositiveCurvature:
                 use_newton = False
                 fallback_used = True

@@ -204,6 +204,7 @@ def test_optimize_trivial_target(tmp_path):
     summary = (out / "optimize_summary.txt").read_text()
     assert "converged=True" in summary
     assert "final_cost=0" in summary
+    assert "failed_trials=0" in summary
     assert (out / "history.csv").exists()
     assert (out / "control_0010.field").exists()
 

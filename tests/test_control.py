@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from conftest import oracle_stiffness_matrix
 
+import anisoflow.control
 from anisoflow import (AdjointUnavailable, ControlProblem, DistributedTarget,
                        DoubleWell, FinalTimeTarget, IsotropicAnisotropy,
-                       MatrixFamilyAnisotropy, OptimizeOptions, TimePartition,
-                       ZeroPotential, adjoint_solve, build_grid, control_inner,
-                       control_norm, cost, fd_gradient, lumped_mass, optimize,
-                       reduced_gradient, solve_state, write_history)
+                       MatrixFamilyAnisotropy, NonConvergence, OptimizeOptions,
+                       StepConfig, TimePartition, ZeroPotential, adjoint_solve,
+                       build_grid, control_inner, control_norm, cost,
+                       fd_gradient, lumped_mass, optimize, reduced_gradient,
+                       solve_state, write_history)
 
 ISO = IsotropicAnisotropy()
 DW = DoubleWell()
@@ -115,6 +117,26 @@ def test_adjoint_needs_flux_hessian():
         adjoint_solve(prob, traj)
 
 
+@pytest.mark.parametrize("entry", ["reduced_gradient", "optimize"])
+def test_adjoint_uses_configured_linear_tolerance(monkeypatch, entry):
+    prob, _ = make_problem(seed=13)
+    rtols = []
+    original = anisoflow.control.conjugate_gradient
+
+    def spy(mat, rhs, rtol=1e-12, **kwargs):
+        rtols.append(rtol)
+        return original(mat, rhs, rtol=rtol, **kwargs)
+
+    monkeypatch.setattr(anisoflow.control, "conjugate_gradient", spy)
+    config = StepConfig(linear_rtol=1e-7)
+    if entry == "reduced_gradient":
+        reduced_gradient(prob, prob.zero_control(), config)
+    else:
+        optimize(prob, prob.zero_control(), OptimizeOptions(max_iters=2),
+                 config)
+    assert rtols and set(rtols) == {1e-7}
+
+
 # -- reduced gradient ----------------------------------------------------------------
 
 def test_gradient_zero_at_trivial_optimum():
@@ -216,6 +238,31 @@ def test_optimizer_preserves_mirror_symmetry():
     u, _, _ = optimize(prob, prob.zero_control(),
                        OptimizeOptions(max_iters=10))
     assert np.max(np.abs(u - u[:, ::-1])) <= 1e-6
+
+
+def test_optimize_backtracks_over_failed_trial_solve(monkeypatch):
+    # the first line-search trial's forward solve fails; the optimizer
+    # rejects it like an Armijo failure instead of aborting the run
+    prob, _ = make_problem(seed=14)
+    calls = []
+    original = anisoflow.control.solve_state
+
+    def flaky(problem, control, config=None):
+        calls.append(control)
+        if len(calls) == 2:
+            raise NonConvergence("trial failed", control[0], 1.0, 50)
+        return original(problem, control, config)
+
+    monkeypatch.setattr(anisoflow.control, "solve_state", flaky)
+    _, _, report = optimize(prob, prob.zero_control(),
+                            OptimizeOptions(max_iters=3, grad_tol=1e-14))
+    assert report.failed_trials == 1
+    assert report.iterations >= 1
+    assert report.linesearch_evals[1] >= 2
+    assert report.step_lengths[1] <= 0.5
+    assert report.j_values[1] < report.j_values[0]
+    # every forward solve after the first is a counted line-search trial
+    assert len(calls) == 1 + sum(report.linesearch_evals)
 
 
 def test_history_csv(tmp_path):

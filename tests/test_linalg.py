@@ -1,0 +1,185 @@
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+import anisoflow
+from anisoflow import (ControlProblem, DoubleWell, FinalTimeTarget, Grid,
+                       IsotropicAnisotropy, MatrixFamilyAnisotropy,
+                       TimePartition, adjoint_solve, build_grid, dual_norm,
+                       solve_state, step)
+from anisoflow.linalg import (NonPositiveCurvature, conjugate_gradient,
+                              tridiagonal_ldlt)
+
+ISO = IsotropicAnisotropy()
+DW = DoubleWell()
+
+
+def reference_cg(mat, b, rtol):
+    """Plain CG exactly as it stood before preconditioning was added."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    tol = rtol * np.linalg.norm(b)
+    d = r.copy()
+    rr = r @ r
+    while np.sqrt(rr) > tol:
+        ad = mat @ d
+        alpha = rr / (d @ ad)
+        x += alpha * d
+        r -= alpha * ad
+        rr_new = r @ r
+        d = r + (rr_new / rr) * d
+        rr = rr_new
+    return x
+
+
+def random_spd_tridiagonal(rng, n):
+    """Symmetric tridiagonal, diagonally dominant, entries of mixed sign
+    and magnitudes spread over four decades."""
+    off = rng.uniform(-1.0, 1.0, n - 1) * 10.0 ** rng.uniform(-2, 2, n - 1)
+    dominance = np.r_[np.abs(off), 0.0] + np.r_[0.0, np.abs(off)]
+    diag = dominance + 10.0 ** rng.uniform(-2, 2, n)
+    return sp.diags([off, diag, off], [-1, 0, 1], format="csr")
+
+
+class CountingOperator:
+    def __init__(self, mat):
+        self.mat, self.calls = mat, 0
+
+    def __call__(self, v):
+        self.calls += 1
+        return self.mat @ v
+
+
+# -- tridiagonal LDL^T ----------------------------------------------------------
+
+@pytest.mark.parametrize("n", [2, 3, 17, 65])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ldlt_matches_dense_solve(n, seed):
+    rng = np.random.default_rng(seed)
+    mat = random_spd_tridiagonal(rng, n)
+    b = rng.normal(size=n)
+    solve = tridiagonal_ldlt(mat)
+    expected = np.linalg.solve(mat.toarray(), b)
+    assert np.max(np.abs(solve(b) - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("dense", [
+    [[-1.0, 0.5], [0.5, 2.0]],                      # first pivot negative
+    [[1.0, 2.0], [2.0, 1.0]],                       # second pivot -3
+    [[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 5.0]],  # zero pivot
+])
+def test_ldlt_rejects_non_positive_pivot(dense):
+    assert tridiagonal_ldlt(sp.csr_matrix(dense)) is None
+
+
+def test_grid_preconditioner_is_exact_in_1d_only():
+    g1 = build_grid(1, [9], [1.0])
+    g2 = build_grid(2, [5, 5], [1.0, 1.0])
+    assert g1.preconditioner(g1.stiffness_matrix() + sp.eye(9)) is not None
+    assert g2.preconditioner(g2.stiffness_matrix() + sp.eye(25)) is None
+
+
+# -- conjugate gradients --------------------------------------------------------
+
+def test_exact_preconditioner_takes_one_operator_application():
+    rng = np.random.default_rng(3)
+    mat = random_spd_tridiagonal(rng, 65)
+    b = rng.normal(size=65)
+    op = CountingOperator(mat)
+    x = conjugate_gradient(op, b, rtol=1e-12,
+                           precondition=tridiagonal_ldlt(mat))
+    assert op.calls == 1
+    assert np.linalg.norm(b - mat @ x) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_inexact_preconditioner_converges():
+    g = build_grid(2, [9, 9], [1.0, 1.0])
+    mat = (g.stiffness_matrix() + sp.diags(g.weights)).tocsr()
+    b = np.random.default_rng(4).normal(size=g.n_nodes)
+    jacobi = 1.0 / mat.diagonal()
+    x = conjugate_gradient(mat, b, rtol=1e-12, precondition=lambda r: jacobi * r)
+    assert np.linalg.norm(b - mat @ x) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_unpreconditioned_cg_keeps_its_arithmetic():
+    g = build_grid(2, [9, 9], [1.0, 1.0])
+    mat = (g.stiffness_matrix() + sp.diags(g.weights)).tocsr()
+    b = np.random.default_rng(5).normal(size=g.n_nodes)
+    assert np.array_equal(conjugate_gradient(mat, b, rtol=1e-12),
+                          reference_cg(mat, b, 1e-12))
+
+
+def test_preconditioned_cg_still_detects_curvature():
+    mat = sp.csr_matrix([[1.0, 0.0], [0.0, -1.0]])
+    with pytest.raises(NonPositiveCurvature):
+        conjugate_gradient(mat, np.array([0.0, 1.0]), detect_curvature=True,
+                           precondition=lambda r: r)
+
+
+# -- 1D solves agree with the unpreconditioned path -------------------------------
+
+def _plain_cg(monkeypatch):
+    monkeypatch.setattr(Grid, "preconditioner", lambda self, mat: None)
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("aniso", [
+    ISO, MatrixFamilyAnisotropy([[[1.0]], [[0.3]]], delta=1e-2)])
+def test_1d_step_matches_plain_cg(monkeypatch, aniso):
+    g = build_grid(1, [65], [1.0])
+    rng = np.random.default_rng(6)
+    y_prev = rng.uniform(-1, 1, g.n_nodes)
+    u = rng.uniform(-0.5, 0.5, g.n_nodes)
+    exact = step(g, aniso, DW, y_prev, u, 0.05)
+    _plain_cg(monkeypatch)
+    plain = step(g, aniso, DW, y_prev, u, 0.05)
+    assert _rel(exact, plain) <= 1e-12
+
+
+def test_1d_adjoint_matches_plain_cg(monkeypatch):
+    g = build_grid(1, [65], [1.0])
+    rng = np.random.default_rng(7)
+    prob = ControlProblem(g, TimePartition.uniform(0.4, 8),
+                          rng.uniform(-1, 1, g.n_nodes),
+                          FinalTimeTarget(rng.uniform(-1, 1, g.n_nodes)),
+                          1e-2, ISO, DW)
+    traj = solve_state(prob, rng.uniform(-1, 1, (8, g.n_nodes)))
+    exact = adjoint_solve(prob, traj)
+    _plain_cg(monkeypatch)
+    plain = adjoint_solve(prob, traj)
+    assert _rel(exact, plain) <= 1e-12
+
+
+def test_1d_dual_norm_matches_plain_cg(monkeypatch):
+    values = np.random.default_rng(8).uniform(-1, 1, 65)
+    exact = dual_norm(build_grid(1, [65], [1.0]), values)
+    _plain_cg(monkeypatch)
+    plain = dual_norm(build_grid(1, [65], [1.0]), values)
+    assert abs(exact - plain) <= 1e-12 * plain
+
+
+def test_1d_solves_import_no_scipy_solver_modules():
+    # scipy.linalg and scipy.sparse.linalg each add several MB of resident
+    # memory to every process that imports them
+    script = (
+        "import sys, numpy as np, anisoflow as af\n"
+        "g = af.build_grid(1, [17], [1.0])\n"
+        "y = af.step(g, af.IsotropicAnisotropy(), af.DoubleWell(),\n"
+        "            np.linspace(-1, 1, 17), np.zeros(17), 0.1)\n"
+        "af.dual_norm(g, y)\n"
+        "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse.linalg')\n"
+        "             if m in sys.modules))\n")
+    src = os.path.dirname(os.path.dirname(anisoflow.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
