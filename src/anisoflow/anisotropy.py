@@ -90,7 +90,11 @@ class MatrixFamilyAnisotropy:
 
     def _roots(self, p):
         """sqrt(p' G_l p + delta) for each l; shape (L,) + batch."""
-        gp = np.einsum("lij,...j->l...i", self.matrices, p)
+        # (G_l p)_i as the broadcast product p G_l^T: matmul takes the last
+        # two axes of p as one matrix, so G^T gets a unit axis per other one
+        gt = np.swapaxes(self.matrices, 1, 2)
+        gp = np.matmul(p, gt.reshape(
+            gt.shape[:1] + (1,) * (p.ndim - 2) + gt.shape[1:]))
         quad = np.einsum("...i,l...i->l...", p, gp) + self.delta
         return np.sqrt(np.maximum(quad, 0.0)), gp
 

@@ -216,6 +216,8 @@ class OptimizeReport:
     j_values: list = field(default_factory=list)
     grad_norms: list = field(default_factory=list)
     step_lengths: list = field(default_factory=list)
+    # one entry per row above, plus a last one for a line search that
+    # stalled (the trials it spent without an accepted iterate)
     linesearch_evals: list = field(default_factory=list)
     failed_trials: int = 0              # trial forward solves that raised
     converged: bool = False
@@ -306,6 +308,7 @@ def optimize(problem, u_init, options=None, config=None):
                 break
             alpha *= opts.armijo_backtrack
         if not accepted:
+            report.linesearch_evals.append(evals)
             report.message = "line search stalled; returning best iterate"
             return u, traj, report
 
@@ -337,13 +340,19 @@ def optimize(problem, u_init, options=None, config=None):
 
 def write_history(report, path):
     """Optimization history CSV (iter, J, grad_norm, step_length,
-    linesearch_evals)."""
+    linesearch_evals).
+
+    A line search that stalled ends the file with one more row: the best
+    iterate's J and grad_norm again, step_length 0 and the trials spent.
+    """
+    rows = len(report.j_values)
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["iter", "J", "grad_norm", "step_length",
                          "linesearch_evals"])
-        for it in range(len(report.j_values)):
-            writer.writerow([it, f"{report.j_values[it]:.17g}",
-                             f"{report.grad_norms[it]:.17g}",
-                             f"{report.step_lengths[it]:.17g}",
-                             report.linesearch_evals[it]])
+        for it, evals in enumerate(report.linesearch_evals):
+            k = min(it, rows - 1)
+            step = report.step_lengths[it] if it < rows else 0.0
+            writer.writerow([it, f"{report.j_values[k]:.17g}",
+                             f"{report.grad_norms[k]:.17g}",
+                             f"{step:.17g}", evals])

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import conjugate_gradient, tridiagonal_ldlt
+from .linalg import conjugate_gradient, multigrid_vcycle, tridiagonal_ldlt
 
 # reference-simplex basis gradients, per dimension
 _REF_GRADS = {
@@ -101,6 +101,7 @@ class Grid:
         self._block_indptr = np.arange(0, self.n_elements * dim**2 + 1, dim)
         self._block_indices = np.repeat(rows, dim, axis=1).ravel()
         self._stiffness = None
+        self._prolongations = None
         self._riesz = None
         self._riesz_precondition = None
 
@@ -193,10 +194,38 @@ class Grid:
         """Preconditioner for an SPD matrix assembled on this grid.
 
         On 1D grids P1 matrices are tridiagonal, so this is the exact LDL^T
-        solve (:func:`tridiagonal_ldlt`); it is None in 2D and when the
-        factorization meets a non-positive pivot, and CG then runs plain.
+        solve (:func:`tridiagonal_ldlt`).  On 2D grids it is a multigrid
+        V-cycle over the grid's coarsening hierarchy
+        (:func:`multigrid_vcycle`).  It is None when the factorization
+        meets a non-positive pivot, when a 2D grid does not coarsen to at
+        most 100 nodes, or when the coarsest matrix is not positive
+        definite; CG then runs plain.
         """
-        return tridiagonal_ldlt(mat) if self.dim == 1 else None
+        if self.dim == 1:
+            return tridiagonal_ldlt(mat)
+        return multigrid_vcycle(mat, self.prolongations())
+
+    def prolongations(self):
+        """P1 interpolations P of the 2D coarsening hierarchy, finest first,
+        each paired with its transpose (both CSR).
+
+        Each coarse grid keeps every other node of the one above it, which
+        needs an odd node count of at least 5 on both axes; coarsening goes
+        on while that holds.  Empty on 1D grids.  A fine node takes the mean of the two coarse
+        nodes at the ends of the coarse edge it lies on (both ends are the
+        node itself where it is a coarse node); cell centres lie on the
+        cell diagonal from v10 to v01.  This is the exact P1 interpolation,
+        so P^T K P is the stiffness matrix of the coarse grid.  Built once.
+        """
+        if self._prolongations is None:
+            chain = []
+            shape = self.shape
+            while self.dim == 2 and all(n >= 5 and n % 2 for n in shape):
+                p = _p1_prolongation(shape)
+                chain.append((p, p.T.tocsr()))
+                shape = tuple((n + 1) // 2 for n in shape)
+            self._prolongations = tuple(chain)
+        return self._prolongations
 
     def _riesz_system(self):
         """The Riesz matrix K + diag(W) and its preconditioner, built once."""
@@ -205,6 +234,20 @@ class Grid:
                            + sp.diags(self.weights)).tocsr()
             self._riesz_precondition = self.preconditioner(self._riesz)
         return self._riesz, self._riesz_precondition
+
+
+def _p1_prolongation(shape):
+    """Interpolation from the 2D grid with every other node to ``shape``."""
+    n1, n2 = shape
+    m1, m2 = (n1 + 1) // 2, (n2 + 1) // 2
+    i1, i2 = (a.ravel() for a in np.meshgrid(np.arange(n1), np.arange(n2)))
+    o1, o2 = i1 % 2, i2 % 2
+    ends = np.concatenate([(i2 - o2) // 2 * m1 + (i1 + o1) // 2,
+                           (i2 + o2) // 2 * m1 + (i1 - o1) // 2])
+    rows = np.tile(np.arange(n1 * n2), 2)
+    # duplicate entries are summed, so a coarse node gets 0.5 + 0.5
+    return sp.csr_matrix((np.full(rows.size, 0.5), (rows, ends)),
+                         shape=(n1 * n2, m1 * m2))
 
 
 def build_grid(dim, nodes_per_axis, lengths):
@@ -277,9 +320,9 @@ def dual_norm(grid, values, rtol=1e-10):
     """Discrete dual norm of a field viewed as a functional on H1.
 
     Solves the Riesz problem (grad z, grad phi) + (z, phi) = (f, phi) for
-    all nodal phi (conjugate gradients, relative residual <= rtol, exact in
-    one step on 1D grids) and
-    returns sqrt((f, z)).  For f constant the representative is z = f, so
+    all nodal phi (conjugate gradients, relative residual <= rtol, with the
+    grid's preconditioner: exact in one step on 1D grids, a multigrid
+    V-cycle in 2D) and returns sqrt((f, z)).  For f constant the representative is z = f, so
     the value is |f| sqrt(volume); for any f it is bounded by the lumped
     L2 norm.
     """

@@ -4,14 +4,28 @@ A hand-rolled CG is used instead of scipy's because the Newton stepper needs
 to detect non-positive curvature directions (the signal to fall back from the
 Newton system to plain descent when the per-step objective is not convex).
 
-On 1D grids every one of these matrices is symmetric tridiagonal, and
-:func:`tridiagonal_ldlt` factorizes it exactly in O(n) plain-Python work.
-Passed to :func:`conjugate_gradient` as the preconditioner, it makes the
-solve return after one operator application; CG still checks the residual
-and the curvature, and stays the single solve entry point.
+CG stays the single solve entry point; the grid picks its preconditioner
+(``Grid.preconditioner``), and CG still checks the residual and the
+curvature against the matrix itself:
+
+* on 1D grids every one of these matrices is symmetric tridiagonal, and
+  :func:`tridiagonal_ldlt` factorizes it exactly in O(n) plain-Python
+  work, so each solve returns after one operator application;
+* on 2D grids :func:`multigrid_vcycle` is a geometric multigrid V-cycle
+  whose CG iteration count does not grow as the mesh is refined;
+* either returns None when its construction finds the matrix unsuitable
+  (a non-positive pivot, a grid that does not coarsen to a small dense
+  level), and CG then runs unpreconditioned.
 """
 
+import functools
+
 import numpy as np
+
+# largest level solved densely at the bottom of a V-cycle.  The dense
+# inverse is formed once per matrix: at 289 unknowns (a 17^2 level) it alone
+# cost ~7.6 ms per Newton matrix, more than the V-cycle saved on 33^2 grids
+_COARSEST_MAX = 100
 
 
 class LinearSolveError(RuntimeError):
@@ -53,6 +67,57 @@ def tridiagonal_ldlt(mat):
         return np.array(x)
 
     return solve
+
+
+def multigrid_vcycle(mat, prolongations):
+    """Symmetric V(1,1)-cycle preconditioner for a sparse symmetric matrix.
+
+    ``prolongations`` is the chain of sparse interpolations P_k from level
+    k+1 to level k, finest first, as pairs (P_k, P_k^T).  The coarse
+    operators are the Galerkin products P_k^T A_k P_k; coarsening stops at
+    the first level with at most 100 unknowns, which is solved exactly
+    through its dense Cholesky factor.  Each level smooths with one l1-Jacobi sweep x += r / rowsum|A|
+    before and one after the coarse correction.  Since 2 diag(rowsum|A|) - A
+    is strictly diagonally dominant for any symmetric A without zero rows,
+    the cycle is an SPD operator whenever the coarsest matrix is.
+
+    Returns a callable ``r -> M^{-1} r``, or None when no level of at most
+    100 unknowns is reached, a row of A is zero, or the coarsest matrix is
+    not positive definite.
+    """
+    levels = []
+    a = mat.tocsr()
+    for p, pt in prolongations:
+        if a.shape[0] <= _COARSEST_MAX:
+            break
+        rowsum = abs(a) @ np.ones(a.shape[0])
+        if not np.all(rowsum > 0.0):
+            return None
+        levels.append((a, 1.0 / rowsum, p, pt))
+        a = pt @ a @ p
+    if a.shape[0] > _COARSEST_MAX:
+        return None
+    try:
+        chol = np.linalg.cholesky(a.toarray())
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(chol)):
+        return None
+    inv_chol = np.linalg.inv(chol)
+    # a partial of a module-level function: a closure calling itself would
+    # be a reference cycle, kept alive with its matrices until the garbage
+    # collector runs
+    return functools.partial(_vcycle, tuple(levels), inv_chol.T @ inv_chol)
+
+
+def _vcycle(levels, coarse_inverse, r, k=0):
+    if k == len(levels):
+        return coarse_inverse @ r
+    a, smoother, p, pt = levels[k]
+    x = smoother * r
+    x += p @ _vcycle(levels, coarse_inverse, pt @ (r - a @ x), k + 1)
+    x += smoother * (r - a @ x)
+    return x
 
 
 def conjugate_gradient(apply_a, b, rtol=1e-12, max_iters=None,

@@ -74,6 +74,27 @@ def test_batched_evaluation_matches_pointwise():
         assert np.allclose(hesses[k], ANISO_2D.hess(pts[k]), atol=1e-14)
 
 
+class EinsumRoots(MatrixFamilyAnisotropy):
+    """The family with G_l p formed by einsum, as the kernel once did."""
+
+    def _roots(self, p):
+        gp = np.einsum("lij,...j->l...i", self.matrices, p)
+        quad = np.einsum("...i,l...i->l...", p, gp) + self.delta
+        return np.sqrt(np.maximum(quad, 0.0)), gp
+
+
+@pytest.mark.parametrize("aniso", [ANISO_1D, ANISO_2D])
+@pytest.mark.parametrize("batch", [(), (7,), (3, 5)])
+def test_kernel_matches_einsum_form(aniso, batch):
+    reference = EinsumRoots(aniso.matrices, aniso.delta)
+    p = np.random.default_rng(11).normal(size=batch + (aniso.dim,))
+    for method in ("value", "grad", "hess"):
+        got = getattr(aniso, method)(p)
+        expected = getattr(reference, method)(p)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+
 # -- derivative consistency ----------------------------------------------------
 
 @pytest.mark.parametrize("aniso,dim", [(ANISO_2D, 2), (ANISO_1D, 1)])

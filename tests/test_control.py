@@ -265,6 +265,41 @@ def test_optimize_backtracks_over_failed_trial_solve(monkeypatch):
     assert len(calls) == 1 + sum(report.linesearch_evals)
 
 
+def test_stalled_line_search_counts_its_trials(monkeypatch, tmp_path):
+    # every trial solve after the first accepted iterate fails, so the
+    # second line search stalls; its forward solves still count
+    prob, _ = make_problem(seed=14)
+    solves, sweeps = [], []
+    solve, adjoint = anisoflow.control.solve_state, anisoflow.control.adjoint_solve
+
+    def failing_after_first_iterate(problem, control, config=None):
+        solves.append(control)
+        if len(sweeps) >= 2:
+            raise NonConvergence("trial failed", control[0], 1.0, 50)
+        return solve(problem, control, config)
+
+    def counted_adjoint(*args):
+        sweeps.append(args)
+        return adjoint(*args)
+
+    monkeypatch.setattr(anisoflow.control, "solve_state",
+                        failing_after_first_iterate)
+    monkeypatch.setattr(anisoflow.control, "adjoint_solve", counted_adjoint)
+    _, _, report = optimize(prob, prob.zero_control(),
+                            OptimizeOptions(max_iters=5, grad_tol=1e-14))
+    assert report.message.startswith("line search stalled")
+    assert report.iterations == 1
+    assert report.failed_trials == report.linesearch_evals[-1] >= 2
+    assert len(solves) == 1 + sum(report.linesearch_evals)
+
+    path = tmp_path / "history.csv"
+    write_history(report, path)
+    last = path.read_text().strip().splitlines()[-1].split(",")
+    assert last == ["2", f"{report.j_values[1]:.17g}",
+                    f"{report.grad_norms[1]:.17g}", "0",
+                    str(report.failed_trials)]
+
+
 def test_history_csv(tmp_path):
     prob, _ = make_problem(seed=12)
     _, _, report = optimize(prob, prob.zero_control(),

@@ -13,9 +13,13 @@ from anisoflow import (ControlProblem, DoubleWell, FinalTimeTarget, Grid,
                        solve_state, step)
 from anisoflow.linalg import (NonPositiveCurvature, conjugate_gradient,
                               tridiagonal_ldlt)
+from anisoflow.stepper import _newton_matrix
 
 ISO = IsotropicAnisotropy()
 DW = DoubleWell()
+# the strongly directional family of the README relaxation
+ANISO_2D = MatrixFamilyAnisotropy(
+    [np.diag([1.0, 0.04]), np.diag([0.04, 1.0])], delta=1e-2)
 
 
 def reference_cg(mat, b, rtol):
@@ -79,8 +83,74 @@ def test_ldlt_rejects_non_positive_pivot(dense):
 def test_grid_preconditioner_is_exact_in_1d_only():
     g1 = build_grid(1, [9], [1.0])
     g2 = build_grid(2, [5, 5], [1.0, 1.0])
+    g12 = build_grid(2, [12, 12], [1.0, 1.0])
     assert g1.preconditioner(g1.stiffness_matrix() + sp.eye(9)) is not None
-    assert g2.preconditioner(g2.stiffness_matrix() + sp.eye(25)) is None
+    assert g2.preconditioner(g2.stiffness_matrix() + sp.eye(25)) is not None
+    # 11 intervals per axis do not halve: no hierarchy, plain CG
+    assert g12.preconditioner(g12.stiffness_matrix() + sp.eye(144)) is None
+
+
+# -- 2D multigrid ---------------------------------------------------------------
+
+def relaxation_newton_matrix(n):
+    """Newton matrix of the README relaxation at a rough state on n x n."""
+    g = build_grid(2, [n, n], [1.0, 1.0])
+    y = np.random.default_rng(9).uniform(-0.8, 0.8, g.n_nodes)
+    return g, _newton_matrix(g, ANISO_2D, DW, y, 0.1)
+
+
+def dense_operator(apply, n):
+    return np.column_stack([apply(e) for e in np.eye(n)])
+
+
+@pytest.mark.parametrize("n", [5, 9, 33])
+def test_prolongation_is_p1_interpolation(n):
+    g = build_grid(2, [n, n], [1.0, 2.0])
+    coarse = build_grid(2, [(n + 1) // 2] * 2, [1.0, 2.0])
+    p, pt = g.prolongations()[0]
+    assert (pt != p.T).nnz == 0
+    affine = lambda x: 0.3 - 1.7 * x[:, 0] + 2.9 * x[:, 1]
+    assert np.max(np.abs(p @ affine(coarse.nodes) - affine(g.nodes))) <= 1e-14
+    assert np.max(np.abs((pt @ g.stiffness_matrix() @ p
+                          - coarse.stiffness_matrix()).toarray())) <= 1e-12
+    # the plain stiffness cannot tell the two cell diagonals apart; a tensor
+    # with off-diagonal entries can
+    m = np.array([[1.0, 0.3], [0.3, 0.5]])
+    fine_k, coarse_k = (grid.assemble_weighted_stiffness(
+        np.broadcast_to(m, (grid.n_elements, 2, 2))) for grid in (g, coarse))
+    assert np.max(np.abs((pt @ fine_k @ p - coarse_k).toarray())) <= 1e-12
+
+
+def test_vcycle_is_symmetric_positive_definite():
+    g, newton = relaxation_newton_matrix(17)
+    # indefinite: one fine-only node with a negative diagonal entry, while
+    # the Galerkin matrix of the coarsest level stays positive definite
+    v = np.zeros(g.n_nodes)
+    v[3 * 17 + 3] = -6.0
+    indefinite = (g.stiffness_matrix() + sp.eye(g.n_nodes) + sp.diags(v)).tocsr()
+    assert np.linalg.eigvalsh(indefinite.toarray())[0] < 0.0
+    for mat in (newton, indefinite):
+        vcycle = g.preconditioner(mat)
+        assert vcycle is not None
+        m_inv = dense_operator(vcycle, g.n_nodes)
+        assert np.max(np.abs(m_inv - m_inv.T)) <= 1e-12 * np.max(np.abs(m_inv))
+        assert np.linalg.eigvalsh(0.5 * (m_inv + m_inv.T))[0] > 0.0
+
+
+@pytest.mark.parametrize("n", [33, 65, 129])
+def test_vcycle_iterations_do_not_grow_with_the_grid(n):
+    g, mat = relaxation_newton_matrix(n)
+    b = np.random.default_rng(10).normal(size=g.n_nodes)
+    op = CountingOperator(mat)
+    x = conjugate_gradient(op, b, rtol=1e-12, precondition=g.preconditioner(mat))
+    assert op.calls <= 40
+    assert np.linalg.norm(b - mat @ x) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_vcycle_declines_unsuitable_matrices():
+    g = build_grid(2, [17, 17], [1.0, 1.0])
+    negative = -(g.stiffness_matrix() + sp.eye(g.n_nodes))
+    assert g.preconditioner(negative.tocsr()) is None
 
 
 # -- conjugate gradients --------------------------------------------------------
@@ -165,6 +235,39 @@ def test_1d_dual_norm_matches_plain_cg(monkeypatch):
     assert abs(exact - plain) <= 1e-12 * plain
 
 
+def test_2d_step_matches_plain_cg(monkeypatch):
+    g = build_grid(2, [17, 17], [1.0, 1.0])
+    rng = np.random.default_rng(11)
+    y_prev = rng.uniform(-0.8, 0.8, g.n_nodes)
+    u = rng.uniform(-0.5, 0.5, g.n_nodes)
+    vcycle = step(g, ANISO_2D, DW, y_prev, u, 0.1)
+    _plain_cg(monkeypatch)
+    plain = step(g, ANISO_2D, DW, y_prev, u, 0.1)
+    assert _rel(vcycle, plain) <= 1e-10
+
+
+def test_2d_adjoint_matches_plain_cg(monkeypatch):
+    g = build_grid(2, [17, 17], [1.0, 1.0])
+    rng = np.random.default_rng(12)
+    prob = ControlProblem(g, TimePartition.uniform(0.4, 4),
+                          rng.uniform(-1, 1, g.n_nodes),
+                          FinalTimeTarget(rng.uniform(-1, 1, g.n_nodes)),
+                          1e-2, ANISO_2D, DW)
+    traj = solve_state(prob, rng.uniform(-1, 1, (4, g.n_nodes)))
+    vcycle = adjoint_solve(prob, traj)
+    _plain_cg(monkeypatch)
+    plain = adjoint_solve(prob, traj)
+    assert _rel(vcycle, plain) <= 1e-10
+
+
+def test_2d_dual_norm_matches_plain_cg(monkeypatch):
+    values = np.random.default_rng(13).uniform(-1, 1, 33 * 33)
+    vcycle = dual_norm(build_grid(2, [33, 33], [1.0, 1.0]), values)
+    _plain_cg(monkeypatch)
+    plain = dual_norm(build_grid(2, [33, 33], [1.0, 1.0]), values)
+    assert abs(vcycle - plain) <= 1e-10 * plain
+
+
 def test_1d_solves_import_no_scipy_solver_modules():
     # scipy.linalg and scipy.sparse.linalg each add several MB of resident
     # memory to every process that imports them
@@ -173,6 +276,10 @@ def test_1d_solves_import_no_scipy_solver_modules():
         "g = af.build_grid(1, [17], [1.0])\n"
         "y = af.step(g, af.IsotropicAnisotropy(), af.DoubleWell(),\n"
         "            np.linspace(-1, 1, 17), np.zeros(17), 0.1)\n"
+        "af.dual_norm(g, y)\n"
+        "g = af.build_grid(2, [33, 33], [1.0, 1.0])\n"
+        "y = af.step(g, af.IsotropicAnisotropy(), af.DoubleWell(),\n"
+        "            np.linspace(-1, 1, g.n_nodes), np.zeros(g.n_nodes), 0.1)\n"
         "af.dual_norm(g, y)\n"
         "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse.linalg')\n"
         "             if m in sys.modules))\n")
