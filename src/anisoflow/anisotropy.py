@@ -124,13 +124,16 @@ class MatrixFamilyAnisotropy:
         s, gp = self._roots(p)
         gamma = np.sum(s, axis=0)
         dgamma = np.sum(gp / s[..., None], axis=0)
-        # gamma'' = sum_l (G_l / s_l - (G_l p)(G_l p)' / s_l^3)
-        outer = np.einsum("l...i,l...j->l...ij", gp, gp)
-        d2gamma = (np.sum(self.matrices.reshape(
-                       (self.matrices.shape[0],) + (1,) * (p.ndim - 1) + self.matrices.shape[1:])
-                       / s[..., None, None], axis=0)
-                   - np.sum(outer / s[..., None, None] ** 3, axis=0))
-        return (np.einsum("...i,...j->...ij", dgamma, dgamma)
+        # gamma'' = sum_l (G_l / s_l - (G_l p)(G_l p)' / s_l^3), summed over
+        # l as it goes: one (batch, L) x (L, d*d) product for the first
+        # term, then one rank-one update per l
+        n_mats, d = self.matrices.shape[:2]
+        d2gamma = (np.moveaxis(1.0 / s, 0, -1)
+                   @ self.matrices.reshape(n_mats, d * d)).reshape(p.shape + (d,))
+        for gp_l, s_l in zip(gp, s):
+            v = gp_l / (s_l * np.sqrt(s_l))[..., None]
+            d2gamma -= v[..., :, None] * v[..., None, :]
+        return (dgamma[..., :, None] * dgamma[..., None, :]
                 + gamma[..., None, None] * d2gamma)
 
     def __repr__(self):

@@ -9,8 +9,9 @@ on two facts that hold for P1 simplices:
   element gradients of a nodal field are one sparse product y -> D y, with
   D the (n_elements*dim) x n_nodes gradient operator built once per grid;
   every divergence-form term (q, grad phi) with an element-constant flux q
-  is then D^T (|e| q), and every stiffness matrix weighted by per-element
-  tensors M_e is D^T blockdiag(|e| M_e) D, all exact;
+  is then D^T (|e| q), and every matrix (stiffness, Newton, adjoint, Riesz)
+  is a diagonal plus the element blocks |e| G_e M_e G_e^T (G_e the basis
+  gradients), summed into one CSR pattern built once per grid, all exact;
 * the row sum of the exact P1 element mass matrix is |e|/(d+1), so mass
   lumping reduces every L2 pairing to a diagonal weight vector.
 
@@ -18,6 +19,7 @@ Fields are plain 1-D numpy arrays of nodal values; the grid travels
 alongside them in function signatures.
 """
 
+import copy
 from typing import NamedTuple
 
 import numpy as np
@@ -61,6 +63,9 @@ class Grid:
     Dt : scipy.sparse.csr_matrix, (n_nodes, n_elements*dim)
         Its transpose: Dt @ (|e| q) assembles (q, grad phi_i) for
         element-constant fluxes q.
+
+    Matrices are values filled into one CSR pattern per grid
+    (:meth:`sparsity_pattern`), whose read-only index arrays they share.
     """
 
     def __init__(self, dim, nodes_per_axis, lengths):
@@ -97,13 +102,10 @@ class Grid:
             shape=(self.n_elements * dim, self.n_nodes))
         self.D.eliminate_zeros()
         self.Dt = self.D.T.tocsr()
-        # CSR pattern of blockdiag(M_e): row e*dim + a holds M_e[a, :]
-        self._block_indptr = np.arange(0, self.n_elements * dim**2 + 1, dim)
-        self._block_indices = np.repeat(rows, dim, axis=1).ravel()
+        self._pattern = self._template = None
         self._stiffness = None
         self._prolongations = None
         self._riesz = None
-        self._riesz_precondition = None
 
     @property
     def n_nodes(self):
@@ -176,19 +178,53 @@ class Grid:
             self._stiffness = self.assemble_weighted_stiffness(None)
         return self._stiffness
 
-    def assemble_weighted_stiffness(self, tensors):
-        """Assemble sum_e |e| grad phi_i^T M_e grad phi_j as a CSR matrix.
+    def sparsity_pattern(self):
+        """CSR pattern of all node pairs that share an element, built once:
+        read-only int32 ``indptr`` and ``indices``, the position in
+        ``indices`` of local pair (l, m) of element e at [e, l, m], and of
+        each diagonal entry.  The positions are searched in the sorted
+        keys row*n_nodes + column; an ``np.unique`` inverse would need
+        about twice the peak memory."""
+        if self._pattern is None:
+            n = self.n_nodes
+            keys = self.elements[:, :, None] * n + self.elements[:, None, :]
+            pairs = np.sort(keys, axis=None)
+            pairs = pairs[np.concatenate(([True], pairs[1:] != pairs[:-1]))]
+            pattern = (np.searchsorted(pairs, np.arange(n + 1) * n),
+                       pairs % n,
+                       np.searchsorted(pairs, keys),
+                       np.searchsorted(pairs, np.arange(n) * (n + 1)))
+            self._pattern = tuple(a.astype(np.int32) for a in pattern)
+            for a in self._pattern:
+                a.flags.writeable = False
+            indptr, indices = self._pattern[:2]
+            self._template = sp.csr_matrix(
+                (np.zeros(indices.size), indices, indptr), shape=(n, n))
+        return self._pattern
+
+    def assemble_weighted_stiffness(self, tensors, diagonal=None):
+        """Assemble sum_e |e| grad phi_i^T M_e grad phi_j + diag(diagonal)
+        into the grid's :meth:`sparsity_pattern`, as a CSR matrix.
 
         ``tensors`` is an (n_elements, dim, dim) array of per-element
-        matrices M_e, or None for the identity (plain stiffness).
+        matrices M_e, or None for the identity (plain stiffness);
+        ``diagonal`` an optional (n_nodes,) vector.
         """
-        if tensors is None:
-            tensors = np.eye(self.dim)
-        blocks = self.measures[:, None, None] * tensors
-        block_diag = sp.csr_matrix(
-            (blocks.ravel(), self._block_indices, self._block_indptr),
-            shape=(self.D.shape[0],) * 2)
-        return self.Dt @ block_diag @ self.D
+        _, indices, nonzero, diagonal_at = self.sparsity_pattern()
+        grads = self.measures[:, None, None] * self.basis_gradients
+        if tensors is not None:
+            grads = grads @ tensors
+        blocks = grads @ np.swapaxes(self.basis_gradients, 1, 2)
+        data = np.bincount(nonzero.ravel(), weights=blocks.ravel(),
+                           minlength=indices.size)
+        if diagonal is not None:
+            data[diagonal_at] += diagonal
+        # a shallow copy of the template with its own values: the CSR
+        # constructor would check the index arrays again on every call,
+        # which costs more than the arithmetic on 1D grids
+        mat = copy.copy(self._template)
+        mat.data = data
+        return mat
 
     def preconditioner(self, mat):
         """Preconditioner for an SPD matrix assembled on this grid.
@@ -230,10 +266,9 @@ class Grid:
     def _riesz_system(self):
         """The Riesz matrix K + diag(W) and its preconditioner, built once."""
         if self._riesz is None:
-            self._riesz = (self.stiffness_matrix()
-                           + sp.diags(self.weights)).tocsr()
-            self._riesz_precondition = self.preconditioner(self._riesz)
-        return self._riesz, self._riesz_precondition
+            mat = self.assemble_weighted_stiffness(None, self.weights)
+            self._riesz = (mat, self.preconditioner(mat))
+        return self._riesz
 
 
 def _p1_prolongation(shape):

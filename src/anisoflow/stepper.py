@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .grid import assemble_flux_divergence, element_gradients, h1_norm
 from .linalg import NonPositiveCurvature, conjugate_gradient
@@ -189,10 +188,9 @@ def step_objective(grid, aniso, pot, y, y_prev, u, tau):
 
 def _newton_matrix(grid, aniso, pot, y, tau):
     """Sparse W/tau + K_{A''(grad y)} + diag(W psi''(y)); SPD for tau < 1/c."""
-    tensors = aniso.hess(element_gradients(grid, y))
-    k_mat = grid.assemble_weighted_stiffness(tensors)
-    diag = grid.weights / tau + grid.weights * pot.second(y)
-    return k_mat + sp.diags(diag)
+    w = grid.weights
+    return grid.assemble_weighted_stiffness(
+        aniso.hess(element_gradients(grid, y)), w / tau + w * pot.second(y))
 
 
 def _solve_step(grid, aniso, pot, y_prev, u, tau, config, y_start, c_psi):

@@ -48,6 +48,12 @@ def _oracle_basis_gradients(grid, conn):
     return np.column_stack([-edges[:, 1], edges[:, 0]]) / (2.0 * area)
 
 
+def oracle_element_gradients(grid, values):
+    """Gradient of a nodal field on every element, from the vertex formula."""
+    return np.array([_oracle_basis_gradients(grid, conn).T @ values[conn]
+                     for conn in grid.elements])
+
+
 def oracle_weighted_stiffness(grid, tensors):
     """Dense K_ij = sum_e |e| grad phi_i^T M_e grad phi_j by an element loop."""
     n = grid.n_nodes

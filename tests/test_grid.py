@@ -4,9 +4,11 @@ import pytest
 from conftest import (oracle_mass_matrix, oracle_stiffness_matrix,
                       oracle_weighted_stiffness)
 
-from anisoflow import (assemble_flux_divergence, build_grid, dual_norm,
-                       element_gradients, load_field, lumped_mass, norms,
-                       read_field, write_field)
+from anisoflow import (ControlProblem, DoubleWell, FinalTimeTarget,
+                       MatrixFamilyAnisotropy, TimePartition,
+                       adjoint_solve, assemble_flux_divergence, build_grid,
+                       dual_norm, element_gradients, load_field, lumped_mass,
+                       norms, read_field, solve_state, step, write_field)
 
 
 # -- construction -------------------------------------------------------------
@@ -135,6 +137,53 @@ def test_weighted_stiffness_matches_element_loop(dim, nodes, lengths):
     assert np.allclose(g.assemble_weighted_stiffness(None).toarray(),
                        oracle_weighted_stiffness(g, identity),
                        rtol=0, atol=1e-12 * np.max(np.abs(oracle)))
+
+
+@pytest.mark.parametrize("dim,nodes,lengths", [
+    (1, [7], [1.3]),
+    (2, [4, 5], [1.0, 2.0]),
+    (2, [5, 4], [1.0, 2.0]),
+])
+def test_weighted_stiffness_adds_the_diagonal(dim, nodes, lengths):
+    g = build_grid(dim, nodes, lengths)
+    rng = np.random.default_rng(3)
+    tensors = rng.standard_normal((g.n_elements, dim, dim))
+    diagonal = rng.uniform(0.5, 2.0, g.n_nodes)
+    expected = oracle_weighted_stiffness(g, tensors) + np.diag(diagonal)
+    assembled = g.assemble_weighted_stiffness(tensors, diagonal).toarray()
+    assert np.max(np.abs(assembled - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_matrices_share_the_pattern_not_the_values():
+    g = build_grid(2, [4, 5], [1.0, 2.0])
+    tensors = np.random.default_rng(4).standard_normal((g.n_elements, 2, 2))
+    first = g.assemble_weighted_stiffness(tensors)
+    second = g.assemble_weighted_stiffness(tensors, g.weights)
+    assert not np.shares_memory(first.data, second.data)
+    assert first.indices is second.indices
+    indptr, indices = g.sparsity_pattern()[:2]
+    assert np.shares_memory(first.indices, indices)
+    assert np.shares_memory(first.indptr, indptr)
+
+
+def test_pattern_is_read_only_and_survives_solves():
+    g = build_grid(2, [17, 17], [1.0, 1.0])
+    pattern = g.sparsity_pattern()
+    saved = [a.copy() for a in pattern]
+    assert not any(a.flags.writeable for a in pattern)
+    fam = MatrixFamilyAnisotropy(
+        [np.array([[1.0, 0.3], [0.3, 0.5]]), np.diag([0.04, 1.0])], delta=1e-2)
+    dw = DoubleWell()
+    rng = np.random.default_rng(5)
+    y0, u = rng.uniform(-0.8, 0.8, (2, g.n_nodes))
+    y = step(g, fam, dw, y0, u, 0.1)
+    prob = ControlProblem(g, TimePartition.uniform(0.2, 2), y0,
+                          FinalTimeTarget(y), 1e-2, fam, dw)
+    adjoint_solve(prob, solve_state(prob, rng.uniform(-1, 1, (2, g.n_nodes))))
+    dual_norm(g, y)
+    assert g.sparsity_pattern() is pattern
+    for array, copy in zip(pattern, saved):
+        assert np.array_equal(array, copy)
 
 
 def test_flux_divergence_shape_mismatch():

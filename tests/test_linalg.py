@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from conftest import oracle_mass_matrix, oracle_stiffness_matrix
 
 import anisoflow
 from anisoflow import (ControlProblem, DoubleWell, FinalTimeTarget, Grid,
@@ -290,3 +291,13 @@ def test_1d_solves_import_no_scipy_solver_modules():
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("dim,nodes", [(1, [33]), (2, [17, 17])])
+def test_dual_norm_matches_dense_riesz_solve(dim, nodes):
+    g = build_grid(dim, nodes, [1.0, 2.0][:dim])
+    f = np.random.default_rng(14).uniform(-1, 1, g.n_nodes)
+    w = oracle_mass_matrix(g).sum(axis=1)
+    z = np.linalg.solve(oracle_stiffness_matrix(g) + np.diag(w), w * f)
+    expected = np.sqrt(w * f @ z)
+    assert abs(dual_norm(g, f, rtol=1e-12) - expected) <= 1e-10 * expected

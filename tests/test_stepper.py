@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from conftest import oracle_stiffness_matrix
+from conftest import (oracle_element_gradients, oracle_mass_matrix,
+                      oracle_stiffness_matrix, oracle_weighted_stiffness)
 
 from anisoflow import (DoubleWell, IsotropicAnisotropy, MatrixFamilyAnisotropy,
                        NonConvergence, StepConfig, TimePartition,
@@ -151,6 +152,22 @@ def test_newton_matrix_is_residual_jacobian_2d():
               2.0 * eps * tau)
     jv = _newton_matrix(g, fam, DW, y, tau) @ v
     assert np.max(np.abs(jv - fd)) <= 1e-6 * np.max(np.abs(jv))
+
+
+@pytest.mark.parametrize("dim,nodes,matrices", [
+    (1, [9], [[[1.0]], [[0.3]]]),
+    (2, [5, 4], [[[1.0, 0.3], [0.3, 0.5]], [[0.04, 0.0], [0.0, 1.0]]]),
+])
+def test_newton_matrix_matches_dense_oracle(dim, nodes, matrices):
+    g = build_grid(dim, nodes, [1.0, 0.8][:dim])
+    fam = MatrixFamilyAnisotropy(matrices, delta=1e-2)
+    y = np.random.default_rng(22).uniform(-1, 1, g.n_nodes)
+    tau = 0.3
+    w = oracle_mass_matrix(g).sum(axis=1)
+    expected = (oracle_weighted_stiffness(g, fam.hess(oracle_element_gradients(g, y)))
+                + np.diag(w / tau + w * DW.second(y)))
+    got = _newton_matrix(g, fam, DW, y, tau).toarray()
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("c,tau,bounds,flags", [
