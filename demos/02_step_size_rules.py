@@ -18,13 +18,12 @@ import numpy as np
 
 from anisoflow import (DoubleWell, IsotropicAnisotropy, NonConvergence,
                        StepConfig, TimePartition, UniquenessViolation,
-                       build_grid, semiconvexity_constant, solve_trajectory,
-                       step)
+                       build_grid, solve_trajectory, step)
 
 grid = build_grid(1, [65], [1.0])
 aniso = IsotropicAnisotropy()
 pot = DoubleWell()
-c = semiconvexity_constant(pot)
+c = pot.semiconvexity()
 print(f"semiconvexity constant c = {c}")
 print(f"uniqueness bound  tau < {1 / c}")
 print(f"stability bound   tau <= {1 / (1 + 2 * c):.4f}")

@@ -12,11 +12,10 @@ from .control import (AdjointUnavailable, ControlProblem, DistributedTarget,
                       fd_gradient, optimize, reduced_gradient, solve_state,
                       write_history)
 from .grid import (FieldNorms, Grid, assemble_flux_divergence, build_grid,
-                   dual_norm, element_gradients, h1_norm, load_field,
-                   lumped_mass, norms, read_field, write_field)
+                   dual_norm, element_gradients, h1_norm, load_field, norms,
+                   read_field, write_field)
 from .potential import (DoubleWell, MoreauYosida, TruncatedPotential,
-                        ZeroPotential, build_truncation,
-                        semiconvexity_constant)
+                        ZeroPotential)
 from .stepper import (EnergyStabilityReport, NonConvergence, StepConfig,
                       StepDiagnostics, TimePartition, Trajectory,
                       UniquenessViolation, backward_difference,
@@ -29,25 +28,3 @@ from .studies import (StudyReport, control_convergence_study, fit_rate,
                       uniform_bound_study, write_study_csv)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnisotropyConstants", "HessianUnavailable", "IsotropicAnisotropy",
-    "MatrixFamilyAnisotropy", "estimate_constants",
-    "AdjointUnavailable", "ControlProblem", "DistributedTarget",
-    "FinalTimeTarget", "OptimizeOptions", "OptimizeReport", "adjoint_solve",
-    "control_inner", "control_norm", "cost", "fd_gradient", "optimize",
-    "reduced_gradient", "solve_state", "write_history",
-    "FieldNorms", "Grid", "assemble_flux_divergence", "build_grid",
-    "dual_norm", "element_gradients", "h1_norm", "load_field", "lumped_mass",
-    "norms", "read_field", "write_field",
-    "DoubleWell", "MoreauYosida", "TruncatedPotential", "ZeroPotential",
-    "build_truncation", "semiconvexity_constant",
-    "EnergyStabilityReport", "NonConvergence", "StepConfig",
-    "StepDiagnostics", "TimePartition", "Trajectory", "UniquenessViolation",
-    "backward_difference", "check_energy_stability", "energy",
-    "solve_trajectory", "step", "step_objective", "step_residual",
-    "trajectory_bounds", "write_diagnostics",
-    "StudyReport", "control_convergence_study", "fit_rate", "inject_time",
-    "lipschitz_study", "perturbation_ratio", "restrict_time", "summary_text",
-    "tau_convergence_study", "uniform_bound_study", "write_study_csv",
-]

@@ -13,6 +13,7 @@ key), 2 solver or study failure (diagnostics that exist are still written).
 
 import argparse
 import configparser
+import dataclasses
 import hashlib
 import os
 import sys
@@ -23,10 +24,10 @@ from . import studies
 from .anisotropy import (IsotropicAnisotropy, MatrixFamilyAnisotropy,
                          estimate_constants)
 from .control import (ControlProblem, DistributedTarget, FinalTimeTarget,
-                      OptimizeOptions, cost, optimize, write_history)
+                      OptimizeOptions, optimize, write_history)
 from .grid import build_grid, load_field, write_field
-from .potential import (DoubleWell, MoreauYosida, ZeroPotential,
-                        build_truncation)
+from .potential import (DoubleWell, MoreauYosida, TruncatedPotential,
+                        ZeroPotential)
 from .stepper import (NonConvergence, StepConfig, TimePartition,
                       UniquenessViolation, check_energy_stability,
                       solve_trajectory, step_regimes, write_diagnostics)
@@ -145,45 +146,47 @@ def load_config(path, overrides=()):
     return cfg
 
 
-def _get(cfg, section, key, default=None, required=False):
-    value = cfg.get(section, {}).get(key.lower())
-    if value is None:
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+_KIND_NAMES = {float: "a number", int: "an integer", bool: "a boolean"}
+
+
+def _get(cfg, section, key, kind=str, default=None, required=False):
+    """Read one value and convert it to ``kind`` (str, float, int or bool)."""
+    raw = cfg.get(section, {}).get(key.lower())
+    if raw is None:
         if required:
             raise ConfigError(f"{section}.{key}", "required key is missing")
         return default
-    return value
-
-
-def _get_float(cfg, section, key, default=None, required=False):
-    raw = _get(cfg, section, key, None, required)
-    if raw is None:
-        return default
     try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{section}.{key}", f"not a number: '{raw}'")
+        if kind is bool:
+            return _BOOLS[raw.strip().lower()]
+        return kind(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{section}.{key}",
+                          f"not {_KIND_NAMES[kind]}: '{raw}'")
 
 
-def _get_int(cfg, section, key, default=None, required=False):
-    raw = _get(cfg, section, key, None, required)
-    if raw is None:
-        return default
+# INI keys named differently from the dataclass field they set
+_FIELD_NAMES = {"linear_tol": "linear_rtol", "lbfgs": "use_lbfgs"}
+
+
+def _from_section(cfg, section, cls):
+    """Build a settings dataclass from the keys given in one section.
+
+    Field types come from the dataclass and its ``__post_init__``
+    validates the values; unset fields keep the dataclass defaults.
+    """
+    kinds = {f.name: f.type for f in dataclasses.fields(cls)}
+    keys = {_FIELD_NAMES.get(key, key): key for key in cfg.get(section, {})}
+    kwargs = {name: _get(cfg, section, key, kinds[name])
+              for name, key in keys.items()}
     try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{section}.{key}", f"not an integer: '{raw}'")
-
-
-def _get_bool(cfg, section, key, default=None):
-    raw = _get(cfg, section, key)
-    if raw is None:
-        return default
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"{section}.{key}", f"not a boolean: '{raw}'")
+        return cls(**kwargs)
+    except ValueError as exc:
+        # validation messages start with the offending field's name
+        name = str(exc).split()[0]
+        raise ConfigError(f"{section}.{keys.get(name, name)}", str(exc))
 
 
 def _floats(raw):
@@ -191,7 +194,7 @@ def _floats(raw):
 
 
 def _build_grid(cfg):
-    dim = _get_int(cfg, "grid", "dim", required=True)
+    dim = _get(cfg, "grid", "dim", int, required=True)
     try:
         nodes = [int(x) for x in _get(cfg, "grid", "nodes", required=True)
                  .replace(",", " ").split()]
@@ -210,8 +213,8 @@ def _build_partition(cfg):
             return TimePartition(_floats(raw_breaks))
         except ValueError as exc:
             raise ConfigError("time.breakpoints", str(exc))
-    final_time = _get_float(cfg, "time", "T", required=True)
-    n_steps = _get_int(cfg, "time", "N", required=True)
+    final_time = _get(cfg, "time", "T", float, required=True)
+    n_steps = _get(cfg, "time", "N", int, required=True)
     try:
         return TimePartition.uniform(final_time, n_steps)
     except ValueError as exc:
@@ -224,7 +227,7 @@ def _build_anisotropy(cfg, dim):
         return IsotropicAnisotropy()
     if kind == "matrix_family":
         raw = _get(cfg, "anisotropy", "matrices", required=True)
-        delta = _get_float(cfg, "anisotropy", "delta", default=0.0)
+        delta = _get(cfg, "anisotropy", "delta", float, default=0.0)
         mats = []
         for chunk in raw.split(";"):
             vals = _floats(chunk)
@@ -245,60 +248,20 @@ def _build_potential(cfg):
     if kind == "double_well":
         return DoubleWell()
     if kind == "moreau_yosida":
-        penalty = _get_float(cfg, "potential", "penalty", required=True)
+        penalty = _get(cfg, "potential", "penalty", float, required=True)
         try:
             return MoreauYosida(penalty)
         except ValueError as exc:
             raise ConfigError("potential.penalty", str(exc))
     if kind == "truncated":
-        cutoff = _get_float(cfg, "potential", "cutoff", required=True)
+        cutoff = _get(cfg, "potential", "cutoff", float, required=True)
         try:
-            return build_truncation(DoubleWell(), cutoff)
+            return TruncatedPotential(DoubleWell(), cutoff)
         except ValueError as exc:
             raise ConfigError("potential.cutoff", str(exc))
     if kind == "zero":
         return ZeroPotential()
     raise ConfigError("potential.kind", f"unknown kind '{kind}'")
-
-
-def _build_step_config(cfg):
-    kwargs = {}
-    for key, getter in (("newton_tol", _get_float),
-                        ("max_newton_iters", _get_int),
-                        ("armijo_slope", _get_float),
-                        ("armijo_backtrack", _get_float),
-                        ("armijo_min_step", _get_float),
-                        ("max_descent_iters", _get_int)):
-        val = getter(cfg, "solver", key)
-        if val is not None:
-            kwargs[key] = val
-    lin = _get_float(cfg, "solver", "linear_tol")
-    if lin is not None:
-        kwargs["linear_rtol"] = lin
-    enforce = _get_bool(cfg, "solver", "enforce_uniqueness")
-    if enforce is not None:
-        kwargs["enforce_uniqueness"] = enforce
-    try:
-        return StepConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError("solver", str(exc))
-
-
-def _build_optimize_options(cfg):
-    opts = OptimizeOptions()
-    v = _get_int(cfg, "optimize", "max_iters")
-    if v is not None:
-        opts.max_iters = v
-    v = _get_float(cfg, "optimize", "grad_tol")
-    if v is not None:
-        opts.grad_tol = v
-    v = _get_bool(cfg, "optimize", "lbfgs")
-    if v is not None:
-        opts.use_lbfgs = v
-    v = _get_int(cfg, "optimize", "lbfgs_memory")
-    if v is not None:
-        opts.lbfgs_memory = v
-    return opts
 
 
 def _require_file(key, path):
@@ -321,19 +284,24 @@ def _load_y0(cfg, grid):
         raise ConfigError("control.y0", str(exc))
 
 
+def _load_per_interval(key, directory, prefix, grid, n_steps):
+    """One field per interval j = 1..N from ``<prefix>_<j:04d>.field``."""
+    _require_file(key, directory)
+    rows = []
+    for j in range(1, n_steps + 1):
+        path = os.path.join(directory, f"{prefix}_{j:04d}.field")
+        rows.append(load_field(_require_file(key, path), grid))
+    return np.array(rows)
+
+
 def _load_forcing(cfg, grid, partition):
     """Forcing fields for simulate/verify/study runs; zero by default."""
     directory = _get(cfg, "control", "forcing_dir")
     spec = _get(cfg, "control", "forcing", default="zero")
     n_steps = partition.n_steps
     if directory is not None:
-        _require_file("control.forcing_dir", directory)
-        rows = []
-        for j in range(1, n_steps + 1):
-            path = os.path.join(directory, f"control_{j:04d}.field")
-            rows.append(load_field(_require_file("control.forcing_dir", path),
-                                   grid))
-        return np.array(rows)
+        return _load_per_interval("control.forcing_dir", directory, "control",
+                                  grid, n_steps)
     if spec.strip().lower() == "zero":
         return np.zeros((n_steps, grid.n_nodes))
     try:
@@ -351,13 +319,9 @@ def _load_target(cfg, grid, partition):
             _require_file("control.target_file", path), grid))
     if kind == "distributed":
         directory = _get(cfg, "control", "target_dir", required=True)
-        _require_file("control.target_dir", directory)
-        rows = []
-        for j in range(1, partition.n_steps + 1):
-            path = os.path.join(directory, f"target_{j:04d}.field")
-            rows.append(load_field(_require_file("control.target_dir", path),
-                                   grid))
-        return DistributedTarget(np.array(rows))
+        return DistributedTarget(_load_per_interval(
+            "control.target_dir", directory, "target", grid,
+            partition.n_steps))
     raise ConfigError("control.target", f"unknown target kind '{kind}'")
 
 
@@ -398,8 +362,8 @@ def _write_states(out_dir, grid, states):
 
 
 def _study_perturbation_pairs(cfg, grid, partition, y0, forcing, seed):
-    count = _get_int(cfg, "study", "pairs", default=5)
-    scale = _get_float(cfg, "study", "perturbation_scale", default=0.1)
+    count = _get(cfg, "study", "pairs", int, default=5)
+    scale = _get(cfg, "study", "perturbation_scale", float, default=0.1)
     rng = np.random.default_rng(seed)
     pairs = []
     for _ in range(count):
@@ -421,7 +385,8 @@ def run(command, config_path, overrides=(), out_dir=None, seed=None):
         partition = _build_partition(cfg)
         aniso = _build_anisotropy(cfg, grid.dim)
         pot = _build_potential(cfg)
-        step_config = _build_step_config(cfg)
+        step_config = _from_section(cfg, "solver", StepConfig)
+        opts = _from_section(cfg, "optimize", OptimizeOptions)
         c_psi = pot.semiconvexity()
         bounds, regimes = step_regimes(c_psi, partition.tau_max)
         if step_config.enforce_uniqueness and not regimes["uniqueness"]:
@@ -433,7 +398,7 @@ def run(command, config_path, overrides=(), out_dir=None, seed=None):
         if out_dir is None:
             out_dir = _get(cfg, "output", "directory", default="out")
         if seed is None:
-            seed = _get_int(cfg, "output", "seed", default=0)
+            seed = _get(cfg, "output", "seed", int, default=0)
 
         if (command in ("study-tau", "study-bounds", "study-lipschitz")
                 and np.ptp(partition.tau_steps) > 1e-12 * partition.tau_max):
@@ -491,10 +456,9 @@ def run(command, config_path, overrides=(), out_dir=None, seed=None):
         if command == "optimize":
             problem = ControlProblem(grid, partition, _load_y0(cfg, grid),
                                      _load_target(cfg, grid, partition),
-                                     _get_float(cfg, "control", "lambda",
-                                                required=True),
+                                     _get(cfg, "control", "lambda", float,
+                                          required=True),
                                      aniso, pot)
-            opts = _build_optimize_options(cfg)
             u_star, traj, report = optimize(problem, problem.zero_control(),
                                             opts, step_config)
             write_history(report, os.path.join(out_dir, "history.csv"))
@@ -513,15 +477,15 @@ def run(command, config_path, overrides=(), out_dir=None, seed=None):
             return 0
 
         # refinement studies share the ladder configuration
-        levels = _get_int(cfg, "study", "levels", default=4)
+        levels = _get(cfg, "study", "levels", int, default=4)
         y0 = _load_y0(cfg, grid)
         forcing = _load_forcing(cfg, grid, partition)
         base_n = partition.n_steps
         final_time = partition.final_time
 
         if command == "study-tau":
-            window = (_get_float(cfg, "study", "rate_min", default=0.8),
-                      _get_float(cfg, "study", "rate_max", default=1.2))
+            window = (_get(cfg, "study", "rate_min", float, default=0.8),
+                      _get(cfg, "study", "rate_max", float, default=1.2))
             report = studies.tau_convergence_study(
                 grid, aniso, pot, y0, final_time, base_n, levels,
                 control=forcing, config=step_config, rate_window=window)
@@ -529,26 +493,25 @@ def run(command, config_path, overrides=(), out_dir=None, seed=None):
             report = studies.uniform_bound_study(
                 grid, aniso, pot, y0, final_time, base_n, levels,
                 control=forcing, config=step_config,
-                ratio_window=_get_float(cfg, "study", "ratio_window",
-                                        default=1.5),
-                growth_tol=_get_float(cfg, "study", "growth_tol",
-                                      default=1.05))
+                ratio_window=_get(cfg, "study", "ratio_window", float,
+                                  default=1.5),
+                growth_tol=_get(cfg, "study", "growth_tol", float,
+                                default=1.05))
         elif command == "study-lipschitz":
             pairs = _study_perturbation_pairs(cfg, grid, partition, y0,
                                               forcing, seed)
             report = studies.lipschitz_study(
                 grid, aniso, pot, pairs, final_time, base_n, levels,
                 config=step_config,
-                growth=_get_float(cfg, "study", "ratio_growth", default=1.5))
+                growth=_get(cfg, "study", "ratio_growth", float, default=1.5))
         else:  # study-control
             problem = ControlProblem(grid, partition, y0,
                                      _load_target(cfg, grid, partition),
-                                     _get_float(cfg, "control", "lambda",
-                                                required=True),
+                                     _get(cfg, "control", "lambda", float,
+                                          required=True),
                                      aniso, pot)
             report = studies.control_convergence_study(
-                problem, levels, options=_build_optimize_options(cfg),
-                config=step_config)
+                problem, levels, options=opts, config=step_config)
 
         stem = command.replace("-", "_")
         studies.write_study_csv(report, os.path.join(out_dir, f"{stem}.csv"))

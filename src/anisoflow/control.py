@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import conjugate_gradient
-from .stepper import (NonConvergence, StepConfig, _newton_matrix,
-                      solve_trajectory)
+from .stepper import (NonConvergence, StepConfig, _check_armijo,
+                      _newton_matrix, solve_trajectory)
 
 
 class AdjointUnavailable(RuntimeError):
@@ -209,6 +209,17 @@ class OptimizeOptions:
     armijo_min_step: float = 1e-14
     use_lbfgs: bool = False
     lbfgs_memory: int = 10
+
+    def __post_init__(self):
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be >= 0")
+        if not self.grad_tol >= 0:
+            raise ValueError("grad_tol must be >= 0")
+        if self.lbfgs_memory < 1:
+            raise ValueError("lbfgs_memory must be >= 1")
+        if not self.armijo_min_step > 0:
+            raise ValueError("armijo_min_step must be positive")
+        _check_armijo(self)
 
 
 @dataclass

@@ -300,11 +300,6 @@ def build_grid(dim, nodes_per_axis, lengths):
     return Grid(dim, nodes_per_axis, lengths)
 
 
-def lumped_mass(grid):
-    """Diagonal lumped-mass weights; entries sum to the domain volume."""
-    return grid.weights.copy()
-
-
 def element_gradients(grid, values):
     """Constant gradient of the P1 interpolant on every element.
 

@@ -91,7 +91,8 @@ class TruncatedPotential:
     Inside the window the base is reproduced exactly; outside, a second-order
     Taylor continuation from the window edge is used, so the second
     derivative is bounded by its range on the window and the growth of the
-    derivative is at most linear.  Built via :func:`build_truncation`.
+    derivative is at most linear.  Raises ValueError for a non-C2 base
+    (e.g. MoreauYosida) or a non-positive cutoff.
     """
 
     kind = "truncated"
@@ -175,18 +176,3 @@ class ZeroPotential:
 
     def __repr__(self):
         return "ZeroPotential()"
-
-
-def semiconvexity_constant(pot):
-    """Smallest c >= 0 with psi'' >= -c wherever psi'' is defined."""
-    return pot.semiconvexity()
-
-
-def build_truncation(base, cutoff):
-    """Continue a C2 potential quadratically outside [-cutoff, cutoff].
-
-    The result agrees with the base on the window, is C2, has bounded
-    second derivative, and inherits the base's semiconvexity constant on
-    the window.  Raises ValueError for non-C2 bases (e.g. MoreauYosida).
-    """
-    return TruncatedPotential(base, cutoff)

@@ -121,10 +121,19 @@ class StepConfig:
     max_descent_iters: int = 5000      # cap for the first-order fallback
 
     def __post_init__(self):
-        for name in ("newton_tol", "armijo_slope", "armijo_backtrack",
-                     "armijo_min_step", "linear_rtol"):
-            if getattr(self, name) <= 0:
+        for name in ("newton_tol", "armijo_min_step", "linear_rtol"):
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        _check_armijo(self)
+
+
+def _check_armijo(settings):
+    """Reject Armijo constants outside (0, 1).  With a slope c1 >= 1 no
+    step of a convex objective passes, and a contraction factor >= 1 never
+    shrinks the trial step, so the line search would not end."""
+    for name in ("armijo_slope", "armijo_backtrack"):
+        if not 0 < getattr(settings, name) < 1:
+            raise ValueError(f"{name} must lie in (0, 1)")
 
 
 @dataclass
@@ -145,13 +154,6 @@ class Trajectory:
     config: StepConfig
     regimes: dict = field(default_factory=dict)
     bounds: dict = field(default_factory=dict)
-
-    @property
-    def n_steps(self):
-        return self.partition.n_steps
-
-    def state(self, j):
-        return self.states[j]
 
 
 def energy(grid, aniso, pot, values):

@@ -12,7 +12,7 @@ from anisoflow import (ControlProblem, DoubleWell, FinalTimeTarget,
                        MoreauYosida, OptimizeOptions, StepConfig,
                        TimePartition, UniquenessViolation, ZeroPotential,
                        build_grid, check_energy_stability, control_inner,
-                       control_norm, cost, lipschitz_study, lumped_mass,
+                       control_norm, cost, lipschitz_study,
                        optimize, perturbation_ratio, reduced_gradient,
                        solve_state, solve_trajectory, step,
                        tau_convergence_study, uniform_bound_study)
@@ -76,7 +76,7 @@ def test_c04_oracle_equivalence():
     """One implicit step equals a dense direct solve (linear case) and a
     dense brute-force Newton (double well) on a 3-node instance."""
     g = build_grid(1, [3], [1.0])
-    w = lumped_mass(g)
+    w = g.weights
     k = oracle_stiffness_matrix(g)
     tau = 0.2
     rng = np.random.default_rng(4)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from anisoflow import build_grid, load_field, read_field
-from anisoflow.cli import (builtin_initializer, constant_field, load_config,
-                           main, random_uniform_field, run, tanh_circle_field)
+from anisoflow import (OptimizeOptions, StepConfig, build_grid, load_field,
+                       read_field, write_field)
+from anisoflow.cli import (_from_section, builtin_initializer, constant_field,
+                           load_config, main, random_uniform_field, run,
+                           tanh_circle_field)
 
 BASE_CONFIG = """\
 [grid]
@@ -115,6 +117,86 @@ def test_missing_file_reference_exits_1(tmp_path, capsys):
     code = run("simulate", path, out_dir=str(tmp_path / "out"))
     assert code == 1
     assert "does_not_exist" in capsys.readouterr().err
+
+
+SETTINGS_KEYS = [
+    "solver.newton_tol", "solver.max_newton_iters", "solver.armijo_slope",
+    "solver.armijo_backtrack", "solver.armijo_min_step", "solver.linear_tol",
+    "solver.enforce_uniqueness", "solver.max_descent_iters",
+    "optimize.max_iters", "optimize.grad_tol", "optimize.lbfgs",
+    "optimize.lbfgs_memory",
+]
+
+
+@pytest.mark.parametrize("key", SETTINGS_KEYS)
+def test_malformed_settings_value_is_named(tmp_path, capsys, key):
+    path = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert run("simulate", path, overrides=[f"{key}=abc"],
+               out_dir=str(out)) == 1
+    err = capsys.readouterr().err.strip()
+    # e.g. "config error at 'solver.newton_tol': not a number: 'abc'"
+    assert err.startswith(f"config error at '{key}': not a")
+    assert err.endswith(": 'abc'")
+    assert not out.exists()
+
+
+def test_settings_sections_build_the_dataclasses(tmp_path):
+    cfg = BASE_CONFIG + """
+[solver]
+newton_tol = 1e-9
+max_newton_iters = 7
+armijo_slope = 0.25
+armijo_backtrack = 0.75
+armijo_min_step = 1e-6
+linear_tol = 1e-8
+enforce_uniqueness = off
+max_descent_iters = 11
+
+[optimize]
+max_iters = 3
+grad_tol = 1e-5
+lbfgs = yes
+lbfgs_memory = 4
+"""
+    loaded = load_config(write_config(tmp_path, cfg))
+    assert _from_section(loaded, "solver", StepConfig) == StepConfig(
+        newton_tol=1e-9, max_newton_iters=7, armijo_slope=0.25,
+        armijo_backtrack=0.75, armijo_min_step=1e-6, linear_rtol=1e-8,
+        enforce_uniqueness=False, max_descent_iters=11)
+    assert _from_section(loaded, "optimize", OptimizeOptions) == \
+        OptimizeOptions(max_iters=3, grad_tol=1e-5, use_lbfgs=True,
+                        lbfgs_memory=4)
+    # an absent section gives the defaults
+    loaded = load_config(write_config(tmp_path, BASE_CONFIG))
+    assert _from_section(loaded, "solver", StepConfig) == StepConfig()
+
+
+def test_armijo_backtrack_of_one_exits_1(tmp_path, capsys):
+    # a contraction factor of 1 would make the line search loop forever;
+    # the stationary base run never searches, so it cannot hang here
+    path = write_config(tmp_path)
+    code = run("simulate", path, overrides=["solver.armijo_backtrack=1"],
+               out_dir=str(tmp_path / "out"))
+    assert code == 1
+    assert "solver.armijo_backtrack" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", ["optimize.max_iters=-1",
+                                      "optimize.grad_tol=-1",
+                                      "optimize.lbfgs_memory=0"])
+def test_optimize_settings_out_of_range_exit_1(tmp_path, capsys, override):
+    g = build_grid(1, [33], [1.0])
+    write_field(tmp_path / "target.field", g, np.zeros(g.n_nodes))
+    cfg = BASE_CONFIG.replace(
+        "y0 = constant(1.0)",
+        "y0 = constant(1.0)\nlambda = 1e-2\ntarget = final_time\n"
+        f"target_file = {tmp_path / 'target.field'}")
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert run("optimize", path, overrides=[override], out_dir=str(out)) == 1
+    assert override.partition("=")[0] in capsys.readouterr().err
+    assert not out.exists()  # rejected before any artifact is written
 
 
 # -- simulate ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from anisoflow import (AdjointUnavailable, ControlProblem, DistributedTarget,
                        MatrixFamilyAnisotropy, NonConvergence, OptimizeOptions,
                        StepConfig, TimePartition, ZeroPotential, adjoint_solve,
                        build_grid, control_inner, control_norm, cost,
-                       fd_gradient, lumped_mass, optimize, reduced_gradient,
+                       fd_gradient, optimize, reduced_gradient,
                        solve_state, write_history)
 
 ISO = IsotropicAnisotropy()
@@ -102,7 +102,7 @@ def test_adjoint_single_step_dense_oracle():
     prob = ControlProblem(g, part, y0, target, 1.0, ISO, ZeroPotential())
     traj = solve_state(prob, prob.zero_control())
     p = adjoint_solve(prob, traj)
-    w = lumped_mass(g)
+    w = g.weights
     k = oracle_stiffness_matrix(g)
     expected = np.linalg.solve(np.diag(w) + 0.2 * k,
                                w * (traj.states[-1] - target.values))
@@ -326,3 +326,19 @@ def test_problem_validation():
                           1.0, ISO, DW)
     with pytest.raises(ValueError):
         prob.check_control(np.zeros((4, 8)))
+
+
+@pytest.mark.parametrize("name,value", [
+    ("max_iters", -1), ("grad_tol", -1.0), ("grad_tol", float("nan")),
+    ("lbfgs_memory", 0), ("armijo_min_step", 0.0),
+    ("armijo_slope", 0.0), ("armijo_slope", 1.0),
+    ("armijo_backtrack", 0.0), ("armijo_backtrack", 1.0),
+])
+def test_optimize_options_validation(name, value):
+    with pytest.raises(ValueError, match=name):
+        OptimizeOptions(**{name: value})
+
+
+def test_optimize_options_accept_boundary_values():
+    opts = OptimizeOptions(max_iters=0, grad_tol=0.0, lbfgs_memory=1)
+    assert (opts.max_iters, opts.grad_tol, opts.lbfgs_memory) == (0, 0.0, 1)

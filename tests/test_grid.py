@@ -7,7 +7,7 @@ from conftest import (oracle_mass_matrix, oracle_stiffness_matrix,
 from anisoflow import (ControlProblem, DoubleWell, FinalTimeTarget,
                        MatrixFamilyAnisotropy, TimePartition,
                        adjoint_solve, assemble_flux_divergence, build_grid,
-                       dual_norm, element_gradients, load_field, lumped_mass,
+                       dual_norm, element_gradients, load_field,
                        norms, read_field, solve_state, step, write_field)
 
 
@@ -52,7 +52,7 @@ def test_node_ordering_is_x_fastest():
 
 def test_lumped_mass_1d_five_nodes():
     g = build_grid(1, [5], [1.0])
-    assert np.allclose(lumped_mass(g), [0.125, 0.25, 0.25, 0.25, 0.125])
+    assert np.allclose(g.weights, [0.125, 0.25, 0.25, 0.25, 0.125])
 
 
 @pytest.mark.parametrize("dim,nodes,lengths", [
@@ -64,10 +64,10 @@ def test_lumped_mass_1d_five_nodes():
 def test_lumped_mass_is_mass_row_sum(dim, nodes, lengths):
     g = build_grid(dim, nodes, lengths)
     row_sums = oracle_mass_matrix(g).sum(axis=1)
-    assert np.allclose(lumped_mass(g), row_sums, rtol=1e-12, atol=1e-14)
+    assert np.allclose(g.weights, row_sums, rtol=1e-12, atol=1e-14)
     volume = np.prod(lengths)
-    assert abs(lumped_mass(g).sum() - volume) <= 1e-12 * volume
-    assert np.all(lumped_mass(g) > 0)
+    assert abs(g.weights.sum() - volume) <= 1e-12 * volume
+    assert np.all(g.weights > 0)
 
 
 # -- element gradients --------------------------------------------------------

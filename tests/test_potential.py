@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from anisoflow import (DoubleWell, MoreauYosida, ZeroPotential,
-                       build_truncation, semiconvexity_constant)
+from anisoflow import (DoubleWell, MoreauYosida, TruncatedPotential,
+                       ZeroPotential)
 
 
 def fd_prime(pot, y, h=1e-6):
@@ -37,7 +37,7 @@ def test_moreau_yosida_kink_convention():
 
 
 def test_truncated_double_well_values():
-    f = build_truncation(DoubleWell(), 2.0)
+    f = TruncatedPotential(DoubleWell(), 2.0)
     dw = DoubleWell()
     ys = np.linspace(-2.0, 2.0, 101)
     assert np.array_equal(f.value(ys), dw.value(ys))
@@ -49,7 +49,7 @@ def test_truncated_double_well_values():
 
 
 def test_truncated_is_c2_at_the_cutoff():
-    f = build_truncation(DoubleWell(), 2.0)
+    f = TruncatedPotential(DoubleWell(), 2.0)
     h = 1e-12
     for edge in (2.0, -2.0):
         assert abs(f.value(edge + h) - f.value(edge - h)) <= 1e-10
@@ -60,24 +60,24 @@ def test_truncated_is_c2_at_the_cutoff():
 # -- semiconvexity ----------------------------------------------------------------
 
 def test_semiconvexity_constants():
-    assert semiconvexity_constant(DoubleWell()) == 1.0
-    assert semiconvexity_constant(MoreauYosida(10.0)) == 1.0
-    assert semiconvexity_constant(MoreauYosida(1e4)) == 1.0
-    assert semiconvexity_constant(build_truncation(DoubleWell(), 2.0)) == 1.0
-    assert semiconvexity_constant(ZeroPotential()) == 0.0
+    assert DoubleWell().semiconvexity() == 1.0
+    assert MoreauYosida(10.0).semiconvexity() == 1.0
+    assert MoreauYosida(1e4).semiconvexity() == 1.0
+    assert TruncatedPotential(DoubleWell(), 2.0).semiconvexity() == 1.0
+    assert ZeroPotential().semiconvexity() == 0.0
 
 
 def test_semiconvexity_matches_grid_minimization():
     # independent dense-grid oracle for the double well: min of 3y^2 - 1
     ys = np.linspace(-10.0, 10.0, 100001)
     oracle = max(0.0, -float(np.min(DoubleWell().second(ys))))
-    assert abs(oracle - semiconvexity_constant(DoubleWell())) <= 1e-7
+    assert abs(oracle - DoubleWell().semiconvexity()) <= 1e-7
 
 
 @pytest.mark.parametrize("pot", [DoubleWell(), MoreauYosida(100.0),
-                                 build_truncation(DoubleWell(), 2.0)])
+                                 TruncatedPotential(DoubleWell(), 2.0)])
 def test_semiconvexity_inequality_sampled(pot):
-    c = semiconvexity_constant(pot)
+    c = pot.semiconvexity()
     rng = np.random.default_rng(3)
     a = rng.uniform(-3.0, 3.0, 10_000)
     b = rng.uniform(-3.0, 3.0, 10_000)
@@ -90,7 +90,7 @@ def test_semiconvexity_inequality_sampled(pot):
 @pytest.mark.parametrize("pot,kinks", [
     (DoubleWell(), ()),
     (MoreauYosida(100.0), (-1.0, 1.0)),
-    (build_truncation(DoubleWell(), 2.0), (-2.0, 2.0)),
+    (TruncatedPotential(DoubleWell(), 2.0), (-2.0, 2.0)),
 ])
 def test_prime_matches_fd(pot, kinks):
     rng = np.random.default_rng(4)
@@ -125,7 +125,7 @@ def test_bounded_below_on_dense_grid():
 
 
 def test_truncated_growth_is_quadratic():
-    f = build_truncation(DoubleWell(), 2.0)
+    f = TruncatedPotential(DoubleWell(), 2.0)
     ys = np.linspace(-50.0, 50.0, 2001)
     slopes = np.abs(f.prime(ys))
     # |f'| <= a + b|y| with the continuation slope b = psi''(2) = 11
@@ -137,12 +137,12 @@ def test_truncated_growth_is_quadratic():
 
 def test_truncation_rejects_semismooth_base():
     with pytest.raises(ValueError):
-        build_truncation(MoreauYosida(10.0), 2.0)
+        TruncatedPotential(MoreauYosida(10.0), 2.0)
 
 
 def test_truncation_rejects_bad_cutoff():
     with pytest.raises(ValueError):
-        build_truncation(DoubleWell(), 0.0)
+        TruncatedPotential(DoubleWell(), 0.0)
 
 
 def test_moreau_yosida_rejects_bad_penalty():

@@ -7,7 +7,7 @@ from anisoflow import (DoubleWell, IsotropicAnisotropy, MatrixFamilyAnisotropy,
                        NonConvergence, StepConfig, TimePartition,
                        UniquenessViolation, ZeroPotential,
                        backward_difference, build_grid,
-                       check_energy_stability, energy, lumped_mass,
+                       check_energy_stability, energy,
                        solve_trajectory, step, step_objective, step_residual,
                        write_diagnostics)
 from anisoflow.stepper import _newton_matrix, step_regimes
@@ -103,7 +103,7 @@ def test_step_stationary_returns_immediately():
 def test_step_matches_dense_linear_solve():
     # 3 nodes, no potential: one step is the linear system (W + tau K) y = ...
     g = build_grid(1, [3], [1.0])
-    w = lumped_mass(g)
+    w = g.weights
     k = oracle_stiffness_matrix(g)
     tau = 0.2
     rng = np.random.default_rng(1)
@@ -128,7 +128,7 @@ def dense_newton_oracle(w, k, pot, y0, u, tau, tol=1e-14):
 
 def test_step_matches_dense_newton_oracle():
     g = build_grid(1, [3], [1.0])
-    w = lumped_mass(g)
+    w = g.weights
     k = oracle_stiffness_matrix(g)
     tau = 0.2
     rng = np.random.default_rng(2)
@@ -191,6 +191,16 @@ def test_step_rejects_tau_above_uniqueness_bound():
     cfg = StepConfig(enforce_uniqueness=False)
     out = step(g, ISO, DW, np.ones(g.n_nodes), np.zeros(g.n_nodes), 1.5, cfg)
     assert np.all(np.isfinite(out))
+
+
+@pytest.mark.parametrize("name", ["armijo_slope", "armijo_backtrack"])
+@pytest.mark.parametrize("value", [0.0, 1.0, 1.5, -0.5, float("nan")])
+def test_step_config_rejects_armijo_constants_outside_unit_interval(name,
+                                                                     value):
+    # a contraction factor of 1 never shrinks the trial step, so the line
+    # search would not end
+    with pytest.raises(ValueError, match=name):
+        StepConfig(**{name: value})
 
 
 def test_step_unique_solution_from_perturbed_warm_start():
