@@ -34,6 +34,11 @@ from .stepper import (NonConvergence, StepConfig, TimePartition,
 
 COMMANDS = ("simulate", "optimize", "verify-energy", "study-tau",
             "study-bounds", "study-lipschitz", "study-control")
+# the report kind of each study command, which keys its minimum ladder
+_STUDY_KINDS = {"study-tau": "tau_convergence",
+                "study-bounds": "uniform_bounds",
+                "study-lipschitz": "lipschitz",
+                "study-control": "control_convergence"}
 
 # accepted sections and keys (lowercase; configparser lowercases on read)
 _SCHEMA = {
@@ -410,6 +415,12 @@ def run(command, config_path, overrides=(), out_dir=None, seed=None):
             raise ConfigError(
                 "time", f"tau_max = {partition.tau_max:g} exceeds the "
                 f"stability-study bound 1/(1+2c) = {bounds['lipschitz']:g}")
+        if command in _STUDY_KINDS:
+            levels = _get(cfg, "study", "levels", int, default=4)
+            minimum = studies.MIN_LEVELS[_STUDY_KINDS[command]]
+            if levels < minimum:
+                raise ConfigError("study.levels", f"{command} needs at least "
+                                  f"{minimum} ladder levels, got {levels}")
 
         os.makedirs(out_dir, exist_ok=True)
         _write_manifest(out_dir, command, cfg, grid, partition, aniso, c_psi,
@@ -477,7 +488,6 @@ def run(command, config_path, overrides=(), out_dir=None, seed=None):
             return 0
 
         # refinement studies share the ladder configuration
-        levels = _get(cfg, "study", "levels", int, default=4)
         y0 = _load_y0(cfg, grid)
         forcing = _load_forcing(cfg, grid, partition)
         base_n = partition.n_steps

@@ -124,6 +124,9 @@ class StepConfig:
         for name in ("newton_tol", "armijo_min_step", "linear_rtol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("max_newton_iters", "max_descent_iters"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         _check_armijo(self)
 
 
@@ -141,7 +144,8 @@ class StepDiagnostics:
     iterations: int
     residual_inf: float
     fallback: bool
-    energy: float = np.nan
+    energy: float
+    linesearch_trials: int      # trial points the line searches evaluated
 
 
 @dataclass
@@ -158,9 +162,25 @@ class Trajectory:
 
 def energy(grid, aniso, pot, values):
     """Total energy sum_e |e| A(grad y) + sum_i w_i psi(y_i)."""
-    grads = element_gradients(grid, values)
+    y = np.asarray(values, dtype=float)
+    return _energy(grid, aniso, pot, y, element_gradients(grid, y))
+
+
+def _energy(grid, aniso, pot, y, grads):
     return (float(np.sum(grid.measures * aniso.value(grads)))
-            + float(np.sum(grid.weights * pot.value(np.asarray(values, dtype=float)))))
+            + float(np.sum(grid.weights * pot.value(y))))
+
+
+def _evaluate(grid, aniso, pot, y, y_prev, u, tau):
+    """Phi, the step residual, its max norm and the energy at ``y`` from
+    one element-gradient pass."""
+    w, dy = grid.weights, y - y_prev
+    grads = element_gradients(grid, y)
+    e = _energy(grid, aniso, pot, y, grads)
+    phi = 0.5 / tau * np.sum(w * dy ** 2) + e - float(np.sum(w * u * y))
+    flux = assemble_flux_divergence(grid, aniso.grad(grads))
+    res = w * dy + tau * (flux + w * pot.prime(y) - w * u)
+    return phi, res, float(np.max(np.abs(res))), e
 
 
 def step_residual(grid, aniso, pot, y, y_prev, u, tau):
@@ -175,17 +195,13 @@ def step_residual(grid, aniso, pot, y, y_prev, u, tau):
         raise ValueError("state, previous state, and forcing must share the grid")
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    w = grid.weights
-    flux = assemble_flux_divergence(grid, aniso.grad(element_gradients(grid, y)))
-    return w * (y - y_prev) + tau * (flux + w * pot.prime(y) - w * u)
+    return _evaluate(grid, aniso, pot, y, y_prev, u, tau)[1]
 
 
 def step_objective(grid, aniso, pot, y, y_prev, u, tau):
     """Per-step convex objective whose minimizer is the implicit step."""
     y = np.asarray(y, dtype=float)
-    w = grid.weights
-    quad = 0.5 / tau * np.sum(w * (y - y_prev) ** 2)
-    return quad + energy(grid, aniso, pot, y) - float(np.sum(w * u * y))
+    return _evaluate(grid, aniso, pot, y, y_prev, u, tau)[0]
 
 
 def _newton_matrix(grid, aniso, pot, y, tau):
@@ -203,22 +219,15 @@ def _solve_step(grid, aniso, pot, y_prev, u, tau, config, y_start, c_psi):
             f"tau = {tau:g} >= 1/{c_psi:g}: above the uniqueness step bound "
             f"(need tau < 1/c with c the semiconvexity constant)")
 
-    def residual(y):
-        return step_residual(grid, aniso, pot, y, y_prev, u, tau)
-
-    def objective(y):
-        return step_objective(grid, aniso, pot, y, y_prev, u, tau)
-
     y = np.array(y_start, dtype=float)
-    res = residual(y)
-    res_inf = float(np.max(np.abs(res))) if res.size else 0.0
+    phi, res, res_inf, e = _evaluate(grid, aniso, pot, y, y_prev, u, tau)
+    trials = 0
     if res_inf <= config.newton_tol:
-        return y, StepDiagnostics(0, res_inf, False)
+        return y, StepDiagnostics(0, res_inf, False, e, trials)
 
     newton_ok = aniso.twice_differentiable
     fallback_used = not newton_ok
 
-    phi = objective(y)
     best_y, best_res = y.copy(), res_inf
     alpha_descent = tau  # adaptive initial step for the descent path
 
@@ -233,7 +242,6 @@ def _solve_step(grid, aniso, pot, y_prev, u, tau, config, y_start, c_psi):
         it += 1
         grad_phi = res / tau
         use_newton = newton_ok
-        direction = None
         if use_newton:
             h_mat = _newton_matrix(grid, aniso, pot, y, tau)
             try:
@@ -256,35 +264,29 @@ def _solve_step(grid, aniso, pot, y_prev, u, tau, config, y_start, c_psi):
         # noise; there the line search accepts on residual decrease instead
         noise = 1e-13 * (1.0 + abs(phi))
         alpha = 1.0 if use_newton else alpha_descent
-        accepted = False
         while alpha >= config.armijo_min_step:
-            trial = y + alpha * direction
+            y_trial = y + alpha * direction
             predicted = config.armijo_slope * alpha * slope
-            if objective(trial) <= phi + predicted:
-                accepted = True
+            trial = _evaluate(grid, aniso, pot, y_trial, y_prev, u, tau)
+            trials += 1
+            if (trial[0] <= phi + predicted
+                    or (abs(predicted) <= noise and trial[2] < res_inf)):
                 break
-            if abs(predicted) <= noise:
-                trial_res = step_residual(grid, aniso, pot, trial, y_prev, u, tau)
-                if np.max(np.abs(trial_res)) < res_inf:
-                    accepted = True
-                    break
             alpha *= config.armijo_backtrack
-        if not accepted:
+        else:
             raise NonConvergence(
                 f"line search stalled below {config.armijo_min_step:g} "
                 f"(residual {best_res:.3e} after {it} iterations)",
                 best_y, best_res, it)
 
-        y = trial
-        phi = objective(y)
-        res = residual(y)
-        res_inf = float(np.max(np.abs(res)))
+        y = y_trial
+        phi, res, res_inf, e = trial
         if res_inf < best_res:
             best_y, best_res = y.copy(), res_inf
         if not use_newton:
             alpha_descent = min(alpha * 2.0, 1e6)
         if res_inf <= config.newton_tol:
-            return y, StepDiagnostics(it, res_inf, fallback_used)
+            return y, StepDiagnostics(it, res_inf, fallback_used, e, trials)
 
     raise NonConvergence(
         f"no convergence in {budget} iterations "
@@ -345,7 +347,7 @@ def solve_trajectory(grid, aniso, pot, y0, control, partition, config=None):
 
     states = np.empty((n_steps + 1, grid.n_nodes))
     states[0] = y0
-    diags = [StepDiagnostics(0, 0.0, False, energy(grid, aniso, pot, y0))]
+    diags = [StepDiagnostics(0, 0.0, False, energy(grid, aniso, pot, y0), 0)]
     taus = partition.tau_steps
     for j in range(1, n_steps + 1):
         try:
@@ -357,7 +359,6 @@ def solve_trajectory(grid, aniso, pot, y0, control, partition, config=None):
             exc.partial_trajectory = Trajectory(grid, partition, states[:j],
                                                 diags, config, regimes)
             raise
-        diag.energy = energy(grid, aniso, pot, y)
         states[j] = y
         diags.append(diag)
 

@@ -71,6 +71,18 @@ def restrict_time(fields, factor):
     return fields[factor - 1::factor]
 
 
+# fewest ladder levels each study can judge, keyed by report kind: a rate
+# fit needs three points, the other checks compare adjacent levels
+MIN_LEVELS = {"tau_convergence": 3, "uniform_bounds": 2, "lipschitz": 2,
+              "control_convergence": 2}
+
+
+def _check_levels(kind, levels):
+    if levels < MIN_LEVELS[kind]:
+        raise ValueError(f"{kind} study needs at least {MIN_LEVELS[kind]} "
+                         f"ladder levels, got {levels}")
+
+
 def _ladder(base_n, levels):
     return [base_n * 2**k for k in range(levels)]
 
@@ -89,8 +101,7 @@ def tau_convergence_study(grid, aniso, pot, y0, final_time, base_n, levels,
     ``rate_window``; the rate gate is only recorded, not enforced, for the
     semismooth penalty potential, whose order is not established.
     """
-    if levels < 3:
-        raise ValueError("need at least 3 ladder levels to fit a rate")
+    _check_levels("tau_convergence", levels)
     ns = _ladder(base_n, levels)
     n_ref = base_n * 2**levels
     if control is None:
@@ -153,6 +164,7 @@ def uniform_bound_study(grid, aniso, pot, y0, final_time, base_n, levels,
     more than ``ratio_window`` between adjacent levels nor grow monotonically
     by more than ``growth_tol`` at every refinement.
     """
+    _check_levels("uniform_bounds", levels)
     ns = _ladder(base_n, levels)
     if control is None:
         control = np.zeros((base_n, grid.n_nodes))
@@ -186,8 +198,7 @@ def uniform_bound_study(grid, aniso, pot, y0, final_time, base_n, levels,
     return report
 
 
-def perturbation_ratio(grid, partition, delta_states, delta_controls,
-                       dual_norms=None):
+def perturbation_ratio(grid, partition, delta_states, delta_controls):
     """Stability ratio of a perturbation: state response over data size.
 
     numerator   = max_j ||dy_j||_L2 + (sum_j tau_j ||grad dy_j||^2)^(1/2)
@@ -196,18 +207,16 @@ def perturbation_ratio(grid, partition, delta_states, delta_controls,
     Both parts are positively 1-homogeneous in their arguments, so the
     ratio is invariant under scaling all inputs by s > 0.  Returns
     (numerator, denominator); the denominator is zero only for an
-    identical data pair.  ``dual_norms`` can supply precomputed dual norms
-    of the control rows.
+    identical data pair.
     """
     taus = partition.tau_steps
     state_norms = [norms(grid, dy) for dy in delta_states[1:]]
     l2_max = max(n.l2 for n in state_norms)
     grad_sq = np.array([n.h1_semi**2 for n in state_norms])
     numerator = l2_max + float(np.sqrt(np.sum(taus * grad_sq)))
-    if dual_norms is None:
-        dual_norms = np.array([dual_norm(grid, du) for du in delta_controls])
+    dual_norms = np.array([dual_norm(grid, du) for du in delta_controls])
     denominator = (norms(grid, delta_states[0]).l2
-                   + float(np.sqrt(np.sum(taus * np.asarray(dual_norms)**2))))
+                   + float(np.sqrt(np.sum(taus * dual_norms**2))))
     return numerator, denominator
 
 
@@ -221,6 +230,7 @@ def lipschitz_study(grid, aniso, pot, pairs, final_time, base_n, levels,
     the largest perturbation ratio over the pairs; the study passes when no
     level exceeds ``growth`` times the coarsest level's value.
     """
+    _check_levels("lipschitz", levels)
     tau0 = final_time / base_n
     bound = step_regimes(pot.semiconvexity(), tau0)[0]["lipschitz"]
     if tau0 > bound + 1e-15:
@@ -275,8 +285,7 @@ def control_convergence_study(problem, levels, options=None, config=None,
     ||u*_k (injected) - u*_{k+1}|| decrease strictly down the ladder;
     optimizer non-convergence flags the level in the notes.
     """
-    if levels < 2:
-        raise ValueError("need at least 2 levels for Cauchy differences")
+    _check_levels("control_convergence", levels)
     options = options or OptimizeOptions()
     base_part = problem.partition
     n0 = base_part.n_steps

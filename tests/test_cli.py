@@ -184,7 +184,10 @@ def test_armijo_backtrack_of_one_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("override", ["optimize.max_iters=-1",
                                       "optimize.grad_tol=-1",
-                                      "optimize.lbfgs_memory=0"])
+                                      "optimize.lbfgs_memory=0",
+                                      "solver.max_newton_iters=0",
+                                      "solver.max_newton_iters=-2",
+                                      "solver.max_descent_iters=0"])
 def test_optimize_settings_out_of_range_exit_1(tmp_path, capsys, override):
     g = build_grid(1, [33], [1.0])
     write_field(tmp_path / "target.field", g, np.zeros(g.n_nodes))
@@ -321,6 +324,21 @@ def test_studies_reject_nonuniform_breakpoints(tmp_path, capsys, command):
                out_dir=str(tmp_path / "out"))
     assert code == 1
     assert "time.breakpoints" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,levels", [("study-tau", 2),
+                                            ("study-bounds", 1),
+                                            ("study-bounds", 0),
+                                            ("study-lipschitz", 1),
+                                            ("study-lipschitz", 0),
+                                            ("study-control", 1)])
+def test_studies_reject_too_few_levels(tmp_path, capsys, command, levels):
+    cfg = BASE_CONFIG + f"\n[study]\nlevels = {levels}\n"
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert run(command, path, out_dir=str(out)) == 1
+    assert "study.levels" in capsys.readouterr().err
+    assert not out.exists()  # rejected before any artifact is written
 
 
 def test_study_lipschitz_cli_runs(tmp_path):

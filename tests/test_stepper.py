@@ -328,6 +328,48 @@ def test_trajectory_attaches_partial_trajectory(tmp_path):
     assert len(path.read_text().splitlines()) == 2
 
 
+class CountingIsotropic(IsotropicAnisotropy):
+    """Isotropic density that counts its energy evaluations."""
+
+    def __init__(self):
+        self.value_calls = 0
+
+    def value(self, p):
+        self.value_calls += 1
+        return super().value(p)
+
+
+def test_trajectory_evaluates_each_point_once():
+    # one energy evaluation for y_0, then one per step for its start point
+    # and one per line-search trial; an accepted trial is not evaluated again
+    g = build_grid(1, [17], [1.0])
+    u = np.zeros((4, g.n_nodes))
+    u[1:] = 30.0 * np.sin(np.pi * g.nodes[:, 0])
+    counting = CountingIsotropic()
+    traj = solve_trajectory(g, counting, DW, np.ones(g.n_nodes), u,
+                            TimePartition.uniform(0.8, 4))
+    steps = traj.diagnostics[1:]
+    # the data cover a step solved at its start point and a rejected trial
+    assert steps[0].iterations == 0 and steps[0].linesearch_trials == 0
+    assert any(d.linesearch_trials > d.iterations for d in steps)
+    assert counting.value_calls == 1 + sum(1 + d.linesearch_trials
+                                           for d in steps)
+
+
+def test_recorded_energy_is_the_energy_of_each_state():
+    g = build_grid(2, [9, 9], [1.0, 1.0])
+    fam = MatrixFamilyAnisotropy(
+        [np.diag([1.0, 0.04]), np.diag([0.04, 1.0])], delta=1e-2)
+    rng = np.random.default_rng(13)
+    u = np.zeros((4, g.n_nodes))
+    u[1:] = rng.uniform(-1, 1, (3, g.n_nodes))
+    traj = solve_trajectory(g, fam, DW, np.ones(g.n_nodes), u,
+                            TimePartition.uniform(0.4, 4))
+    assert traj.diagnostics[1].iterations == 0
+    for diag, state in zip(traj.diagnostics, traj.states, strict=True):
+        assert diag.energy == energy(g, fam, DW, state)
+
+
 def test_lipschitz_regime_warning():
     g = build_grid(1, [9], [1.0])
     part = TimePartition.uniform(4.0, 5)  # tau = 0.8 > 1/3

@@ -76,6 +76,18 @@ def test_tau_convergence_needs_three_levels():
         tau_convergence_study(g, ISO, DW, np.ones(g.n_nodes), 1.0, 4, 2)
 
 
+def test_ladder_studies_need_two_levels():
+    g = build_grid(1, [9], [1.0])
+    y0 = np.ones(g.n_nodes)
+    u = np.zeros((4, g.n_nodes))
+    for levels in (0, 1):
+        with pytest.raises(ValueError, match="at least 2"):
+            uniform_bound_study(g, ISO, DW, y0, 1.0, 4, levels)
+        with pytest.raises(ValueError, match="at least 2"):
+            lipschitz_study(g, ISO, DW, [((y0, u), (y0 + 0.1, u))], 1.0, 4,
+                            levels)
+
+
 # -- uniform bounds ----------------------------------------------------------------
 
 def test_uniform_bounds_stationary_metrics_constant():
