@@ -12,7 +12,9 @@ delta > 0 trades the homogeneity for C2 smoothness, which the Newton
 stepper and the adjoint need.
 
 Evaluation is vectorized over leading axes: ``p`` may be a single vector
-(d,) or a batch (..., d), e.g. one gradient per element.
+(d,) or a batch (..., d), e.g. one gradient per element.  Each density has
+one entry point, ``derivatives(p, order)``, which returns A, A' and A''
+up to ``order`` from one pass; ``value``, ``grad`` and ``hess`` call it.
 """
 
 from typing import NamedTuple
@@ -24,29 +26,48 @@ class HessianUnavailable(RuntimeError):
     """Second derivative requested where the density is not C2."""
 
 
-class IsotropicAnisotropy:
+class _Density:
+    """``value``, ``grad`` and ``hess`` as one-order calls of ``derivatives``."""
+
+    def value(self, p):
+        return self.derivatives(p, 0)[0]
+
+    def grad(self, p):
+        return self.derivatives(p, 1)[1]
+
+    def hess(self, p):
+        return self.derivatives(p, 2)[2]
+
+
+def _check_order(order):
+    if order not in (0, 1, 2):
+        raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
+
+
+class IsotropicAnisotropy(_Density):
     """A(p) = |p|^2 / 2; the flux A' is the identity."""
 
     kind = "isotropic"
     twice_differentiable = True
 
-    def value(self, p):
+    def derivatives(self, p, order=1):
+        """(A, A', A'') at p, cut after ``order``; see
+        :meth:`MatrixFamilyAnisotropy.derivatives`."""
+        _check_order(order)
         p = np.asarray(p, dtype=float)
-        return 0.5 * np.sum(p * p, axis=-1)
-
-    def grad(self, p):
-        return np.asarray(p, dtype=float).copy()
-
-    def hess(self, p):
-        p = np.asarray(p, dtype=float)
-        d = p.shape[-1]
-        return np.broadcast_to(np.eye(d), p.shape + (d,)).copy()
+        out = (0.5 * np.sum(p * p, axis=-1),)
+        if order >= 1:
+            out += (p.copy(),)
+        if order == 2:
+            d = p.shape[-1]
+            out += (np.broadcast_to(np.eye(d), p.shape + (d,)).copy(),)
+        return out
 
     def __repr__(self):
         return "IsotropicAnisotropy()"
 
 
-class MatrixFamilyAnisotropy:
+class MatrixFamilyAnisotropy(_Density):
     """Regularized matrix-family density A(p) = (sum_l sqrt(p'G_l p + delta))^2 / 2.
 
     Parameters
@@ -77,7 +98,8 @@ class MatrixFamilyAnisotropy:
                     f"matrix {k} not positive definite (min eigenvalue {lam_min:.2e})")
         if delta < 0:
             raise ValueError(f"delta must be nonnegative, got {delta}")
-        self.matrices = mats
+        # the exactly symmetric part, whose upper triangle derivatives() reads
+        self.matrices = 0.5 * (mats + np.swapaxes(mats, 1, 2))
         self.delta = float(delta)
 
     @property
@@ -88,53 +110,68 @@ class MatrixFamilyAnisotropy:
     def twice_differentiable(self):
         return self.delta > 0.0
 
-    def _roots(self, p):
-        """sqrt(p' G_l p + delta) for each l; shape (L,) + batch."""
-        # (G_l p)_i as the broadcast product p G_l^T: matmul takes the last
-        # two axes of p as one matrix, so G^T gets a unit axis per other one
-        gt = np.swapaxes(self.matrices, 1, 2)
-        gp = np.matmul(p, gt.reshape(
-            gt.shape[:1] + (1,) * (p.ndim - 2) + gt.shape[1:]))
-        quad = np.einsum("...i,l...i->l...", p, gp) + self.delta
-        return np.sqrt(np.maximum(quad, 0.0)), gp
+    def derivatives(self, p, order=1):
+        """A and its derivatives up to ``order`` at p, from one pass.
 
-    def value(self, p):
-        p = np.asarray(p, dtype=float)
-        s, _ = self._roots(p)
-        return 0.5 * np.sum(s, axis=0) ** 2
-
-    def grad(self, p):
-        p = np.asarray(p, dtype=float)
-        s, gp = self._roots(p)
-        gamma = np.sum(s, axis=0)
-        # with delta = 0 all roots vanish exactly at p = 0, where A'(0) = 0
-        safe = np.where(s > 0.0, s, 1.0)
-        direction = np.sum(gp / safe[..., None], axis=0)
-        out = gamma[..., None] * direction
-        if self.delta == 0.0:
-            out = np.where((gamma > 0.0)[..., None], out, 0.0)
-        return out
-
-    def hess(self, p):
-        if not self.twice_differentiable:
+        Returns (A,), (A, A') or (A, A', A'') for ``order`` 0, 1 or 2,
+        shaped batch, batch + (d,) and batch + (d, d) for p of shape
+        batch + (d,).  The pass holds the components of p as contiguous
+        vectors over the batch and sums over l as it goes: with
+        s_l = sqrt(p'G_l p + delta), gamma = sum_l s_l,
+        gamma' = sum_l G_l p / s_l and
+        gamma'' = sum_l (G_l / s_l - (G_l p)(G_l p)' / s_l^3), it returns
+        A = gamma^2 / 2, A' = gamma gamma' and
+        A'' = gamma' gamma'^T + gamma gamma''.
+        """
+        _check_order(order)
+        if order == 2 and not self.twice_differentiable:
             raise HessianUnavailable(
                 "matrix-family density with delta = 0 is not C2 at p = 0; "
                 "regularize with delta > 0 or use the first-order solver path")
         p = np.asarray(p, dtype=float)
-        s, gp = self._roots(p)
-        gamma = np.sum(s, axis=0)
-        dgamma = np.sum(gp / s[..., None], axis=0)
-        # gamma'' = sum_l (G_l / s_l - (G_l p)(G_l p)' / s_l^3), summed over
-        # l as it goes: one (batch, L) x (L, d*d) product for the first
-        # term, then one rank-one update per l
-        n_mats, d = self.matrices.shape[:2]
-        d2gamma = (np.moveaxis(1.0 / s, 0, -1)
-                   @ self.matrices.reshape(n_mats, d * d)).reshape(p.shape + (d,))
-        for gp_l, s_l in zip(gp, s):
-            v = gp_l / (s_l * np.sqrt(s_l))[..., None]
-            d2gamma -= v[..., :, None] * v[..., None, :]
-        return (dgamma[..., :, None] * dgamma[..., None, :]
-                + gamma[..., None, None] * d2gamma)
+        batch, d = p.shape[:-1], self.dim
+        if p.shape[-1:] != (d,):
+            raise ValueError(f"expected points of dimension {d}, got shape {p.shape}")
+        x = np.ascontiguousarray(np.moveaxis(p, -1, 0).reshape(d, -1))
+        m = x.shape[1]
+        gamma = np.zeros(m)
+        dgamma = np.zeros((d, m)) if order else None
+        # gamma'' is symmetric: one vector per entry on or above the diagonal
+        upper = [(i, j) for i in range(d) for j in range(i, d)]
+        d2gamma = np.zeros((len(upper), m)) if order == 2 else None
+        for G in self.matrices:
+            gx = G @ x
+            quad = gx[0] * x[0]
+            for i in range(1, d):
+                quad += gx[i] * x[i]
+            quad += self.delta
+            s = np.sqrt(np.maximum(quad, 0.0, out=quad), out=quad)
+            gamma += s
+            if order == 0:
+                continue
+            # with delta = 0 all roots vanish exactly at p = 0, where gamma = 0
+            # and so A'(0) = gamma gamma' = 0
+            gx /= s if self.delta > 0.0 else np.where(s > 0.0, s, 1.0)
+            dgamma += gx
+            if order == 2:
+                # G_l / s_l - (G_l p)(G_l p)' / s_l^3, with gx = G_l p / s_l
+                r = 1.0 / s
+                for k, (i, j) in enumerate(upper):
+                    d2gamma[k] += r * (G[i, j] - gx[i] * gx[j])
+        value = 0.5 * gamma ** 2
+        out = (value.reshape(batch) if batch else value[0],)
+        if order >= 1:
+            flux = np.empty((m, d))
+            np.multiply(dgamma.T, gamma[:, None], out=flux)
+            out += (flux.reshape(batch + (d,)),)
+        if order == 2:
+            hess = np.empty((m, d, d))
+            for k, (i, j) in enumerate(upper):
+                d2gamma[k] *= gamma
+                d2gamma[k] += dgamma[i] * dgamma[j]
+                hess[:, i, j] = hess[:, j, i] = d2gamma[k]
+            out += (hess.reshape(batch + (d, d)),)
+        return out
 
     def __repr__(self):
         return (f"MatrixFamilyAnisotropy(L={self.matrices.shape[0]}, "

@@ -12,6 +12,11 @@ on two facts that hold for P1 simplices:
   is then D^T (|e| q), and every matrix (stiffness, Newton, adjoint, Riesz)
   is a diagonal plus the element blocks |e| G_e M_e G_e^T (G_e the basis
   gradients), summed into one CSR pattern built once per grid, all exact;
+* every element of a uniform grid is a translate of one of n_shapes
+  element shapes (1 in 1D, 2 in 2D), so G_e and |e| are those of its
+  shape, and the block is a fixed linear map of the dim^2 entries of M_e:
+  one (dim^2, (dim+1)^2) matrix per shape, built once per grid, turns all
+  tensors of a shape into their blocks in one product;
 * the row sum of the exact P1 element mass matrix is |e|/(d+1), so mass
   lumping reduces every L2 pairing to a diagonal weight vector.
 
@@ -53,8 +58,16 @@ class Grid:
         Node indices per element.
     measures : ndarray, (n_elements,)
         Element lengths/areas.
-    basis_gradients : ndarray, (n_elements, dim+1, dim)
-        Constant gradient of each local basis function on each element.
+    n_shapes : int
+        Number of element shapes: 1 in 1D; 2 in 2D, where the lower-left
+        and upper-right triangles of the cells alternate.  Element e is a
+        translate of element e % n_shapes.
+    basis_gradients : ndarray, (n_shapes, dim+1, dim)
+        Constant gradient of each local basis function on each shape.
+    element_maps : ndarray, (n_shapes, dim*dim, (dim+1)**2)
+        Per shape, the linear map from the dim*dim entries of an element
+        tensor M_e to the element block |e| G M_e G^T (G the shape's
+        basis gradients), both flattened row-major.
     weights : ndarray, (n_nodes,)
         Lumped mass (row sums of the exact P1 mass matrix).
     D : scipy.sparse.csr_matrix, (n_elements*dim, n_nodes)
@@ -65,7 +78,9 @@ class Grid:
         element-constant fluxes q.
 
     Matrices are values filled into one CSR pattern per grid
-    (:meth:`sparsity_pattern`), whose read-only index arrays they share.
+    (:meth:`sparsity_pattern`), whose read-only index arrays they share:
+    the blocks of each shape come from one product with its element map,
+    and one ``bincount`` over the shape-major scatter map sums them.
     """
 
     def __init__(self, dim, nodes_per_axis, lengths):
@@ -92,17 +107,25 @@ class Grid:
         self._build_element_geometry()
         self.weights = self._lumped_weights()
 
-        # D[e*dim + k, elements[e, l]] = basis_gradients[e, l, k]; the zero
+        # block (l, m) of element e is sum_ij |e| g_li M_ij g_mj
+        scaled = self.measures[:self.n_shapes, None, None] * self.basis_gradients
+        self.element_maps = np.einsum(
+            "kli,kmj->kijlm", scaled, self.basis_gradients).reshape(
+                self.n_shapes, dim * dim, (dim + 1) ** 2)
+
+        # D[e*dim + k, elements[e, l]] = g_lk of the shape of e; the zero
         # components (edges along an axis) are dropped to thin the products
+        grads = np.tile(self.basis_gradients,
+                        (self.n_elements // self.n_shapes, 1, 1))
         rows = np.arange(self.n_elements * dim).reshape(-1, 1, dim)
         self.D = sp.csr_matrix(
-            (self.basis_gradients.ravel(),
-             (np.broadcast_to(rows, self.basis_gradients.shape).ravel(),
+            (grads.ravel(),
+             (np.broadcast_to(rows, grads.shape).ravel(),
               np.repeat(self.elements, dim, axis=1).ravel())),
             shape=(self.n_elements * dim, self.n_nodes))
         self.D.eliminate_zeros()
         self.Dt = self.D.T.tocsr()
-        self._pattern = self._template = None
+        self._pattern = self._scatter = self._template = None
         self._stiffness = None
         self._prolongations = None
         self._riesz = None
@@ -143,19 +166,25 @@ class Grid:
         return elems
 
     def _build_element_geometry(self):
-        ref = _REF_GRADS[self.dim]
-        p0 = self.nodes[self.elements[:, 0]]
+        # every element is a translate of element e % n_shapes (in 2D the
+        # lower-left and upper-right triangles of the cells alternate), so
+        # the first n_shapes elements carry all the geometry
+        self.n_shapes = 1 if self.dim == 1 else 2
+        first = self.elements[:self.n_shapes]
+        p0 = self.nodes[first[:, 0]]
         edges = np.stack(
-            [self.nodes[self.elements[:, i + 1]] - p0 for i in range(self.dim)],
-            axis=-1)  # (ne, dim, dim), Jacobian columns
+            [self.nodes[first[:, i + 1]] - p0 for i in range(self.dim)],
+            axis=-1)  # (n_shapes, dim, dim), Jacobian columns
         det = np.linalg.det(edges)
         if np.any(det <= 0):
             raise ValueError("degenerate element: nonpositive Jacobian determinant")
-        self.measures = det / (1.0 if self.dim == 1 else 2.0)
+        self.measures = np.tile(det / (1.0 if self.dim == 1 else 2.0),
+                                self.n_elements // self.n_shapes)
         # grad phi_l = J^{-T} gradref_l
-        jt = np.swapaxes(edges, 1, 2)
-        rhs = np.broadcast_to(ref.T, (self.n_elements,) + ref.T.shape)
-        self.basis_gradients = np.swapaxes(np.linalg.solve(jt, rhs), 1, 2)
+        ref = _REF_GRADS[self.dim]
+        rhs = np.broadcast_to(ref.T, (self.n_shapes,) + ref.T.shape)
+        self.basis_gradients = np.swapaxes(
+            np.linalg.solve(np.swapaxes(edges, 1, 2), rhs), 1, 2)
 
     def _lumped_weights(self):
         w = np.zeros(self.n_nodes)
@@ -180,21 +209,30 @@ class Grid:
 
     def sparsity_pattern(self):
         """CSR pattern of all node pairs that share an element, built once:
-        read-only int32 ``indptr`` and ``indices``, the position in
-        ``indices`` of local pair (l, m) of element e at [e, l, m], and of
-        each diagonal entry.  The positions are searched in the sorted
-        keys row*n_nodes + column; an ``np.unique`` inverse would need
-        about twice the peak memory."""
+        read-only int32 ``indptr`` and ``indices``, the scatter map and the
+        position in ``indices`` of each diagonal entry.  The scatter map
+        is shape-major, like the element blocks of
+        :meth:`assemble_weighted_stiffness`: entry [k, c, l*(dim+1) + m]
+        is the position of local pair (l, m) of element c*n_shapes + k.
+        It is intp, which ``np.bincount`` would otherwise convert to on
+        every call.  The positions are searched in the sorted keys
+        row*n_nodes + column; an ``np.unique`` inverse would need about
+        twice the peak memory."""
         if self._pattern is None:
             n = self.n_nodes
             keys = self.elements[:, :, None] * n + self.elements[:, None, :]
             pairs = np.sort(keys, axis=None)
             pairs = pairs[np.concatenate(([True], pairs[1:] != pairs[:-1]))]
-            pattern = (np.searchsorted(pairs, np.arange(n + 1) * n),
-                       pairs % n,
-                       np.searchsorted(pairs, keys),
-                       np.searchsorted(pairs, np.arange(n) * (n + 1)))
-            self._pattern = tuple(a.astype(np.int32) for a in pattern)
+            by_shape = keys.reshape(
+                -1, self.n_shapes, (self.dim + 1) ** 2).swapaxes(0, 1)
+            # np.bincount copies a read-only index array on every call, so
+            # assembly reads the writeable array behind the read-only view
+            self._scatter = np.searchsorted(pairs, by_shape)
+            self._pattern = (
+                np.searchsorted(pairs, np.arange(n + 1) * n).astype(np.int32),
+                (pairs % n).astype(np.int32),
+                self._scatter.view(),
+                np.searchsorted(pairs, np.arange(n) * (n + 1)).astype(np.int32))
             for a in self._pattern:
                 a.flags.writeable = False
             indptr, indices = self._pattern[:2]
@@ -208,14 +246,17 @@ class Grid:
 
         ``tensors`` is an (n_elements, dim, dim) array of per-element
         matrices M_e, or None for the identity (plain stiffness);
-        ``diagonal`` an optional (n_nodes,) vector.
+        ``diagonal`` an optional (n_nodes,) vector.  The element blocks
+        of each shape are one product of the (n, dim^2) entries of its
+        tensors with the shape's element map (:attr:`element_maps`).
         """
-        _, indices, nonzero, diagonal_at = self.sparsity_pattern()
-        grads = self.measures[:, None, None] * self.basis_gradients
-        if tensors is not None:
-            grads = grads @ tensors
-        blocks = grads @ np.swapaxes(self.basis_gradients, 1, 2)
-        data = np.bincount(nonzero.ravel(), weights=blocks.ravel(),
+        _, indices, _, diagonal_at = self.sparsity_pattern()
+        scatter, maps = self._scatter, self.element_maps
+        if tensors is None:
+            tensors = np.broadcast_to(np.eye(self.dim),
+                                      (self.n_elements, self.dim, self.dim))
+        blocks = np.reshape(tensors, (-1,) + maps.shape[:2]).swapaxes(0, 1) @ maps
+        data = np.bincount(scatter.ravel(), weights=blocks.ravel(),
                            minlength=indices.size)
         if diagonal is not None:
             data[diagonal_at] += diagonal

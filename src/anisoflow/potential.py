@@ -32,7 +32,7 @@ class DoubleWell:
 
     def prime(self, y):
         y = np.asarray(y, dtype=float)
-        return y**3 - y
+        return y * y * y - y
 
     def second(self, y):
         y = np.asarray(y, dtype=float)

@@ -163,23 +163,24 @@ class Trajectory:
 def energy(grid, aniso, pot, values):
     """Total energy sum_e |e| A(grad y) + sum_i w_i psi(y_i)."""
     y = np.asarray(values, dtype=float)
-    return _energy(grid, aniso, pot, y, element_gradients(grid, y))
+    density, = aniso.derivatives(element_gradients(grid, y), 0)
+    return _energy(grid, pot, y, density)
 
 
-def _energy(grid, aniso, pot, y, grads):
-    return (float(np.sum(grid.measures * aniso.value(grads)))
+def _energy(grid, pot, y, density):
+    return (float(np.sum(grid.measures * density))
             + float(np.sum(grid.weights * pot.value(y))))
 
 
 def _evaluate(grid, aniso, pot, y, y_prev, u, tau):
     """Phi, the step residual, its max norm and the energy at ``y`` from
-    one element-gradient pass."""
+    one element-gradient pass and one anisotropy pass."""
     w, dy = grid.weights, y - y_prev
-    grads = element_gradients(grid, y)
-    e = _energy(grid, aniso, pot, y, grads)
+    density, flux = aniso.derivatives(element_gradients(grid, y), 1)
+    e = _energy(grid, pot, y, density)
     phi = 0.5 / tau * np.sum(w * dy ** 2) + e - float(np.sum(w * u * y))
-    flux = assemble_flux_divergence(grid, aniso.grad(grads))
-    res = w * dy + tau * (flux + w * pot.prime(y) - w * u)
+    res = w * dy + tau * (assemble_flux_divergence(grid, flux)
+                          + w * pot.prime(y) - w * u)
     return phi, res, float(np.max(np.abs(res))), e
 
 
@@ -205,10 +206,15 @@ def step_objective(grid, aniso, pot, y, y_prev, u, tau):
 
 
 def _newton_matrix(grid, aniso, pot, y, tau):
-    """Sparse W/tau + K_{A''(grad y)} + diag(W psi''(y)); SPD for tau < 1/c."""
+    """Sparse W/tau + K_{A''(grad y)} + diag(W psi''(y)); SPD for tau < 1/c.
+
+    The isotropic A'' is the identity, so that matrix needs no pass over
+    the gradients of y.
+    """
     w = grid.weights
-    return grid.assemble_weighted_stiffness(
-        aniso.hess(element_gradients(grid, y)), w / tau + w * pot.second(y))
+    hess = (None if aniso.kind == "isotropic"
+            else aniso.derivatives(element_gradients(grid, y), 2)[2])
+    return grid.assemble_weighted_stiffness(hess, w / tau + w * pot.second(y))
 
 
 def _solve_step(grid, aniso, pot, y_prev, u, tau, config, y_start, c_psi):

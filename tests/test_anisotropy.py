@@ -8,6 +8,10 @@ from anisoflow import (HessianUnavailable, IsotropicAnisotropy,
 ANISO_2D = MatrixFamilyAnisotropy(
     [np.diag([1.0, 0.04]), np.diag([0.04, 1.0])], delta=1e-4)
 ANISO_1D = MatrixFamilyAnisotropy([[[1.0]], [[0.5]]], delta=1e-2)
+# three matrices, two of them with off-diagonal entries of either sign
+ANISO_2D_MIXED = MatrixFamilyAnisotropy(
+    [[[1.0, 0.3], [0.3, 0.5]], np.diag([0.04, 1.0]), [[2.0, -0.5], [-0.5, 0.7]]],
+    delta=1e-3)
 
 
 def fd_grad(aniso, p, h):
@@ -74,25 +78,62 @@ def test_batched_evaluation_matches_pointwise():
         assert np.allclose(hesses[k], ANISO_2D.hess(pts[k]), atol=1e-14)
 
 
-class EinsumRoots(MatrixFamilyAnisotropy):
-    """The family with G_l p formed by einsum, as the kernel once did."""
+class EinsumReference:
+    """The matrix family written out from the einsum and outer-product
+    formulas, independent of the component-wise kernel."""
+
+    def __init__(self, matrices, delta):
+        self.matrices, self.delta = np.asarray(matrices, dtype=float), delta
 
     def _roots(self, p):
         gp = np.einsum("lij,...j->l...i", self.matrices, p)
         quad = np.einsum("...i,l...i->l...", p, gp) + self.delta
-        return np.sqrt(np.maximum(quad, 0.0)), gp
+        return np.sqrt(quad), gp
+
+    def value(self, p):
+        s, _ = self._roots(p)
+        return 0.5 * np.sum(s, axis=0) ** 2
+
+    def grad(self, p):
+        s, gp = self._roots(p)
+        return np.sum(s, axis=0)[..., None] * np.sum(gp / s[..., None], axis=0)
+
+    def hess(self, p):
+        s, gp = self._roots(p)
+        gamma = np.sum(s, axis=0)
+        dgamma = np.sum(gp / s[..., None], axis=0)
+        v = gp / (s * np.sqrt(s))[..., None]
+        d2gamma = (np.einsum("l...,lij->...ij", 1.0 / s, self.matrices)
+                   - np.einsum("l...i,l...j->...ij", v, v))
+        return (np.einsum("...i,...j->...ij", dgamma, dgamma)
+                + gamma[..., None, None] * d2gamma)
 
 
-@pytest.mark.parametrize("aniso", [ANISO_1D, ANISO_2D])
+@pytest.mark.parametrize("aniso", [ANISO_1D, ANISO_2D, ANISO_2D_MIXED])
 @pytest.mark.parametrize("batch", [(), (7,), (3, 5)])
 def test_kernel_matches_einsum_form(aniso, batch):
-    reference = EinsumRoots(aniso.matrices, aniso.delta)
+    reference = EinsumReference(aniso.matrices, aniso.delta)
     p = np.random.default_rng(11).normal(size=batch + (aniso.dim,))
     for method in ("value", "grad", "hess"):
         got = getattr(aniso, method)(p)
         expected = getattr(reference, method)(p)
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("aniso,dim", [(IsotropicAnisotropy(), 2), (ANISO_1D, 1),
+                                       (ANISO_2D, 2), (ANISO_2D_MIXED, 2)])
+def test_derivatives_cut_one_pass_after_each_order(aniso, dim):
+    p = np.random.default_rng(12).normal(size=(9, dim))
+    full = aniso.derivatives(p, 2)
+    assert [a.shape for a in full] == [(9,), (9, dim), (9, dim, dim)]
+    for order in (0, 1):
+        cut = aniso.derivatives(p, order)
+        assert len(cut) == order + 1
+        for got, expected in zip(cut, full):
+            assert np.array_equal(got, expected)
+    with pytest.raises(ValueError):
+        aniso.derivatives(p, 3)
 
 
 # -- derivative consistency ----------------------------------------------------

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import (oracle_mass_matrix, oracle_stiffness_matrix,
-                      oracle_weighted_stiffness)
+from conftest import (_oracle_basis_gradients, oracle_mass_matrix,
+                      oracle_stiffness_matrix, oracle_weighted_stiffness)
 
 from anisoflow import (ControlProblem, DoubleWell, FinalTimeTarget,
                        MatrixFamilyAnisotropy, TimePartition,
@@ -46,6 +46,24 @@ def test_node_ordering_is_x_fastest():
     # node 1 is the x-neighbor of node 0, node 3 starts the second row
     assert np.allclose(g.nodes[1], [1.0, 0.0])
     assert np.allclose(g.nodes[3], [0.0, 1.0])
+
+
+@pytest.mark.parametrize("dim,nodes,lengths", [
+    (1, [7], [1.3]),
+    (2, [4, 5], [1.0, 2.0]),
+    (2, [6, 3], [0.7, 0.3]),
+])
+def test_every_element_has_its_shapes_geometry(dim, nodes, lengths):
+    g = build_grid(dim, nodes, lengths)
+    assert g.basis_gradients.shape == (g.n_shapes, dim + 1, dim)
+    for e, conn in enumerate(g.elements):
+        expected = _oracle_basis_gradients(g, conn)
+        got = g.basis_gradients[e % g.n_shapes]
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+        area = abs(np.linalg.det(np.diff(g.nodes[conn], axis=0)[:, :dim]))
+        if dim == 2:
+            area /= 2.0
+        assert abs(g.measures[e] - area) <= 1e-12 * area
 
 
 # -- lumped mass --------------------------------------------------------------

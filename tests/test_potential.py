@@ -19,6 +19,15 @@ def test_double_well_at_the_well():
     assert dw.value(0.0) == 0.25
 
 
+def test_double_well_prime_is_the_cubic():
+    ys = np.random.default_rng(14).uniform(-2.0, 2.0, 1000)
+    exact = ys**3 - ys
+    got = DoubleWell().prime(ys)
+    assert np.max(np.abs(got - exact)) <= 1e-15 * np.max(np.abs(exact))
+    assert np.array_equal(DoubleWell().prime(np.array([-1.0, 0.0, 1.0])),
+                          np.zeros(3))
+
+
 def test_moreau_yosida_penalty_kicks_in():
     my = MoreauYosida(100.0)
     # -y + 2 s max(y-1, 0) at y = 1.1

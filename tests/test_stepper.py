@@ -328,20 +328,28 @@ def test_trajectory_attaches_partial_trajectory(tmp_path):
     assert len(path.read_text().splitlines()) == 2
 
 
-class CountingIsotropic(IsotropicAnisotropy):
-    """Isotropic density that counts its energy evaluations."""
+class CountingPasses:
+    """Mixin that counts the anisotropy passes of a density."""
 
-    def __init__(self):
-        self.value_calls = 0
+    passes = 0
 
-    def value(self, p):
-        self.value_calls += 1
-        return super().value(p)
+    def derivatives(self, p, order=1):
+        self.passes += 1
+        return super().derivatives(p, order)
+
+
+class CountingIsotropic(CountingPasses, IsotropicAnisotropy):
+    pass
+
+
+class CountingFamily(CountingPasses, MatrixFamilyAnisotropy):
+    pass
 
 
 def test_trajectory_evaluates_each_point_once():
-    # one energy evaluation for y_0, then one per step for its start point
-    # and one per line-search trial; an accepted trial is not evaluated again
+    # one pass for the energy of y_0, then one per step for its start point
+    # and one per line-search trial; an accepted trial is not evaluated
+    # again, and the isotropic Newton matrix (A'' = I) needs no pass
     g = build_grid(1, [17], [1.0])
     u = np.zeros((4, g.n_nodes))
     u[1:] = 30.0 * np.sin(np.pi * g.nodes[:, 0])
@@ -352,8 +360,23 @@ def test_trajectory_evaluates_each_point_once():
     # the data cover a step solved at its start point and a rejected trial
     assert steps[0].iterations == 0 and steps[0].linesearch_trials == 0
     assert any(d.linesearch_trials > d.iterations for d in steps)
-    assert counting.value_calls == 1 + sum(1 + d.linesearch_trials
-                                           for d in steps)
+    assert counting.passes == 1 + sum(1 + d.linesearch_trials for d in steps)
+
+
+def test_trajectory_takes_one_pass_per_point_and_newton_matrix():
+    g = build_grid(2, [9, 9], [1.0, 1.0])
+    counting = CountingFamily(
+        [np.diag([1.0, 0.04]), np.diag([0.04, 1.0])], delta=1e-2)
+    u = np.zeros((4, g.n_nodes))
+    u[1:] = 60.0 * np.sin(np.pi * g.nodes[:, 0]) * np.sin(np.pi * g.nodes[:, 1])
+    traj = solve_trajectory(g, counting, DW, np.ones(g.n_nodes), u,
+                            TimePartition.uniform(0.8, 4))
+    steps = traj.diagnostics[1:]
+    assert steps[0].iterations == 0
+    assert not any(d.fallback for d in steps)
+    assert any(d.linesearch_trials > d.iterations for d in steps)
+    assert counting.passes == 1 + sum(1 + d.linesearch_trials + d.iterations
+                                      for d in steps)
 
 
 def test_recorded_energy_is_the_energy_of_each_state():
