@@ -126,6 +126,7 @@ class Grid:
         self.D.eliminate_zeros()
         self.Dt = self.D.T.tocsr()
         self._pattern = self._scatter = self._template = None
+        self._identity_data = None
         self._stiffness = None
         self._prolongations = None
         self._riesz = None
@@ -249,15 +250,18 @@ class Grid:
         ``diagonal`` an optional (n_nodes,) vector.  The element blocks
         of each shape are one product of the (n, dim^2) entries of its
         tensors with the shape's element map (:attr:`element_maps`).
+        The identity's values are filled once per grid and copied on each
+        call, so every matrix, :meth:`stiffness_matrix` too, owns its
+        ``data``.
         """
-        _, indices, _, diagonal_at = self.sparsity_pattern()
-        scatter, maps = self._scatter, self.element_maps
+        diagonal_at = self.sparsity_pattern()[3]
         if tensors is None:
-            tensors = np.broadcast_to(np.eye(self.dim),
-                                      (self.n_elements, self.dim, self.dim))
-        blocks = np.reshape(tensors, (-1,) + maps.shape[:2]).swapaxes(0, 1) @ maps
-        data = np.bincount(scatter.ravel(), weights=blocks.ravel(),
-                           minlength=indices.size)
+            if self._identity_data is None:
+                self._identity_data = self._fill(np.broadcast_to(
+                    np.eye(self.dim), (self.n_elements, self.dim, self.dim)))
+            data = self._identity_data.copy()
+        else:
+            data = self._fill(tensors)
         if diagonal is not None:
             data[diagonal_at] += diagonal
         # a shallow copy of the template with its own values: the CSR
@@ -266,6 +270,13 @@ class Grid:
         mat = copy.copy(self._template)
         mat.data = data
         return mat
+
+    def _fill(self, tensors):
+        """Pattern values of sum_e |e| grad phi_i^T M_e grad phi_j."""
+        maps = self.element_maps
+        blocks = np.reshape(tensors, (-1,) + maps.shape[:2]).swapaxes(0, 1) @ maps
+        return np.bincount(self._scatter.ravel(), weights=blocks.ravel(),
+                           minlength=self._pattern[1].size)
 
     def preconditioner(self, mat):
         """Preconditioner for an SPD matrix assembled on this grid.
@@ -419,8 +430,7 @@ def write_field(path, grid, values):
     L = ",".join(f"{x:.17g}" for x in grid.lengths)
     with open(path, "w") as f:
         f.write(f"{_FIELD_MAGIC} dim={grid.dim} n={n} L={L}\n")
-        for v in values:
-            f.write(f"{v:.17g}\n")
+        f.write("".join(f"{v:.17g}\n" for v in values.tolist()))
 
 
 def read_field(path):
@@ -442,7 +452,8 @@ def read_field(path):
             }
         except (KeyError, ValueError) as exc:
             raise ValueError(f"{path}: malformed snapshot header") from exc
-        values = np.array([float(line) for line in f if line.strip()])
+        # one string per line, so a line holding two numbers fails to parse
+        values = np.array([line for line in f if line.strip()], dtype=float)
     expected = int(np.prod(meta["shape"]))
     if values.size != expected:
         raise ValueError(

@@ -379,20 +379,37 @@ def backward_difference(trajectory):
     return np.diff(trajectory.states, axis=0) / taus[:, None]
 
 
+# values of the stored states that trajectory_bounds reads at a time
+_BLOCK_VALUES = 2 ** 16
+
+
 def trajectory_bounds(trajectory, pot):
     """Space-time norms that stay bounded uniformly in the step size.
 
     Returns the L2(Q) norm of the discrete time derivative, the largest H1
     norm over the stored states, and the L2(Q) norm of psi'(y).
+
+    The states are read in blocks of whole rows, about ``_BLOCK_VALUES``
+    values each (at least one state), so the memory this needs does not
+    grow with the number of steps.  Per interval j the block gives
+    sum_i w_i ((y_j - y_{j-1}) / tau_j)_i^2 and sum_i w_i psi'(y_j)_i^2;
+    each of these two (N,) vectors is reduced once against the step sizes
+    after the last block.
     """
-    grid, part = trajectory.grid, trajectory.partition
-    taus = part.tau_steps
+    grid, states = trajectory.grid, trajectory.states
+    taus = trajectory.partition.tau_steps
     w = grid.weights
-    diff = backward_difference(trajectory)
-    dt_l2 = float(np.sqrt(np.sum(taus * np.sum(w * diff**2, axis=1))))
-    h1_max = max(h1_norm(grid, state) for state in trajectory.states)
-    react = pot.prime(trajectory.states[1:])
-    react_l2 = float(np.sqrt(np.sum(taus * np.sum(w * react**2, axis=1))))
+    dt_rows, react_rows = np.empty(taus.size), np.empty(taus.size)
+    per_block = max(1, _BLOCK_VALUES // grid.n_nodes)
+    for a in range(0, taus.size, per_block):
+        b = min(a + per_block, taus.size)
+        diff = (states[a + 1:b + 1] - states[a:b]) / taus[a:b, None]
+        dt_rows[a:b] = np.sum(w * diff**2, axis=1)
+        react = pot.prime(states[a + 1:b + 1])
+        react_rows[a:b] = np.sum(w * react**2, axis=1)
+    dt_l2 = float(np.sqrt(np.sum(taus * dt_rows)))
+    h1_max = max(h1_norm(grid, state) for state in states)
+    react_l2 = float(np.sqrt(np.sum(taus * react_rows)))
     return {"time_derivative_l2": dt_l2, "state_h1_max": h1_max,
             "reaction_l2": react_l2}
 

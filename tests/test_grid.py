@@ -172,6 +172,26 @@ def test_weighted_stiffness_adds_the_diagonal(dim, nodes, lengths):
     assert np.max(np.abs(assembled - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
+@pytest.mark.parametrize("dim,nodes", [(1, [65]), (2, [5, 4])])
+def test_isotropic_matrices_from_the_cached_identity_values(dim, nodes):
+    g = build_grid(dim, nodes, [1.0] * dim)
+    diagonal = np.random.default_rng(5).uniform(0.5, 2.0, g.n_nodes)
+    identity = np.broadcast_to(np.eye(dim), (g.n_elements, dim, dim))
+    first = g.assemble_weighted_stiffness(None, diagonal)
+    # the same arithmetic as the identity passed as explicit tensors
+    assert np.array_equal(
+        first.data, g.assemble_weighted_stiffness(identity, diagonal).data)
+    expected = oracle_weighted_stiffness(g, identity) + np.diag(diagonal)
+    assert np.max(np.abs(first.toarray() - expected)) <= (
+        1e-12 * np.max(np.abs(expected)))
+    second = g.assemble_weighted_stiffness(None, diagonal)
+    assert not np.shares_memory(first.data, second.data)
+    # editing K in place leaves later assemblies alone
+    g.stiffness_matrix().data[:] = np.nan
+    assert np.array_equal(g.assemble_weighted_stiffness(None, diagonal).data,
+                          first.data)
+
+
 def test_matrices_share_the_pattern_not_the_values():
     g = build_grid(2, [4, 5], [1.0, 2.0])
     tensors = np.random.default_rng(4).standard_normal((g.n_elements, 2, 2))
@@ -271,6 +291,34 @@ def test_field_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(back, values)
     assert meta == {"dim": 2, "shape": (4, 3), "lengths": (1.0, 2.0)}
     assert np.array_equal(load_field(path, g), values)
+
+
+def test_field_file_bytes_and_extreme_values(tmp_path):
+    g = build_grid(1, [9], [1.0])
+    tiny = np.nextafter(0.0, 1.0)
+    values = np.array([0.0, -0.0, tiny, -tiny, 2.2250738585072014e-308,
+                       1e308, -1e308, 1.0 / 3.0, -123456.789])
+    path = tmp_path / "field.txt"
+    write_field(path, g, values)
+    # the reference format, built value by value
+    golden = "# anisoflow-field v1 dim=1 n=9 L=1\n"
+    for v in values:
+        golden += f"{v:.17g}\n"
+    assert path.read_bytes() == golden.encode()
+    back, _ = read_field(path)
+    assert np.array_equal(back.view(np.uint64), values.view(np.uint64))
+
+
+def test_read_field_rejects_malformed_values(tmp_path):
+    header = "# anisoflow-field v1 dim=1 n=3 L=1\n"
+    two = tmp_path / "two.txt"
+    two.write_text(header + "0.5\n1 2\n0.25\n")
+    with pytest.raises(ValueError, match="could not convert"):
+        read_field(two)
+    short = tmp_path / "short.txt"
+    short.write_text(header + "0.5\n\n0.25\n")
+    with pytest.raises(ValueError, match="2 values, header promises 3"):
+        read_field(short)
 
 
 def test_field_header_checked(tmp_path):

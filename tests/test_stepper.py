@@ -1,15 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import (oracle_element_gradients, oracle_mass_matrix,
                       oracle_stiffness_matrix, oracle_weighted_stiffness)
 
 from anisoflow import (DoubleWell, IsotropicAnisotropy, MatrixFamilyAnisotropy,
-                       NonConvergence, StepConfig, TimePartition,
-                       UniquenessViolation, ZeroPotential,
+                       MoreauYosida, NonConvergence, StepConfig, TimePartition,
+                       Trajectory, UniquenessViolation, ZeroPotential,
                        backward_difference, build_grid,
-                       check_energy_stability, energy,
+                       check_energy_stability, energy, h1_norm,
                        solve_trajectory, step, step_objective, step_residual,
-                       write_diagnostics)
+                       trajectory_bounds, write_diagnostics)
+from anisoflow import stepper
 from anisoflow.stepper import _newton_matrix, step_regimes
 
 ISO = IsotropicAnisotropy()
@@ -430,6 +433,62 @@ def test_telescoped_dissipation_inequality():
     # and the recorded bound is the direct summation of the same quantity
     assert abs(traj.bounds["time_derivative_l2"]
                - np.sqrt(2.0 * lhs)) <= 1e-12
+
+
+def _vectorized_bounds(traj, pot):
+    """The bounds from whole-trajectory (N, n) arrays: the reference that
+    the blocked sums of trajectory_bounds must match bit for bit."""
+    taus, w = traj.partition.tau_steps, traj.grid.weights
+    diff = np.diff(traj.states, axis=0) / taus[:, None]
+    react = pot.prime(traj.states[1:])
+    return {"time_derivative_l2": float(np.sqrt(np.sum(
+                taus * np.sum(w * diff**2, axis=1)))),
+            "state_h1_max": max(h1_norm(traj.grid, y) for y in traj.states),
+            "reaction_l2": float(np.sqrt(np.sum(
+                taus * np.sum(w * react**2, axis=1))))}
+
+
+def test_trajectory_bounds_match_vectorized_sums_1d():
+    g = build_grid(1, [65], [1.0])
+    rng = np.random.default_rng(12)
+    traj = solve_trajectory(g, ISO, DW, rng.uniform(-1, 1, g.n_nodes), None,
+                            TimePartition.uniform(1.0, 64))
+    assert traj.bounds == _vectorized_bounds(traj, DW)
+
+
+@pytest.mark.parametrize("pot", [DW, MoreauYosida(50.0)])
+def test_trajectory_bounds_match_vectorized_sums_2d(pot):
+    # 67 non-uniform intervals at 33^2: one full block of states and a
+    # short last one
+    g = build_grid(2, [33, 33], [1.0, 1.0])
+    rng = np.random.default_rng(13)
+    n_steps, per_block = 67, stepper._BLOCK_VALUES // g.n_nodes
+    assert n_steps > per_block and n_steps % per_block
+    breaks = np.concatenate(
+        ([0.0], np.sort(rng.uniform(0.0, 1.0, n_steps - 1)), [1.0]))
+    states = 1.2 * rng.uniform(-1.0, 1.0, (n_steps + 1, g.n_nodes))
+    traj = Trajectory(g, TimePartition(breaks), states, [], StepConfig())
+    assert trajectory_bounds(traj, pot) == _vectorized_bounds(traj, pot)
+
+
+def test_trajectory_bounds_memory_does_not_grow_with_steps(monkeypatch):
+    # a block of four states, so both trajectories span several blocks
+    g = build_grid(2, [33, 33], [1.0, 1.0])
+    monkeypatch.setattr(stepper, "_BLOCK_VALUES", 4 * g.n_nodes)
+    rng = np.random.default_rng(14)
+    peaks = []
+    for n_steps in (8, 64):
+        traj = Trajectory(g, TimePartition.uniform(1.0, n_steps),
+                          rng.uniform(-1.0, 1.0, (n_steps + 1, g.n_nodes)),
+                          [], StepConfig())
+        trajectory_bounds(traj, DW)
+        tracemalloc.start()
+        try:
+            trajectory_bounds(traj, DW)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 # -- energy stability monitor ----------------------------------------------------------------
