@@ -8,12 +8,14 @@ self-describing.  Numeric output uses 17 significant digits throughout,
 which round-trips doubles exactly.
 
 Exit codes: 0 success, 1 config error (the message names the offending
-key), 2 solver or study failure (diagnostics that exist are still written).
+key; every input is built and checked before anything is written), 2 solver
+or study failure (diagnostics that exist are still written).
 """
 
 import argparse
 import configparser
 import dataclasses
+import functools
 import hashlib
 import os
 import sys
@@ -205,8 +207,6 @@ def _build_grid(cfg):
                  .replace(",", " ").split()]
         lengths = _floats(_get(cfg, "grid", "lengths", required=True))
         return build_grid(dim, nodes, lengths)
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError("grid", str(exc))
 
@@ -269,10 +269,21 @@ def _build_potential(cfg):
     raise ConfigError("potential.kind", f"unknown kind '{kind}'")
 
 
-def _require_file(key, path):
+def _load_file(key, path, grid):
+    """The field in the file a config key names, checked against ``grid``."""
     if not os.path.exists(path):
         raise ConfigError(key, f"referenced file '{path}' does not exist")
-    return path
+    try:
+        return load_field(path, grid)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(key, str(exc))
+
+
+def _initializer(key, spec, grid):
+    try:
+        return grid.check_field(builtin_initializer(spec, grid))
+    except ValueError as exc:
+        raise ConfigError(key, str(exc))
 
 
 def _load_y0(cfg, grid):
@@ -282,25 +293,19 @@ def _load_y0(cfg, grid):
         raise ConfigError("control.y0",
                           "give exactly one of control.y0, control.y0_file")
     if path is not None:
-        return load_field(_require_file("control.y0_file", path), grid)
-    try:
-        return builtin_initializer(spec, grid)
-    except ValueError as exc:
-        raise ConfigError("control.y0", str(exc))
+        return _load_file("control.y0_file", path, grid)
+    return _initializer("control.y0", spec, grid)
 
 
 def _load_per_interval(key, directory, prefix, grid, n_steps):
     """One field per interval j = 1..N from ``<prefix>_<j:04d>.field``."""
-    _require_file(key, directory)
-    rows = []
-    for j in range(1, n_steps + 1):
-        path = os.path.join(directory, f"{prefix}_{j:04d}.field")
-        rows.append(load_field(_require_file(key, path), grid))
-    return np.array(rows)
+    return np.array([
+        _load_file(key, os.path.join(directory, f"{prefix}_{j:04d}.field"),
+                   grid) for j in range(1, n_steps + 1)])
 
 
 def _load_forcing(cfg, grid, partition):
-    """Forcing fields for simulate/verify/study runs; zero by default."""
+    """Forcing fields for simulate/study runs; zero by default."""
     directory = _get(cfg, "control", "forcing_dir")
     spec = _get(cfg, "control", "forcing", default="zero")
     n_steps = partition.n_steps
@@ -309,25 +314,26 @@ def _load_forcing(cfg, grid, partition):
                                   grid, n_steps)
     if spec.strip().lower() == "zero":
         return np.zeros((n_steps, grid.n_nodes))
-    try:
-        one = builtin_initializer(spec, grid)
-    except ValueError as exc:
-        raise ConfigError("control.forcing", str(exc))
-    return np.tile(one, (n_steps, 1))
+    return np.tile(_initializer("control.forcing", spec, grid), (n_steps, 1))
 
 
-def _load_target(cfg, grid, partition):
+def _control_problem(cfg, grid, partition, y0, aniso, pot):
     kind = _get(cfg, "control", "target", required=True).strip().lower()
     if kind == "final_time":
         path = _get(cfg, "control", "target_file", required=True)
-        return FinalTimeTarget(load_field(
-            _require_file("control.target_file", path), grid))
-    if kind == "distributed":
+        target = FinalTimeTarget(_load_file("control.target_file", path, grid))
+    elif kind == "distributed":
         directory = _get(cfg, "control", "target_dir", required=True)
-        return DistributedTarget(_load_per_interval(
-            "control.target_dir", directory, "target", grid,
-            partition.n_steps))
-    raise ConfigError("control.target", f"unknown target kind '{kind}'")
+        target = DistributedTarget(_load_per_interval(
+            "control.target_dir", directory, "target", grid, partition.n_steps))
+    else:
+        raise ConfigError("control.target", f"unknown target kind '{kind}'")
+    lam = _get(cfg, "control", "lambda", float, required=True)
+    try:
+        return ControlProblem(grid, partition, y0, target, lam, aniso, pot)
+    except ValueError as exc:
+        # the fields are checked above, so only lambda is left to reject
+        raise ConfigError("control.lambda", str(exc))
 
 
 def _config_hash(cfg):
@@ -366,7 +372,7 @@ def _write_states(out_dir, grid, states):
         write_field(os.path.join(out_dir, f"state_{j:04d}.field"), grid, state)
 
 
-def _study_perturbation_pairs(cfg, grid, partition, y0, forcing, seed):
+def _study_perturbation_pairs(cfg, grid, y0, forcing, seed):
     count = _get(cfg, "study", "pairs", int, default=5)
     scale = _get(cfg, "study", "perturbation_scale", float, default=0.1)
     rng = np.random.default_rng(seed)
@@ -404,7 +410,6 @@ def run(command, config_path, overrides=(), out_dir=None, seed=None):
             out_dir = _get(cfg, "output", "directory", default="out")
         if seed is None:
             seed = _get(cfg, "output", "seed", int, default=0)
-
         if (command in ("study-tau", "study-bounds", "study-lipschitz")
                 and np.ptp(partition.tau_steps) > 1e-12 * partition.tau_max):
             raise ConfigError(
@@ -421,20 +426,64 @@ def run(command, config_path, overrides=(), out_dir=None, seed=None):
             if levels < minimum:
                 raise ConfigError("study.levels", f"{command} needs at least "
                                   f"{minimum} ladder levels, got {levels}")
+        if command == "verify-energy":
+            forcing_spec = _get(cfg, "control", "forcing", default="zero")
+            if forcing_spec.strip().lower() != "zero":
+                raise ConfigError("control.forcing",
+                                  "the energy check requires zero forcing")
+            if _get(cfg, "control", "forcing_dir") is not None:
+                raise ConfigError("control.forcing_dir",
+                                  "the energy check requires zero forcing")
 
-        os.makedirs(out_dir, exist_ok=True)
-        _write_manifest(out_dir, command, cfg, grid, partition, aniso, c_psi,
-                        regimes, seed)
+        y0 = _load_y0(cfg, grid)
+        if command in ("optimize", "study-control"):
+            problem = _control_problem(cfg, grid, partition, y0, aniso, pot)
+        elif command != "verify-energy":
+            forcing = _load_forcing(cfg, grid, partition)
+        # each study bound to all its inputs, run after the manifest
+        final_time, base_n = partition.final_time, partition.n_steps
+        if command == "study-tau":
+            study = functools.partial(
+                studies.tau_convergence_study, grid, aniso, pot, y0,
+                final_time, base_n, levels, control=forcing,
+                config=step_config, rate_window=(
+                    _get(cfg, "study", "rate_min", float, default=0.8),
+                    _get(cfg, "study", "rate_max", float, default=1.2)))
+        elif command == "study-bounds":
+            study = functools.partial(
+                studies.uniform_bound_study, grid, aniso, pot, y0,
+                final_time, base_n, levels, control=forcing,
+                config=step_config, ratio_window=_get(
+                    cfg, "study", "ratio_window", float, default=1.5),
+                growth_tol=_get(cfg, "study", "growth_tol", float, default=1.05))
+        elif command == "study-lipschitz":
+            study = functools.partial(
+                studies.lipschitz_study, grid, aniso, pot,
+                _study_perturbation_pairs(cfg, grid, y0, forcing, seed),
+                final_time, base_n, levels, config=step_config,
+                growth=_get(cfg, "study", "ratio_growth", float, default=1.5))
+        elif command == "study-control":
+            # the target is constant on each interval, so its injection to
+            # the finest level restricts back to it on every level
+            target = problem.target
+            master = (studies.inject_time(target.values, 2**(levels - 1))
+                      if isinstance(target, DistributedTarget) else None)
+            study = functools.partial(
+                studies.control_convergence_study, problem, levels,
+                options=opts, config=step_config, distributed_master=master)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 1
 
+    os.makedirs(out_dir, exist_ok=True)
+    _write_manifest(out_dir, command, cfg, grid, partition, aniso, c_psi,
+                    regimes, seed)
+
     try:
         if command == "simulate":
-            forcing = _load_forcing(cfg, grid, partition)
             try:
-                traj = solve_trajectory(grid, aniso, pot, _load_y0(cfg, grid),
-                                        forcing, partition, step_config)
+                traj = solve_trajectory(grid, aniso, pot, y0, forcing,
+                                        partition, step_config)
             except (UniquenessViolation, NonConvergence) as exc:
                 partial = getattr(exc, "partial_trajectory", None)
                 if partial is not None:
@@ -448,15 +497,8 @@ def run(command, config_path, overrides=(), out_dir=None, seed=None):
             return 0
 
         if command == "verify-energy":
-            forcing_spec = _get(cfg, "control", "forcing", default="zero")
-            if forcing_spec.strip().lower() != "zero":
-                raise ConfigError("control.forcing",
-                                  "the energy check requires zero forcing")
-            if _get(cfg, "control", "forcing_dir") is not None:
-                raise ConfigError("control.forcing_dir",
-                                  "the energy check requires zero forcing")
-            traj = solve_trajectory(grid, aniso, pot, _load_y0(cfg, grid),
-                                    None, partition, step_config)
+            traj = solve_trajectory(grid, aniso, pot, y0, None, partition,
+                                    step_config)
             write_diagnostics(traj, os.path.join(out_dir, "diagnostics.csv"))
             report = check_energy_stability(traj, aniso, pot)
             with open(os.path.join(out_dir, "energy_report.txt"), "w") as f:
@@ -465,11 +507,6 @@ def run(command, config_path, overrides=(), out_dir=None, seed=None):
             return 0 if report.passed else 2
 
         if command == "optimize":
-            problem = ControlProblem(grid, partition, _load_y0(cfg, grid),
-                                     _load_target(cfg, grid, partition),
-                                     _get(cfg, "control", "lambda", float,
-                                          required=True),
-                                     aniso, pot)
             u_star, traj, report = optimize(problem, problem.zero_control(),
                                             opts, step_config)
             write_history(report, os.path.join(out_dir, "history.csv"))
@@ -487,42 +524,7 @@ def run(command, config_path, overrides=(), out_dir=None, seed=None):
                         f"message={report.message}\n")
             return 0
 
-        # refinement studies share the ladder configuration
-        y0 = _load_y0(cfg, grid)
-        forcing = _load_forcing(cfg, grid, partition)
-        base_n = partition.n_steps
-        final_time = partition.final_time
-
-        if command == "study-tau":
-            window = (_get(cfg, "study", "rate_min", float, default=0.8),
-                      _get(cfg, "study", "rate_max", float, default=1.2))
-            report = studies.tau_convergence_study(
-                grid, aniso, pot, y0, final_time, base_n, levels,
-                control=forcing, config=step_config, rate_window=window)
-        elif command == "study-bounds":
-            report = studies.uniform_bound_study(
-                grid, aniso, pot, y0, final_time, base_n, levels,
-                control=forcing, config=step_config,
-                ratio_window=_get(cfg, "study", "ratio_window", float,
-                                  default=1.5),
-                growth_tol=_get(cfg, "study", "growth_tol", float,
-                                default=1.05))
-        elif command == "study-lipschitz":
-            pairs = _study_perturbation_pairs(cfg, grid, partition, y0,
-                                              forcing, seed)
-            report = studies.lipschitz_study(
-                grid, aniso, pot, pairs, final_time, base_n, levels,
-                config=step_config,
-                growth=_get(cfg, "study", "ratio_growth", float, default=1.5))
-        else:  # study-control
-            problem = ControlProblem(grid, partition, y0,
-                                     _load_target(cfg, grid, partition),
-                                     _get(cfg, "control", "lambda", float,
-                                          required=True),
-                                     aniso, pot)
-            report = studies.control_convergence_study(
-                problem, levels, options=opts, config=step_config)
-
+        report = study()
         stem = command.replace("-", "_")
         studies.write_study_csv(report, os.path.join(out_dir, f"{stem}.csv"))
         summary = studies.summary_text(report)
@@ -531,9 +533,6 @@ def run(command, config_path, overrides=(), out_dir=None, seed=None):
         print(summary, end="")
         return 0 if report.passed else 2
 
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return 1
     except (UniquenessViolation, NonConvergence, ValueError,
             RuntimeError) as exc:
         print(f"failure: {exc}", file=sys.stderr)

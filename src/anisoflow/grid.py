@@ -127,7 +127,6 @@ class Grid:
         self.Dt = self.D.T.tocsr()
         self._pattern = self._scatter = self._template = None
         self._identity_data = None
-        self._stiffness = None
         self._prolongations = None
         self._riesz = None
 
@@ -138,10 +137,6 @@ class Grid:
     @property
     def n_elements(self):
         return self.elements.shape[0]
-
-    @property
-    def volume(self):
-        return float(np.prod(self.lengths))
 
     def _build_nodes(self):
         axes = [np.linspace(0.0, L, n) for L, n in zip(self.lengths, self.shape)]
@@ -204,9 +199,7 @@ class Grid:
 
     def stiffness_matrix(self):
         """Sparse P1 stiffness matrix K_ij = sum_e |e| grad phi_i . grad phi_j."""
-        if self._stiffness is None:
-            self._stiffness = self.assemble_weighted_stiffness(None)
-        return self._stiffness
+        return self.assemble_weighted_stiffness(None)
 
     def sparsity_pattern(self):
         """CSR pattern of all node pairs that share an element, built once:

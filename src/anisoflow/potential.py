@@ -23,7 +23,6 @@ import numpy as np
 class DoubleWell:
     """psi(y) = (y^2 - 1)^2 / 4 with minima at y = +-1."""
 
-    kind = "double_well"
     smoothness = "c2"
 
     def value(self, y):
@@ -54,7 +53,6 @@ class MoreauYosida:
     the interior value is returned at the kinks |y| = 1.
     """
 
-    kind = "moreau_yosida"
     smoothness = "semismooth"
 
     def __init__(self, penalty):
@@ -95,7 +93,6 @@ class TruncatedPotential:
     (e.g. MoreauYosida) or a non-positive cutoff.
     """
 
-    kind = "truncated"
     smoothness = "c2"
 
     def __init__(self, base, cutoff):
@@ -106,45 +103,23 @@ class TruncatedPotential:
                 f"truncation needs a C2 base potential, got {base!r}")
         self.base = base
         self.cutoff = float(cutoff)
-        c = self.cutoff
-        self._edge = {
-            +1: (float(base.value(c)), float(base.prime(c)), float(base.second(c))),
-            -1: (float(base.value(-c)), float(base.prime(-c)), float(base.second(-c))),
-        }
 
-    def _pieces(self, y):
-        y = np.asarray(y, dtype=float)
-        above = y > self.cutoff
-        below = y < -self.cutoff
-        inside = ~(above | below)
-        return y, inside, above, below
-
+    # the base and its Taylor terms at y clamped to the window; the step
+    # t from there to y is zero inside, so the base is reproduced exactly
     def value(self, y):
-        y, inside, above, below = self._pieces(y)
-        out = np.empty_like(y)
-        out[inside] = self.base.value(y[inside])
-        for mask, sign in ((above, +1), (below, -1)):
-            v, d, s = self._edge[sign]
-            t = y[mask] - sign * self.cutoff
-            out[mask] = v + d * t + 0.5 * s * t * t
-        return out if out.ndim else float(out)
+        y = np.asarray(y, dtype=float)
+        yc = np.clip(y, -self.cutoff, self.cutoff)
+        t = y - yc
+        return (self.base.value(yc) + self.base.prime(yc) * t
+                + 0.5 * self.base.second(yc) * t * t)
 
     def prime(self, y):
-        y, inside, above, below = self._pieces(y)
-        out = np.empty_like(y)
-        out[inside] = self.base.prime(y[inside])
-        for mask, sign in ((above, +1), (below, -1)):
-            _, d, s = self._edge[sign]
-            out[mask] = d + s * (y[mask] - sign * self.cutoff)
-        return out if out.ndim else float(out)
+        y = np.asarray(y, dtype=float)
+        yc = np.clip(y, -self.cutoff, self.cutoff)
+        return self.base.prime(yc) + self.base.second(yc) * (y - yc)
 
     def second(self, y):
-        y, inside, above, below = self._pieces(y)
-        out = np.empty_like(y)
-        out[inside] = self.base.second(y[inside])
-        out[above] = self._edge[+1][2]
-        out[below] = self._edge[-1][2]
-        return out if out.ndim else float(out)
+        return self.base.second(np.clip(y, -self.cutoff, self.cutoff))
 
     def semiconvexity(self):
         # dense-grid minimization of psi'' on the window; outside the window
@@ -159,7 +134,6 @@ class TruncatedPotential:
 class ZeroPotential:
     """psi = 0; turns the state equation into pure quasilinear diffusion."""
 
-    kind = "zero"
     smoothness = "c2"
 
     def value(self, y):

@@ -341,6 +341,42 @@ def test_studies_reject_too_few_levels(tmp_path, capsys, command, levels):
     assert not out.exists()  # rejected before any artifact is written
 
 
+# (command, overrides, key): inputs rejected before any artifact is written;
+# {tmp} is the test's directory, holding a target on the config's grid and
+# a field on another grid
+REJECTED_INPUTS = [
+    ("simulate", ["control.y0=bogus(1)"], "control.y0"),
+    ("simulate", ["control.y0=constant(1e400)"], "control.y0"),
+    ("simulate", ["control.forcing_dir={tmp}/nonexistent"],
+     "control.forcing_dir"),
+    ("verify-energy", ["control.forcing=constant(1)"], "control.forcing"),
+    ("optimize", ["control.lambda=1e-2"], "control.target"),
+    ("optimize", ["control.lambda=-1", "control.target=final_time",
+                  "control.target_file={tmp}/target.field"], "control.lambda"),
+    ("optimize", ["control.lambda=1e-2", "control.target=final_time",
+                  "control.target_file={tmp}/coarse.field"],
+     "control.target_file"),
+    ("study-lipschitz", ["study.pairs=abc"], "study.pairs"),
+    ("study-tau", ["study.rate_min=abc"], "study.rate_min"),
+]
+
+
+@pytest.mark.parametrize("command,overrides,key", REJECTED_INPUTS)
+def test_config_errors_write_nothing(tmp_path, capsys, command, overrides,
+                                     key):
+    write_field(tmp_path / "target.field", build_grid(1, [33], [1.0]),
+                np.ones(33))
+    write_field(tmp_path / "coarse.field", build_grid(1, [17], [1.0]),
+                np.ones(17))
+    path = write_config(tmp_path)
+    out = tmp_path / "out"
+    code = run(command, path, [o.format(tmp=tmp_path) for o in overrides],
+               out_dir=str(out))
+    assert code == 1
+    assert f"config error at '{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_study_lipschitz_cli_runs(tmp_path):
     cfg = BASE_CONFIG.replace("N = 10", "N = 4")
     cfg = cfg.replace("constant(1.0)", "random_uniform(-0.5, 0.5, 2)")
@@ -407,6 +443,32 @@ def test_study_control_cli(tmp_path):
     out = tmp_path / "out"
     assert run("study-control", path, out_dir=str(out)) == 0
     assert "PASS" in (out / "study_control_summary.txt").read_text()
+
+
+def test_study_control_cli_distributed_target(tmp_path, capsys):
+    g = build_grid(1, [17], [1.0])
+    tdir = tmp_path / "targets"
+    tdir.mkdir()
+    rng = np.random.default_rng(6)
+    for j in range(1, 5):
+        write_field(tdir / f"target_{j:04d}.field", g,
+                    rng.uniform(-0.5, 0.5, g.n_nodes))
+    cfg = BASE_CONFIG.replace("nodes = 33", "nodes = 17").replace(
+        "N = 10", "N = 4").replace(
+        "y0 = constant(1.0)",
+        "y0 = constant(0.0)\nlambda = 1e-2\ntarget = distributed\n"
+        f"target_dir = {tdir}")
+    cfg += "\n[study]\nlevels = 2\n"
+    path = write_config(tmp_path, cfg)
+    study, opt = tmp_path / "study", tmp_path / "opt"
+    assert run("study-control", path, out_dir=str(study)) == 0
+    assert "PASS" in (study / "study_control_summary.txt").read_text()
+    # the coarsest level tracks the loaded targets themselves
+    assert run("optimize", path, out_dir=str(opt)) == 0
+    final_cost = (opt / "optimize_summary.txt").read_text().split(
+        "final_cost=")[1].split()[0]
+    level0 = (study / "study_control.csv").read_text().splitlines()[1]
+    assert final_cost in level0.split(",")
 
 
 def test_solver_failure_exits_2_with_partial_diagnostics(tmp_path, capsys):

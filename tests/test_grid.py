@@ -192,6 +192,14 @@ def test_isotropic_matrices_from_the_cached_identity_values(dim, nodes):
                           first.data)
 
 
+def test_stiffness_matrix_is_owned_by_the_caller():
+    g = build_grid(1, [5], [1.0])
+    g.stiffness_matrix().data[:] = 0.0
+    identity = np.broadcast_to(np.eye(1), (g.n_elements, 1, 1))
+    assert np.max(np.abs(g.stiffness_matrix().toarray()
+                         - oracle_weighted_stiffness(g, identity))) <= 1e-12
+
+
 def test_matrices_share_the_pattern_not_the_values():
     g = build_grid(2, [4, 5], [1.0, 2.0])
     tensors = np.random.default_rng(4).standard_normal((g.n_elements, 2, 2))

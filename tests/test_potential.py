@@ -66,6 +66,32 @@ def test_truncated_is_c2_at_the_cutoff():
         assert abs(f.second(edge + h) - f.second(edge - h)) <= 1e-10
 
 
+def test_truncated_equals_the_masked_continuation():
+    # the window and the two edge continuations, each written out on a mask
+    base, c = DoubleWell(), 1.3
+    f = TruncatedPotential(base, c)
+    y = np.random.default_rng(8).uniform(-3.0, 3.0, 1089)
+    y[:6] = [c, -c, 0.0, -0.0, np.nextafter(c, 9.0), np.nextafter(-c, -9.0)]
+    value, prime, second = (np.empty_like(y) for _ in range(3))
+    inside = np.abs(y) <= c
+    value[inside] = base.value(y[inside])
+    prime[inside] = base.prime(y[inside])
+    second[inside] = base.second(y[inside])
+    for sign in (1.0, -1.0):
+        mask = sign * y > c
+        v, d, s = (float(fn(sign * c))
+                   for fn in (base.value, base.prime, base.second))
+        t = y[mask] - sign * c
+        value[mask] = v + d * t + 0.5 * s * t * t
+        prime[mask] = d + s * t
+        second[mask] = s
+    for got, expected in ((f.value(y), value), (f.prime(y), prime),
+                          (f.second(y), second)):
+        assert got.tobytes() == expected.tobytes()
+    for k in range(6):  # scalars take the same arithmetic
+        assert f.value(y[k]) == value[k] and f.prime(y[k]) == prime[k]
+
+
 # -- semiconvexity ----------------------------------------------------------------
 
 def test_semiconvexity_constants():

@@ -310,7 +310,9 @@ def test_trajectory_shape_validation():
 def test_trajectory_attaches_failing_step_index():
     g = build_grid(1, [9], [1.0])
     part = TimePartition.uniform(3.0, 2)  # tau = 1.5 >= 1/c
-    with pytest.raises(UniquenessViolation) as err:
+    # tau is also past the Lipschitz bound 1/(1+2c), which warns first
+    with pytest.warns(RuntimeWarning), \
+            pytest.raises(UniquenessViolation) as err:
         solve_trajectory(g, ISO, DW, np.ones(g.n_nodes), None, part)
     assert err.value.step_index == 1
 
