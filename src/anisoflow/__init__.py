@@ -24,7 +24,7 @@ from .stepper import (EnergyStabilityReport, NonConvergence, StepConfig,
                       write_diagnostics)
 from .studies import (StudyReport, control_convergence_study, fit_rate,
                       inject_time, lipschitz_study, perturbation_ratio,
-                      restrict_time, summary_text, tau_convergence_study,
-                      uniform_bound_study, write_study_csv)
+                      summary_text, tau_convergence_study, uniform_bound_study,
+                      write_study_csv)
 
 __version__ = "0.1.0"

@@ -82,8 +82,6 @@ class MatrixFamilyAnisotropy(_Density):
 
     def __init__(self, matrices, delta=0.0):
         mats = np.asarray(matrices, dtype=float)
-        if mats.ndim == 2:
-            mats = mats[None]
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
             raise ValueError(f"matrices must be (L, d, d), got {mats.shape}")
         if mats.shape[0] < 1:
@@ -183,11 +181,11 @@ class AnisotropyConstants(NamedTuple):
     growth: float        # smallest c with |A'(p)| <= c |p| seen
 
 
-def estimate_constants(aniso, sample_count=200, radius=2.0, dim=None, seed=0):
+def estimate_constants(aniso, sample_count=200, dim=None, seed=0):
     """Sample-based estimates of the strong-monotonicity and growth constants.
 
-    Draws ``sample_count`` point pairs uniformly from the ball of the given
-    radius plus the coordinate directions (deterministic for a fixed seed),
+    Draws ``sample_count`` point pairs uniformly from the ball of radius 2
+    plus the coordinate directions (deterministic for a fixed seed),
     and returns the worst observed monotonicity ratio
     (A'(p)-A'(q)).(p-q) / |p-q|^2 and growth ratio |A'(p)| / |p|.  A valid
     density yields a strictly positive monotonicity estimate; nonpositive
@@ -202,6 +200,7 @@ def estimate_constants(aniso, sample_count=200, radius=2.0, dim=None, seed=0):
             raise ValueError("dim is required for dimension-agnostic densities")
 
     rng = np.random.default_rng(seed)
+    radius = 2.0
 
     def ball(m):
         x = rng.standard_normal((m, dim))

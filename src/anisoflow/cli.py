@@ -346,8 +346,7 @@ def _config_hash(cfg):
 
 def _write_manifest(out_dir, command, cfg, grid, partition, aniso, c_psi,
                     regimes, seed):
-    consts = estimate_constants(aniso, sample_count=200, radius=2.0,
-                                dim=grid.dim, seed=seed)
+    consts = estimate_constants(aniso, dim=grid.dim, seed=seed)
     lines = [
         f"command={command}",
         f"config_hash={_config_hash(cfg)}",
@@ -372,9 +371,18 @@ def _write_states(out_dir, grid, states):
         write_field(os.path.join(out_dir, f"state_{j:04d}.field"), grid, state)
 
 
+def _study_value(cfg, key, kind, default, ok, need):
+    """A [study] value, rejected unless ``ok(value)``; ``need`` says why."""
+    value = _get(cfg, "study", key, kind, default=default)
+    if not ok(value):
+        raise ConfigError(f"study.{key}", f"needs {need}, got {value}")
+    return value
+
+
 def _study_perturbation_pairs(cfg, grid, y0, forcing, seed):
-    count = _get(cfg, "study", "pairs", int, default=5)
-    scale = _get(cfg, "study", "perturbation_scale", float, default=0.1)
+    count = _study_value(cfg, "pairs", int, 5, lambda v: v >= 1, "at least 1")
+    scale = _study_value(cfg, "perturbation_scale", float, 0.1,
+                         lambda v: v > 0, "a positive value")
     rng = np.random.default_rng(seed)
     pairs = []
     for _ in range(count):
@@ -421,11 +429,10 @@ def run(command, config_path, overrides=(), out_dir=None, seed=None):
                 "time", f"tau_max = {partition.tau_max:g} exceeds the "
                 f"stability-study bound 1/(1+2c) = {bounds['lipschitz']:g}")
         if command in _STUDY_KINDS:
-            levels = _get(cfg, "study", "levels", int, default=4)
             minimum = studies.MIN_LEVELS[_STUDY_KINDS[command]]
-            if levels < minimum:
-                raise ConfigError("study.levels", f"{command} needs at least "
-                                  f"{minimum} ladder levels, got {levels}")
+            levels = _study_value(cfg, "levels", int, 4,
+                                  lambda v: v >= minimum,
+                                  f"at least {minimum} ladder levels")
         if command == "verify-energy":
             forcing_spec = _get(cfg, "control", "forcing", default="zero")
             if forcing_spec.strip().lower() != "zero":
@@ -443,39 +450,43 @@ def run(command, config_path, overrides=(), out_dir=None, seed=None):
         # each study bound to all its inputs, run after the manifest
         final_time, base_n = partition.final_time, partition.n_steps
         if command == "study-tau":
+            rate_max = _get(cfg, "study", "rate_max", float, default=1.2)
+            rate_min = _study_value(cfg, "rate_min", float, 0.8,
+                                    lambda v: v <= rate_max,
+                                    f"at most study.rate_max = {rate_max:g}")
             study = functools.partial(
                 studies.tau_convergence_study, grid, aniso, pot, y0,
                 final_time, base_n, levels, control=forcing,
-                config=step_config, rate_window=(
-                    _get(cfg, "study", "rate_min", float, default=0.8),
-                    _get(cfg, "study", "rate_max", float, default=1.2)))
+                config=step_config, rate_window=(rate_min, rate_max))
         elif command == "study-bounds":
             study = functools.partial(
                 studies.uniform_bound_study, grid, aniso, pot, y0,
                 final_time, base_n, levels, control=forcing,
-                config=step_config, ratio_window=_get(
-                    cfg, "study", "ratio_window", float, default=1.5),
+                config=step_config, ratio_window=_study_value(
+                    cfg, "ratio_window", float, 1.5, lambda v: v >= 1,
+                    "at least 1"),
                 growth_tol=_get(cfg, "study", "growth_tol", float, default=1.05))
         elif command == "study-lipschitz":
             study = functools.partial(
                 studies.lipschitz_study, grid, aniso, pot,
                 _study_perturbation_pairs(cfg, grid, y0, forcing, seed),
                 final_time, base_n, levels, config=step_config,
-                growth=_get(cfg, "study", "ratio_growth", float, default=1.5))
+                growth=_study_value(cfg, "ratio_growth", float, 1.5,
+                                    lambda v: v >= 1, "at least 1"))
         elif command == "study-control":
-            # the target is constant on each interval, so its injection to
-            # the finest level restricts back to it on every level
-            target = problem.target
-            master = (studies.inject_time(target.values, 2**(levels - 1))
-                      if isinstance(target, DistributedTarget) else None)
             study = functools.partial(
                 studies.control_convergence_study, problem, levels,
-                options=opts, config=step_config, distributed_master=master)
+                options=opts, config=step_config)
+        # the first write, so a path that cannot be a directory leaves nothing
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("output.directory", f"cannot create directory "
+                              f"'{out_dir}': {exc.strerror}")
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 1
 
-    os.makedirs(out_dir, exist_ok=True)
     _write_manifest(out_dir, command, cfg, grid, partition, aniso, c_psi,
                     regimes, seed)
 

@@ -171,7 +171,7 @@ def reduced_gradient(problem, control, config=None):
     return problem.lam * control + adjoints, trajectory
 
 
-def fd_gradient(problem, control, eps=1e-6, config=None, guard=10_000):
+def fd_gradient(problem, control, eps=1e-6, guard=10_000):
     """Central-difference gradient oracle over full forward solves.
 
     Differences of the cost are converted to the same weighted-inner-product
@@ -186,7 +186,7 @@ def fd_gradient(problem, control, eps=1e-6, config=None, guard=10_000):
             f"fd_gradient guard: {n_steps * n} unknowns > {guard}")
 
     def value(u):
-        return cost(problem, solve_state(problem, u, config), u)
+        return cost(problem, solve_state(problem, u), u)
 
     taus = problem.partition.tau_steps
     w = problem.grid.weights

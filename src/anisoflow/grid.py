@@ -372,17 +372,15 @@ def assemble_flux_divergence(grid, fluxes):
 class FieldNorms(NamedTuple):
     l2: float
     h1_semi: float
-    linf: float
 
 
 def norms(grid, values):
-    """Lumped L2 norm, H1 seminorm, and max norm of a nodal field."""
+    """Lumped L2 norm and H1 seminorm of a nodal field."""
     values = np.asarray(values, dtype=float)
     l2 = float(np.sqrt(np.sum(grid.weights * values**2)))
     grads = element_gradients(grid, values)
     h1_semi = float(np.sqrt(np.sum(grid.measures * np.sum(grads**2, axis=1))))
-    linf = float(np.max(np.abs(values))) if values.size else 0.0
-    return FieldNorms(l2, h1_semi, linf)
+    return FieldNorms(l2, h1_semi)
 
 
 def h1_norm(grid, values):

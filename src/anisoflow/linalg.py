@@ -29,7 +29,7 @@ _COARSEST_MAX = 100
 
 
 class LinearSolveError(RuntimeError):
-    """CG failed to reach the requested residual within max_iters."""
+    """CG failed to reach the requested residual within 10 n iterations."""
 
 
 class NonPositiveCurvature(RuntimeError):
@@ -120,8 +120,8 @@ def _vcycle(levels, coarse_inverse, r, k=0):
     return x
 
 
-def conjugate_gradient(apply_a, b, rtol=1e-12, max_iters=None,
-                       detect_curvature=False, precondition=None):
+def conjugate_gradient(apply_a, b, rtol=1e-12, detect_curvature=False,
+                       precondition=None):
     """Solve A x = b for symmetric positive definite A.
 
     Parameters
@@ -131,10 +131,9 @@ def conjugate_gradient(apply_a, b, rtol=1e-12, max_iters=None,
     b : ndarray
         Right-hand side.
     rtol : float
-        Convergence on ``||b - A x|| <= rtol * ||b||``.
-    max_iters : int, optional
-        Defaults to ``10 * len(b)`` (CG terminates in n steps exactly, the
-        slack absorbs floating-point drift).
+        Convergence on ``||b - A x|| <= rtol * ||b||`` within ``10 * len(b)``
+        iterations (CG terminates in n steps exactly, the slack absorbs
+        floating-point drift).
     detect_curvature : bool
         Raise NonPositiveCurvature when a search direction has d'Ad <= 0
         instead of dividing by it.
@@ -153,9 +152,7 @@ def conjugate_gradient(apply_a, b, rtol=1e-12, max_iters=None,
         apply_a = lambda v: mat @ v
 
     b = np.asarray(b, dtype=float)
-    n = b.size
-    if max_iters is None:
-        max_iters = 10 * n
+    max_iters = 10 * b.size
 
     x = np.zeros_like(b)
     r = b.copy()

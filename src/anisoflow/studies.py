@@ -17,8 +17,7 @@ spatial grid and checks an expected behavior of the discretization:
 Controls, targets, and perturbations are piecewise constant in time; a
 function given on a coarse partition is carried to a finer one by
 injection (each interval value copied to its children), which represents
-the same function exactly, and restricted fine-to-coarse by subsampling at
-the coarse breakpoints.  All studies are deterministic: given the same
+the same function exactly.  All studies are deterministic: given the same
 arrays in, the same report comes out bit for bit.
 """
 
@@ -62,15 +61,6 @@ def inject_time(fields, factor):
     return np.repeat(np.asarray(fields, dtype=float), factor, axis=0)
 
 
-def restrict_time(fields, factor):
-    """Subsample interval-constant fields at the coarse breakpoints."""
-    fields = np.asarray(fields, dtype=float)
-    if fields.shape[0] % factor:
-        raise ValueError(
-            f"{fields.shape[0]} intervals do not split into groups of {factor}")
-    return fields[factor - 1::factor]
-
-
 # fewest ladder levels each study can judge, keyed by report kind: a rate
 # fit needs three points, the other checks compare adjacent levels
 MIN_LEVELS = {"tau_convergence": 3, "uniform_bounds": 2, "lipschitz": 2,
@@ -87,9 +77,12 @@ def _ladder(base_n, levels):
     return [base_n * 2**k for k in range(levels)]
 
 
+# errors at or below this are solver noise, too small to fit a rate to
+_NOISE_FLOOR = 1e-12
+
+
 def tau_convergence_study(grid, aniso, pot, y0, final_time, base_n, levels,
-                          control=None, config=None, rate_window=(0.8, 1.2),
-                          noise_floor=1e-12):
+                          control=None, config=None, rate_window=(0.8, 1.2)):
     """Self-convergence of the states under dyadic step refinement.
 
     Runs partitions of base_n * 2^k steps for k < levels plus a reference
@@ -129,9 +122,9 @@ def tau_convergence_study(grid, aniso, pot, y0, final_time, base_n, levels,
         report.rows.append({"level": len(report.rows), "n_steps": n,
                             "tau": final_time / n, "error": err})
 
-    if max(errors) <= noise_floor:
+    if max(errors) <= _NOISE_FLOOR:
         report.notes.append(
-            f"errors at solver noise (<= {noise_floor:g}); rate not fitted")
+            f"errors at solver noise (<= {_NOISE_FLOOR:g}); rate not fitted")
         report.passed = True
         return report
 
@@ -273,42 +266,27 @@ def lipschitz_study(grid, aniso, pot, pairs, final_time, base_n, levels,
     return report
 
 
-def control_convergence_study(problem, levels, options=None, config=None,
-                              distributed_master=None):
+def control_convergence_study(problem, levels, options=None, config=None):
     """Cauchy behavior of optimal controls under step refinement.
 
     The problem's partition is the coarsest level; each level doubles the
     step count.  Final-time targets are shared across levels; distributed
-    targets are restricted from ``distributed_master``, one field per
-    finest-level interval.  Every level starts the optimizer from the zero
-    control with the same fixed options.  Passes when the space-time norms
+    targets are injected from the problem's partition to each level.  Every
+    level starts the optimizer from the zero control with the same fixed
+    options.  Passes when the space-time norms
     ||u*_k (injected) - u*_{k+1}|| decrease strictly down the ladder;
     optimizer non-convergence flags the level in the notes.
     """
     _check_levels("control_convergence", levels)
     options = options or OptimizeOptions()
     base_part = problem.partition
-    n0 = base_part.n_steps
-    finest_factor = 2**(levels - 1)
-    distributed = isinstance(problem.target, DistributedTarget)
-    if distributed:
-        if distributed_master is None:
-            raise ValueError("distributed targets need a finest-level master")
-        master = np.asarray(distributed_master, dtype=float)
-        if master.shape[0] != n0 * finest_factor:
-            raise ValueError(
-                f"master target has {master.shape[0]} intervals, expected "
-                f"{n0 * finest_factor}")
-
     report = StudyReport("control_convergence", thresholds={})
     solutions, problems = [], []
     for k in range(levels):
         part = base_part if k == 0 else base_part.refined(2**k)
-        if distributed:
-            target = DistributedTarget(
-                restrict_time(master, finest_factor // 2**k))
-        else:
-            target = problem.target
+        target = problem.target
+        if isinstance(target, DistributedTarget):
+            target = DistributedTarget(inject_time(target.values, 2**k))
         level_problem = ControlProblem(problem.grid, part, problem.y0,
                                        target, problem.lam, problem.aniso,
                                        problem.pot)

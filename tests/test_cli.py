@@ -358,6 +358,12 @@ REJECTED_INPUTS = [
      "control.target_file"),
     ("study-lipschitz", ["study.pairs=abc"], "study.pairs"),
     ("study-tau", ["study.rate_min=abc"], "study.rate_min"),
+    ("study-lipschitz", ["study.pairs=0"], "study.pairs"),
+    ("study-lipschitz", ["study.perturbation_scale=0"],
+     "study.perturbation_scale"),
+    ("study-tau", ["study.rate_min=2", "study.rate_max=1"], "study.rate_min"),
+    ("study-bounds", ["study.ratio_window=0.5"], "study.ratio_window"),
+    ("study-lipschitz", ["study.ratio_growth=0.5"], "study.ratio_growth"),
 ]
 
 
@@ -375,6 +381,21 @@ def test_config_errors_write_nothing(tmp_path, capsys, command, overrides,
     assert code == 1
     assert f"config error at '{key}'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("from_config", [False, True])
+def test_output_path_that_is_a_file_exits_1(tmp_path, capsys, from_config):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep me\n")
+    path = write_config(tmp_path)
+    if from_config:  # a directory under the file, named in the config
+        code = run("simulate", path,
+                   overrides=[f"output.directory={blocker / 'sub'}"])
+    else:  # the file itself, named by --out
+        code = run("simulate", path, out_dir=str(blocker))
+    assert code == 1
+    assert "config error at 'output.directory'" in capsys.readouterr().err
+    assert blocker.read_text() == "keep me\n"
 
 
 def test_study_lipschitz_cli_runs(tmp_path):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from anisoflow import (ControlProblem, DoubleWell, FinalTimeTarget,
-                       IsotropicAnisotropy, OptimizeOptions, TimePartition,
-                       ZeroPotential, build_grid, control_convergence_study,
-                       fit_rate, inject_time, lipschitz_study,
-                       perturbation_ratio, restrict_time, solve_state,
+from anisoflow import (ControlProblem, DistributedTarget, DoubleWell,
+                       FinalTimeTarget, IsotropicAnisotropy, OptimizeOptions,
+                       TimePartition, ZeroPotential, build_grid,
+                       control_convergence_study, cost, fit_rate,
+                       inject_time, lipschitz_study, optimize,
+                       perturbation_ratio, solve_state,
                        solve_trajectory, summary_text, tau_convergence_study,
                        uniform_bound_study, write_study_csv)
 
@@ -20,17 +21,11 @@ def test_inject_restrict_roundtrip():
     u = rng.standard_normal((4, 6))
     fine = inject_time(u, 4)
     assert fine.shape == (16, 6)
-    assert np.array_equal(restrict_time(fine, 4), u)
     # injection represents the same piecewise-constant function: equal norms
     taus_coarse = np.full(4, 0.25)
     taus_fine = np.full(16, 0.0625)
     assert abs(np.sum(taus_coarse * np.sum(u**2, axis=1))
                - np.sum(taus_fine * np.sum(fine**2, axis=1))) <= 1e-14
-
-
-def test_restrict_requires_divisibility():
-    with pytest.raises(ValueError):
-        restrict_time(np.zeros((5, 3)), 2)
 
 
 def test_fit_rate_recovers_slope():
@@ -208,6 +203,20 @@ def test_control_convergence_cauchy_decreasing():
     diffs = [row["cauchy_diff"] for row in report.rows[1:]]
     assert report.passed, report.notes
     assert diffs[1] < diffs[0]
+
+
+def test_control_convergence_distributed_target():
+    g = build_grid(1, [17], [1.0])
+    part = TimePartition.uniform(1.0, 4)
+    targets = np.random.default_rng(6).uniform(-0.5, 0.5, (4, g.n_nodes))
+    prob = ControlProblem(g, part, np.zeros(g.n_nodes),
+                          DistributedTarget(targets), 1e-2, ISO, DW)
+    opts = OptimizeOptions(max_iters=20, use_lbfgs=True)
+    report = control_convergence_study(prob, 2, options=opts)
+    assert report.passed, report.notes
+    # the coarsest level tracks the given targets themselves
+    u_star, traj, _ = optimize(prob, prob.zero_control(), opts)
+    assert report.rows[0]["j_star"] == cost(prob, traj, u_star)
 
 
 # -- report files -------------------------------------------------------------------------
