@@ -13,9 +13,12 @@ residual is exactly tau times the gradient of the per-step objective
 whose integrand is strongly convex whenever tau < 1 / c with c the
 semiconvexity constant of psi; in that regime the step has a unique
 solution and Newton's method on the residual, globalized by an Armijo line
-search on Phi, converges from any warm start.  When the gradient-energy
-density has no second derivative (unregularized matrix families), a scaled
-descent on Phi is used instead.
+search on Phi, converges from any warm start.  The Newton directions are
+solved inexactly: CG stops at a relative residual tied to the decrease of
+the nonlinear residual (an Eisenstat-Walker forcing term, see
+:func:`_solve_step`).  When the gradient-energy density has no second
+derivative (unregularized matrix families), a scaled descent on Phi is
+used instead.
 
 The scheme inherits the decay of the total energy E(y) = sum_e |e| A + sum
 w psi for zero forcing as long as tau <= 2/c, which the stability monitor
@@ -116,7 +119,7 @@ class StepConfig:
     armijo_slope: float = 1e-4
     armijo_backtrack: float = 0.5
     armijo_min_step: float = 1e-12
-    linear_rtol: float = 1e-12
+    linear_rtol: float = 1e-12         # Newton forcing floor; adjoint CG rtol
     enforce_uniqueness: bool = True    # reject tau >= 1/c
     max_descent_iters: int = 5000      # cap for the first-order fallback
 
@@ -217,7 +220,23 @@ def _newton_matrix(grid, aniso, pot, y, tau):
     return grid.assemble_weighted_stiffness(hess, w / tau + w * pot.second(y))
 
 
+# loosest relative residual a Newton solve asks CG for
+_FORCING_CAP = 1e-6
+
+
 def _solve_step(grid, aniso, pot, y_prev, u, tau, config, y_start, c_psi):
+    """Newton (or descent) iterations on Phi from ``y_start`` until the
+    residual max norm is at most ``config.newton_tol``.
+
+    Each Newton direction is an inexact solve (Eisenstat & Walker, "Choosing
+    the forcing terms in an inexact Newton method", SIAM J. Sci. Comput. 17,
+    1996, choice 2): iterate k asks CG for a relative residual of
+    max(linear_rtol, eta_k), with eta_0 = ``_FORCING_CAP`` and
+    eta_k = min(_FORCING_CAP, 0.9 (|res_k| / |res_{k-1}|)^2) in the 2-norm of
+    the step residual.  Early iterates far from the solution get cheap
+    directions; once Newton converges fast, the ratio, and with it the
+    tolerance, drops to ``linear_rtol``.
+    """
     w = grid.weights
     _, regimes = step_regimes(c_psi, tau)
     if config.enforce_uniqueness and not regimes["uniqueness"]:
@@ -236,6 +255,7 @@ def _solve_step(grid, aniso, pot, y_prev, u, tau, config, y_start, c_psi):
 
     best_y, best_res = y.copy(), res_inf
     alpha_descent = tau  # adaptive initial step for the descent path
+    res_sq, forcing = float(res @ res), _FORCING_CAP
 
     it = 0
     while True:
@@ -252,7 +272,7 @@ def _solve_step(grid, aniso, pot, y_prev, u, tau, config, y_start, c_psi):
             h_mat = _newton_matrix(grid, aniso, pot, y, tau)
             try:
                 direction = conjugate_gradient(
-                    h_mat, -grad_phi, rtol=config.linear_rtol,
+                    h_mat, -grad_phi, rtol=max(config.linear_rtol, forcing),
                     detect_curvature=not config.enforce_uniqueness,
                     precondition=grid.preconditioner(h_mat))
             except NonPositiveCurvature:
@@ -287,6 +307,8 @@ def _solve_step(grid, aniso, pot, y_prev, u, tau, config, y_start, c_psi):
 
         y = y_trial
         phi, res, res_inf, e = trial
+        prev_sq, res_sq = res_sq, float(res @ res)
+        forcing = min(_FORCING_CAP, 0.9 * res_sq / prev_sq)
         if res_inf < best_res:
             best_y, best_res = y.copy(), res_inf
         if not use_newton:

@@ -89,7 +89,10 @@ def tau_convergence_study(grid, aniso, pot, y0, final_time, base_n, levels,
     with one extra halving; the per-level error is the largest lumped-L2
     state difference against the reference, sampled at the level's
     breakpoints.  ``control`` is one forcing field per coarsest interval
-    (None for zero) and is injected unchanged to every level.  Passes when
+    (None for zero) and is injected unchanged to every level.  The rate is
+    fitted against tau_k - tau_ref, not tau_k: for a first-order scheme
+    both the level and the reference carry an error of leading order
+    C tau, so their difference goes as C (tau_k - tau_ref).  Passes when
     the errors decrease strictly and the fitted rate lies in
     ``rate_window``; the rate gate is only recorded, not enforced, for the
     semismooth penalty potential, whose order is not established.
@@ -128,7 +131,8 @@ def tau_convergence_study(grid, aniso, pot, y0, final_time, base_n, levels,
         report.passed = True
         return report
 
-    report.rate = fit_rate([final_time / n for n in ns], errors)
+    report.rate = fit_rate([final_time / n - final_time / n_ref for n in ns],
+                           errors)
     decreasing = all(errors[k + 1] < errors[k] for k in range(len(errors) - 1))
     if not decreasing:
         report.notes.append("errors are not strictly decreasing")

@@ -13,6 +13,7 @@ from anisoflow import (DoubleWell, IsotropicAnisotropy, MatrixFamilyAnisotropy,
                        solve_trajectory, step, step_objective, step_residual,
                        trajectory_bounds, write_diagnostics)
 from anisoflow import stepper
+from anisoflow.linalg import conjugate_gradient
 from anisoflow.stepper import _newton_matrix, step_regimes
 
 ISO = IsotropicAnisotropy()
@@ -256,6 +257,87 @@ def test_step_first_order_fallback_without_flux_hessian():
             jac[:, i] = (residual(y + e) - residual(y - e)) / 2e-7
         y = y - np.linalg.solve(jac, r)
     assert np.max(np.abs(out - y)) <= 1e-7
+
+
+# -- inexact Newton -------------------------------------------------------------
+
+class CountingSolves:
+    """Stands in for ``stepper.conjugate_gradient``: records the relative
+    tolerance and right-hand-side norm of each solve, grouped per step, and
+    counts the preconditioner applications."""
+
+    def __init__(self, monkeypatch):
+        self.steps, self.applications = [], 0
+        solve_step = stepper._solve_step
+
+        def counting_step(*args):
+            self.steps.append([])
+            return solve_step(*args)
+
+        monkeypatch.setattr(stepper, "_solve_step", counting_step)
+        monkeypatch.setattr(stepper, "conjugate_gradient", self)
+
+    def __call__(self, mat, b, rtol, detect_curvature, precondition):
+        self.steps[-1].append((rtol, np.linalg.norm(b)))
+
+        def counting(r):
+            self.applications += 1
+            return precondition(r)
+
+        return conjugate_gradient(mat, b, rtol=rtol,
+                                  detect_curvature=detect_curvature,
+                                  precondition=counting)
+
+    @property
+    def rtols(self):
+        return [rtol for solves in self.steps for rtol, _ in solves]
+
+
+def _relaxation_33(config=None):
+    """Five unforced steps of the README relaxation on a 33^2 grid."""
+    g = build_grid(2, [33, 33], [1.0, 1.0])
+    fam = MatrixFamilyAnisotropy(
+        [np.diag([1.0, 0.04]), np.diag([0.04, 1.0])], delta=1e-2)
+    y0 = np.random.default_rng(5).uniform(-0.8, 0.8, g.n_nodes)
+    return solve_trajectory(g, fam, DW, y0, None,
+                            TimePartition.uniform(0.5, 5), config)
+
+
+def test_newton_forcing_terms_follow_the_residual_decrease(monkeypatch):
+    solves = CountingSolves(monkeypatch)
+    traj = _relaxation_33()
+    assert [len(s) for s in solves.steps] == [
+        d.iterations for d in traj.diagnostics[1:]]
+    linear_rtol = traj.config.linear_rtol
+    assert all(linear_rtol <= rtol <= 1e-6 for rtol in solves.rtols)
+    assert min(solves.rtols) < 1e-6
+    # the right-hand side is -res / tau, so its norms give the residual ratio
+    for solves_of_step in solves.steps:
+        assert solves_of_step[0][0] == 1e-6
+        for (_, prev), (rtol, cur) in zip(solves_of_step, solves_of_step[1:]):
+            assert rtol == pytest.approx(
+                max(linear_rtol, min(1e-6, 0.9 * (cur / prev) ** 2)),
+                rel=1e-12)
+
+
+def test_inexact_newton_matches_tight_solves(monkeypatch):
+    inexact = CountingSolves(monkeypatch)
+    traj = _relaxation_33()
+    monkeypatch.setattr(stepper, "_FORCING_CAP", 1e-12)
+    tight = CountingSolves(monkeypatch)
+    ref = _relaxation_33()
+    assert set(tight.rtols) == {1e-12}
+    assert ([d.iterations for d in traj.diagnostics]
+            == [d.iterations for d in ref.diagnostics])
+    assert np.max(np.abs(traj.states[-1] - ref.states[-1])) <= 1e-10
+    assert inexact.applications < tight.applications
+
+
+def test_loose_linear_rtol_reaches_cg_unchanged(monkeypatch):
+    solves = CountingSolves(monkeypatch)
+    traj = _relaxation_33(StepConfig(linear_rtol=1e-4))
+    assert sum(d.iterations for d in traj.diagnostics) > 0
+    assert set(solves.rtols) == {1e-4}
 
 
 def test_mean_conserved_for_pure_diffusion():

@@ -65,6 +65,17 @@ def test_tau_convergence_double_well():
     assert 0.8 <= report.rate <= 1.2
 
 
+def test_tau_convergence_rate_is_fitted_against_the_reference_distance():
+    # the errors go as tau_k - tau_ref with tau_ref = tau_2 / 2; fitted
+    # against tau_k, this first-order front read 1.373 and failed the window
+    g = build_grid(1, [33], [1.0])
+    x = g.nodes[:, 0]
+    y0 = np.tanh((0.25 - np.abs(x - 0.5)) / 0.1)
+    report = tau_convergence_study(g, ISO, DW, y0, 1.0, base_n=10, levels=3)
+    assert report.passed
+    assert 0.9 <= report.rate <= 1.1
+
+
 def test_tau_convergence_needs_three_levels():
     g = build_grid(1, [9], [1.0])
     with pytest.raises(ValueError):
