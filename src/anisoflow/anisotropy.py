@@ -86,15 +86,17 @@ class MatrixFamilyAnisotropy(_Density):
             raise ValueError(f"matrices must be (L, d, d), got {mats.shape}")
         if mats.shape[0] < 1:
             raise ValueError("need at least one matrix")
+        if not np.all(np.isfinite(mats)):
+            raise ValueError("matrices contain non-finite entries")
         sym_err = np.max(np.abs(mats - np.swapaxes(mats, 1, 2)))
         if sym_err > 1e-12:
             raise ValueError(f"matrices not symmetric (max asymmetry {sym_err:.2e})")
         for k, G in enumerate(mats):
             lam_min = np.linalg.eigvalsh(G)[0]
-            if lam_min <= 0:
+            if not lam_min > 0:
                 raise ValueError(
                     f"matrix {k} not positive definite (min eigenvalue {lam_min:.2e})")
-        if delta < 0:
+        if not delta >= 0:
             raise ValueError(f"delta must be nonnegative, got {delta}")
         # the exactly symmetric part, whose upper triangle derivatives() reads
         self.matrices = 0.5 * (mats + np.swapaxes(mats, 1, 2))

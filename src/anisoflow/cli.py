@@ -9,7 +9,8 @@ which round-trips doubles exactly.
 
 Exit codes: 0 success, 1 config error (the message names the offending
 key; every input is built and checked before anything is written), 2 solver
-or study failure (diagnostics that exist are still written).
+or study failure (``failure at step j: ...`` when a step failed, with the
+diagnostics of the steps before it written to ``diagnostics.csv``).
 """
 
 import argparse
@@ -30,8 +31,7 @@ from .control import (ControlProblem, DistributedTarget, FinalTimeTarget,
 from .grid import build_grid, load_field, write_field
 from .potential import (DoubleWell, MoreauYosida, TruncatedPotential,
                         ZeroPotential)
-from .stepper import (NonConvergence, StepConfig, TimePartition,
-                      UniquenessViolation, check_energy_stability,
+from .stepper import (StepConfig, TimePartition, check_energy_stability,
                       solve_trajectory, step_regimes, write_diagnostics)
 
 COMMANDS = ("simulate", "optimize", "verify-energy", "study-tau",
@@ -83,10 +83,9 @@ def tanh_circle_field(grid, center, radius, width):
     Values lie strictly inside (-1, 1), positive inside the circle, with
     the zero level set on it (up to grid resolution).
     """
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    if width <= 0:
-        raise ValueError(f"width must be positive, got {width}")
+    if not (radius > 0 and width > 0):
+        raise ValueError(f"radius and width must be positive, got "
+                         f"{radius} and {width}")
     center = np.atleast_1d(np.asarray(center, dtype=float))
     if center.size != grid.dim:
         raise ValueError(f"center needs {grid.dim} components, got {center.size}")
@@ -213,17 +212,15 @@ def _build_grid(cfg):
 
 def _build_partition(cfg):
     raw_breaks = _get(cfg, "time", "breakpoints")
-    if raw_breaks is not None:
-        try:
-            return TimePartition(_floats(raw_breaks))
-        except ValueError as exc:
-            raise ConfigError("time.breakpoints", str(exc))
-    final_time = _get(cfg, "time", "T", float, required=True)
-    n_steps = _get(cfg, "time", "N", int, required=True)
     try:
-        return TimePartition.uniform(final_time, n_steps)
+        if raw_breaks is not None:
+            return TimePartition(_floats(raw_breaks))
+        return TimePartition.uniform(
+            _get(cfg, "time", "T", float, required=True),
+            _get(cfg, "time", "N", int, required=True))
     except ValueError as exc:
-        raise ConfigError("time", str(exc))
+        raise ConfigError("time" if raw_breaks is None else "time.breakpoints",
+                          str(exc))
 
 
 def _build_anisotropy(cfg, dim):
@@ -366,9 +363,9 @@ def _write_manifest(out_dir, command, cfg, grid, partition, aniso, c_psi,
         f.write("\n".join(lines) + "\n")
 
 
-def _write_states(out_dir, grid, states):
-    for j, state in enumerate(states):
-        write_field(os.path.join(out_dir, f"state_{j:04d}.field"), grid, state)
+def _write_fields(out_dir, grid, prefix, fields, first=0):
+    for j, y in enumerate(fields, first):
+        write_field(os.path.join(out_dir, f"{prefix}_{j:04d}.field"), grid, y)
 
 
 def _study_value(cfg, key, kind, default, ok, need):
@@ -423,8 +420,7 @@ def run(command, config_path, overrides=(), out_dir=None, seed=None):
             raise ConfigError(
                 "time.breakpoints", f"{command} refines uniform partitions "
                 "only; give time.T and time.N instead")
-        if (command == "study-lipschitz"
-                and partition.tau_max > bounds["lipschitz"] + 1e-15):
+        if command == "study-lipschitz" and not regimes["lipschitz"]:
             raise ConfigError(
                 "time", f"tau_max = {partition.tau_max:g} exceeds the "
                 f"stability-study bound 1/(1+2c) = {bounds['lipschitz']:g}")
@@ -450,7 +446,8 @@ def run(command, config_path, overrides=(), out_dir=None, seed=None):
         # each study bound to all its inputs, run after the manifest
         final_time, base_n = partition.final_time, partition.n_steps
         if command == "study-tau":
-            rate_max = _get(cfg, "study", "rate_max", float, default=1.2)
+            rate_max = _study_value(cfg, "rate_max", float, 1.2, np.isfinite,
+                                    "a finite value")
             rate_min = _study_value(cfg, "rate_min", float, 0.8,
                                     lambda v: v <= rate_max,
                                     f"at most study.rate_max = {rate_max:g}")
@@ -465,7 +462,8 @@ def run(command, config_path, overrides=(), out_dir=None, seed=None):
                 config=step_config, ratio_window=_study_value(
                     cfg, "ratio_window", float, 1.5, lambda v: v >= 1,
                     "at least 1"),
-                growth_tol=_get(cfg, "study", "growth_tol", float, default=1.05))
+                growth_tol=_study_value(cfg, "growth_tol", float, 1.05,
+                                        lambda v: v >= 1, "at least 1"))
         elif command == "study-lipschitz":
             study = functools.partial(
                 studies.lipschitz_study, grid, aniso, pot,
@@ -489,28 +487,20 @@ def run(command, config_path, overrides=(), out_dir=None, seed=None):
 
     _write_manifest(out_dir, command, cfg, grid, partition, aniso, c_psi,
                     regimes, seed)
+    diagnostics_path = os.path.join(out_dir, "diagnostics.csv")
 
     try:
         if command == "simulate":
-            try:
-                traj = solve_trajectory(grid, aniso, pot, y0, forcing,
-                                        partition, step_config)
-            except (UniquenessViolation, NonConvergence) as exc:
-                partial = getattr(exc, "partial_trajectory", None)
-                if partial is not None:
-                    write_diagnostics(partial,
-                                      os.path.join(out_dir, "diagnostics.csv"))
-                print(f"solver failure at step {getattr(exc, 'step_index', '?')}: "
-                      f"{exc}", file=sys.stderr)
-                return 2
-            _write_states(out_dir, grid, traj.states)
-            write_diagnostics(traj, os.path.join(out_dir, "diagnostics.csv"))
+            traj = solve_trajectory(grid, aniso, pot, y0, forcing, partition,
+                                    step_config)
+            _write_fields(out_dir, grid, "state", traj.states)
+            write_diagnostics(traj, diagnostics_path)
             return 0
 
         if command == "verify-energy":
             traj = solve_trajectory(grid, aniso, pot, y0, None, partition,
                                     step_config)
-            write_diagnostics(traj, os.path.join(out_dir, "diagnostics.csv"))
+            write_diagnostics(traj, diagnostics_path)
             report = check_energy_stability(traj, aniso, pot)
             with open(os.path.join(out_dir, "energy_report.txt"), "w") as f:
                 f.write(str(report) + "\n")
@@ -521,11 +511,9 @@ def run(command, config_path, overrides=(), out_dir=None, seed=None):
             u_star, traj, report = optimize(problem, problem.zero_control(),
                                             opts, step_config)
             write_history(report, os.path.join(out_dir, "history.csv"))
-            for j in range(partition.n_steps):
-                write_field(os.path.join(out_dir, f"control_{j + 1:04d}.field"),
-                            grid, u_star[j])
-            _write_states(out_dir, grid, traj.states)
-            write_diagnostics(traj, os.path.join(out_dir, "diagnostics.csv"))
+            _write_fields(out_dir, grid, "control", u_star, first=1)
+            _write_fields(out_dir, grid, "state", traj.states)
+            write_diagnostics(traj, diagnostics_path)
             with open(os.path.join(out_dir, "optimize_summary.txt"), "w") as f:
                 f.write(f"converged={report.converged}\n"
                         f"iterations={report.iterations}\n"
@@ -544,9 +532,13 @@ def run(command, config_path, overrides=(), out_dir=None, seed=None):
         print(summary, end="")
         return 0 if report.passed else 2
 
-    except (UniquenessViolation, NonConvergence, ValueError,
-            RuntimeError) as exc:
-        print(f"failure: {exc}", file=sys.stderr)
+    except (ValueError, RuntimeError) as exc:
+        # a failed step carries its index and the states before it
+        partial = getattr(exc, "partial_trajectory", None)
+        if partial is not None:
+            write_diagnostics(partial, diagnostics_path)
+        where = "" if partial is None else f" at step {exc.step_index}"
+        print(f"failure{where}: {exc}", file=sys.stderr)
         return 2
 
 

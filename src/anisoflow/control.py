@@ -56,29 +56,20 @@ class ControlProblem:
     pot: object
 
     def __post_init__(self):
-        if self.lam <= 0:
+        if not self.lam > 0:
             raise ValueError(f"lambda must be positive, got {self.lam}")
         self.y0 = self.grid.check_field(self.y0)
-        n, n_steps = self.grid.n_nodes, self.partition.n_steps
         if isinstance(self.target, FinalTimeTarget):
             self.grid.check_field(self.target.values)
         elif isinstance(self.target, DistributedTarget):
-            if self.target.values.shape != (n_steps, n):
-                raise ValueError(
-                    f"distributed target has shape {self.target.values.shape}, "
-                    f"expected ({n_steps}, {n})")
+            self.check_control(self.target.values)
         else:
             raise TypeError(f"unsupported target {self.target!r}")
 
     def check_control(self, control):
-        control = np.asarray(control, dtype=float)
-        expected = (self.partition.n_steps, self.grid.n_nodes)
-        if control.shape != expected:
-            raise ValueError(
-                f"control has shape {control.shape}, expected {expected}")
-        if not np.all(np.isfinite(control)):
-            raise ValueError("control contains non-finite entries")
-        return control
+        """``control`` as a finite (N, n_nodes) array, one field per interval
+        (distributed targets have the same shape)."""
+        return self.grid.check_field(control, self.partition.n_steps)
 
     def zero_control(self):
         return np.zeros((self.partition.n_steps, self.grid.n_nodes))

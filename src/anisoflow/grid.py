@@ -94,7 +94,7 @@ class Grid:
                 f"{nodes_per_axis} and {lengths}")
         if any(n < 2 for n in nodes_per_axis):
             raise ValueError(f"need at least 2 nodes per axis, got {nodes_per_axis}")
-        if any(L <= 0 for L in lengths):
+        if not all(L > 0 for L in lengths):
             raise ValueError(f"lengths must be positive, got {lengths}")
 
         self.dim = dim
@@ -172,7 +172,7 @@ class Grid:
             [self.nodes[first[:, i + 1]] - p0 for i in range(self.dim)],
             axis=-1)  # (n_shapes, dim, dim), Jacobian columns
         det = np.linalg.det(edges)
-        if np.any(det <= 0):
+        if not np.all(det > 0):
             raise ValueError("degenerate element: nonpositive Jacobian determinant")
         self.measures = np.tile(det / (1.0 if self.dim == 1 else 2.0),
                                 self.n_elements // self.n_shapes)
@@ -187,12 +187,14 @@ class Grid:
         np.add.at(w, self.elements, (self.measures / (self.dim + 1))[:, None])
         return w
 
-    def check_field(self, values):
-        """Validate that ``values`` is a finite nodal field on this grid."""
+    def check_field(self, values, rows=None):
+        """``values`` as a finite nodal field on this grid or, given ``rows``,
+        a (rows, n_nodes) stack of them (one per time interval)."""
         values = np.asarray(values, dtype=float)
-        if values.shape != (self.n_nodes,):
+        shape = (self.n_nodes,) if rows is None else (rows, self.n_nodes)
+        if values.shape != shape:
             raise ValueError(
-                f"field has shape {values.shape}, expected ({self.n_nodes},)")
+                f"field has shape {values.shape}, expected {shape}")
         if not np.all(np.isfinite(values)):
             raise ValueError("field contains non-finite entries")
         return values

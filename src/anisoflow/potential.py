@@ -56,7 +56,7 @@ class MoreauYosida:
     smoothness = "semismooth"
 
     def __init__(self, penalty):
-        if penalty <= 0:
+        if not penalty > 0:
             raise ValueError(f"penalty must be positive, got {penalty}")
         self.penalty = float(penalty)
 
@@ -96,7 +96,7 @@ class TruncatedPotential:
     smoothness = "c2"
 
     def __init__(self, base, cutoff):
-        if cutoff <= 0:
+        if not cutoff > 0:
             raise ValueError(f"cutoff must be positive, got {cutoff}")
         if getattr(base, "smoothness", None) != "c2":
             raise ValueError(

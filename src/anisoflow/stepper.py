@@ -58,7 +58,7 @@ class TimePartition:
             raise ValueError("need at least two breakpoints")
         if t[0] != 0.0:
             raise ValueError(f"partition must start at 0, got {t[0]}")
-        if np.any(np.diff(t) <= 0):
+        if not np.all(np.diff(t) > 0):
             raise ValueError("breakpoints must be strictly increasing")
         self.breakpoints = t
 
@@ -96,18 +96,29 @@ class TimePartition:
                 f"tau_max={self.tau_max!r})")
 
 
+# relative rounding slack of the two <= step-size rules
+_RULE_SLACK = 1e-12
+
+
 def step_regimes(c, tau):
     """The step-size rules for semiconvexity constant ``c``, 1/0 read as
-    infinity: the bounds 1/c, 1/(1+2c) and 2/c, and whether ``tau`` meets
-    each (tau < 1/c: the step is unique; tau <= 1/(1+2c): Lipschitz
+    infinity: the bounds 1/c, 1/(1+2c) and 2/c, and whether ``tau`` > 0
+    meets each (tau < 1/c: the step is unique; tau <= 1/(1+2c): Lipschitz
     stability; tau <= 2/c: unforced energy decay).  Returns (bounds, flags),
-    two dicts keyed "uniqueness", "lipschitz", "energy_decay"."""
+    two dicts keyed "uniqueness", "lipschitz", "energy_decay".
+
+    Every caller reads these flags.  The <= rules allow a relative slack
+    ``_RULE_SLACK``, as T/N may round a few ulps above a bound it meets
+    (T = 1, N = 3 for 1/(1+2c) = 1/3); the strict rule gets none.
+    """
+    if not tau > 0:
+        raise ValueError(f"tau must be positive, got {tau}")
     bounds = {"uniqueness": np.inf if c == 0 else 1.0 / c,
               "lipschitz": 1.0 / (1.0 + 2.0 * c),
               "energy_decay": np.inf if c == 0 else 2.0 / c}
     flags = {"uniqueness": tau < bounds["uniqueness"],
-             "lipschitz": tau <= bounds["lipschitz"],
-             "energy_decay": tau <= bounds["energy_decay"]}
+             "lipschitz": tau <= bounds["lipschitz"] * (1 + _RULE_SLACK),
+             "energy_decay": tau <= bounds["energy_decay"] * (1 + _RULE_SLACK)}
     return bounds, flags
 
 
@@ -153,14 +164,14 @@ class StepDiagnostics:
 
 @dataclass
 class Trajectory:
-    """States y_0..y_N plus per-step solver diagnostics."""
+    """States y_0..y_N, per-step solver diagnostics and the flags of
+    :func:`step_regimes` (rounding slack included) at tau_max."""
     grid: object
     partition: TimePartition
     states: np.ndarray                  # (N+1, n_nodes)
     diagnostics: list
     config: StepConfig
     regimes: dict = field(default_factory=dict)
-    bounds: dict = field(default_factory=dict)
 
 
 def energy(grid, aniso, pot, values):
@@ -192,13 +203,8 @@ def step_residual(grid, aniso, pot, y, y_prev, u, tau):
 
     Equals tau times the gradient of :func:`step_objective`.
     """
-    y = np.asarray(y, dtype=float)
-    y_prev = np.asarray(y_prev, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if y.shape != y_prev.shape or y.shape != u.shape or y.shape != (grid.n_nodes,):
-        raise ValueError("state, previous state, and forcing must share the grid")
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    y, y_prev, u = (grid.check_field(v) for v in (y, y_prev, u))
+    step_regimes(0.0, tau)  # rejects a tau that is not positive
     return _evaluate(grid, aniso, pot, y, y_prev, u, tau)[1]
 
 
@@ -323,7 +329,7 @@ def _solve_step(grid, aniso, pot, y_prev, u, tau, config, y_start, c_psi):
 
 
 def step(grid, aniso, pot, y_prev, u, tau, config=None, initial_guess=None):
-    """Advance one implicit step from ``y_prev`` under forcing ``u``.
+    """Advance one implicit step of size tau > 0 from ``y_prev`` under ``u``.
 
     The warm start defaults to ``y_prev``; any other ``initial_guess``
     reaches the same solution in the uniqueness regime (the objective has a
@@ -348,21 +354,16 @@ def solve_trajectory(grid, aniso, pot, y0, control, partition, config=None):
 
     Raises the per-step errors with the failing index j (``step_index``)
     and the trajectory of the states y_0..y_{j-1} (``partial_trajectory``)
-    attached, and records solver diagnostics, step-size regime flags, and
-    the space-time bounds (time-derivative and reaction L2(Q) norms, max H1
-    norm) on the result.
+    attached.  Records solver diagnostics and the regime flags of
+    :func:`step_regimes`, which owns their rounding slack, and warns when
+    tau_max is outside the Lipschitz rule.  :func:`trajectory_bounds`
+    computes the space-time bounds for the callers that read them.
     """
     config = config or StepConfig()
     y0 = grid.check_field(y0)
     n_steps = partition.n_steps
-    if control is None:
-        control = np.zeros((n_steps, grid.n_nodes))
-    control = np.asarray(control, dtype=float)
-    if control.shape != (n_steps, grid.n_nodes):
-        raise ValueError(
-            f"control has shape {control.shape}, expected ({n_steps}, {grid.n_nodes})")
-    if not np.all(np.isfinite(control)):
-        raise ValueError("control contains non-finite entries")
+    control = (np.zeros((n_steps, grid.n_nodes)) if control is None
+               else grid.check_field(control, n_steps))
 
     c_psi = pot.semiconvexity()
     tau = partition.tau_max
@@ -390,9 +391,7 @@ def solve_trajectory(grid, aniso, pot, y0, control, partition, config=None):
         states[j] = y
         diags.append(diag)
 
-    traj = Trajectory(grid, partition, states, diags, config, regimes)
-    traj.bounds = trajectory_bounds(traj, pot)
-    return traj
+    return Trajectory(grid, partition, states, diags, config, regimes)
 
 
 def backward_difference(trajectory):

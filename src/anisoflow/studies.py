@@ -29,7 +29,8 @@ import numpy as np
 from .control import (ControlProblem, DistributedTarget, OptimizeOptions,
                       control_norm, cost, optimize)
 from .grid import dual_norm, norms
-from .stepper import TimePartition, solve_trajectory, step_regimes
+from .stepper import (TimePartition, solve_trajectory, step_regimes,
+                      trajectory_bounds)
 
 
 @dataclass
@@ -73,8 +74,14 @@ def _check_levels(kind, levels):
                          f"ladder levels, got {levels}")
 
 
-def _ladder(base_n, levels):
-    return [base_n * 2**k for k in range(levels)]
+def _ladder(final_time, base_n, levels):
+    """For k < ``levels``: a report row stub (level, n_steps, tau), the
+    uniform partition of (0, final_time) into base_n * 2^k steps and the
+    factor 2^k that injects coarsest-interval fields into it."""
+    for k in range(levels):
+        n = base_n * 2**k
+        yield ({"level": k, "n_steps": n, "tau": final_time / n},
+               TimePartition.uniform(final_time, n), 2**k)
 
 
 # errors at or below this are solver noise, too small to fit a rate to
@@ -98,32 +105,27 @@ def tau_convergence_study(grid, aniso, pot, y0, final_time, base_n, levels,
     semismooth penalty potential, whose order is not established.
     """
     _check_levels("tau_convergence", levels)
-    ns = _ladder(base_n, levels)
-    n_ref = base_n * 2**levels
     if control is None:
         control = np.zeros((base_n, grid.n_nodes))
-
-    ref_part = TimePartition.uniform(final_time, n_ref)
+    # the reference is one level past the last
+    *ladder, (ref_row, ref_part, ref_factor) = _ladder(final_time, base_n,
+                                                       levels + 1)
     ref = solve_trajectory(grid, aniso, pot, y0,
-                           inject_time(control, n_ref // base_n),
-                           ref_part, config)
+                           inject_time(control, ref_factor), ref_part, config)
 
     report = StudyReport("tau_convergence",
                          thresholds={"rate_window": tuple(rate_window)})
     errors = []
-    for n in ns:
-        part = TimePartition.uniform(final_time, n)
+    for row, part, factor in ladder:
         traj = solve_trajectory(grid, aniso, pot, y0,
-                                inject_time(control, n // base_n), part, config)
+                                inject_time(control, factor), part, config)
         # sample every level at the coarsest breakpoints so the maxima are
         # taken over the same times ladder-wide
-        err = max(norms(grid,
-                        traj.states[j * (n // base_n)]
-                        - ref.states[j * (n_ref // base_n)]).l2
+        err = max(norms(grid, traj.states[j * factor]
+                        - ref.states[j * ref_factor]).l2
                   for j in range(1, base_n + 1))
         errors.append(err)
-        report.rows.append({"level": len(report.rows), "n_steps": n,
-                            "tau": final_time / n, "error": err})
+        report.rows.append({**row, "error": err})
 
     if max(errors) <= _NOISE_FLOOR:
         report.notes.append(
@@ -131,7 +133,7 @@ def tau_convergence_study(grid, aniso, pot, y0, final_time, base_n, levels,
         report.passed = True
         return report
 
-    report.rate = fit_rate([final_time / n - final_time / n_ref for n in ns],
+    report.rate = fit_rate([row["tau"] - ref_row["tau"] for row in report.rows],
                            errors)
     decreasing = all(errors[k + 1] < errors[k] for k in range(len(errors) - 1))
     if not decreasing:
@@ -148,9 +150,6 @@ def tau_convergence_study(grid, aniso, pot, y0, final_time, base_n, levels,
     return report
 
 
-_BOUND_KEYS = ("time_derivative_l2", "state_h1_max", "reaction_l2")
-
-
 def uniform_bound_study(grid, aniso, pot, y0, final_time, base_n, levels,
                         control=None, config=None, ratio_window=1.5,
                         growth_tol=1.05):
@@ -162,22 +161,18 @@ def uniform_bound_study(grid, aniso, pot, y0, final_time, base_n, levels,
     by more than ``growth_tol`` at every refinement.
     """
     _check_levels("uniform_bounds", levels)
-    ns = _ladder(base_n, levels)
     if control is None:
         control = np.zeros((base_n, grid.n_nodes))
     report = StudyReport("uniform_bounds",
                          thresholds={"ratio_window": ratio_window,
                                      "growth_tol": growth_tol})
-    for n in ns:
-        part = TimePartition.uniform(final_time, n)
+    for row, part, factor in _ladder(final_time, base_n, levels):
         traj = solve_trajectory(grid, aniso, pot, y0,
-                                inject_time(control, n // base_n), part, config)
-        row = {"level": len(report.rows), "n_steps": n, "tau": final_time / n}
-        row.update({k: traj.bounds[k] for k in _BOUND_KEYS})
-        report.rows.append(row)
+                                inject_time(control, factor), part, config)
+        report.rows.append({**row, **trajectory_bounds(traj, pot)})
 
     report.passed = True
-    for key in _BOUND_KEYS:
+    for key in report.metric_columns():
         vals = np.array([row[key] for row in report.rows])
         if np.all(vals <= 1e-14):
             continue  # identically-zero metric (stationary data)
@@ -229,17 +224,14 @@ def lipschitz_study(grid, aniso, pot, pairs, final_time, base_n, levels,
     """
     _check_levels("lipschitz", levels)
     tau0 = final_time / base_n
-    bound = step_regimes(pot.semiconvexity(), tau0)[0]["lipschitz"]
-    if tau0 > bound + 1e-15:
+    bounds, regimes = step_regimes(pot.semiconvexity(), tau0)
+    if not regimes["lipschitz"]:
         raise ValueError(
             f"coarsest tau = {tau0:g} exceeds the stability regime bound "
-            f"1/(1+2c) = {bound:g}")
+            f"1/(1+2c) = {bounds['lipschitz']:g}")
 
     report = StudyReport("lipschitz", thresholds={"growth": growth})
-    ns = _ladder(base_n, levels)
-    for n in ns:
-        part = TimePartition.uniform(final_time, n)
-        factor = n // base_n
+    for row, part, factor in _ladder(final_time, base_n, levels):
         ratios = []
         for k, ((y0_a, u_a), (y0_b, u_b)) in enumerate(pairs):
             ua = inject_time(u_a, factor)
@@ -249,13 +241,12 @@ def lipschitz_study(grid, aniso, pot, pairs, final_time, base_n, levels,
             num, den = perturbation_ratio(grid, part, ta.states - tb.states,
                                           ua - ub)
             if den == 0.0:
-                if n == ns[0]:
+                if row["level"] == 0:
                     report.notes.append(f"pair {k}: identical data, skipped")
                 continue
             ratios.append(num / den)
-        row = {"level": len(report.rows), "n_steps": n, "tau": final_time / n,
-               "max_ratio": max(ratios) if ratios else np.nan}
-        report.rows.append(row)
+        report.rows.append(
+            {**row, "max_ratio": max(ratios) if ratios else np.nan})
 
     base = report.rows[0]["max_ratio"]
     if not np.isfinite(base):

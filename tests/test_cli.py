@@ -1,8 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from anisoflow import (OptimizeOptions, StepConfig, build_grid, load_field,
-                       read_field, write_field)
+from anisoflow import (DoubleWell, IsotropicAnisotropy,
+                       MatrixFamilyAnisotropy, MoreauYosida, OptimizeOptions,
+                       StepConfig, TimePartition, TruncatedPotential,
+                       ZeroPotential, build_grid, load_field, read_field,
+                       solve_trajectory, write_field)
 from anisoflow.cli import (_from_section, builtin_initializer, constant_field,
                            load_config, main, random_uniform_field, run,
                            tanh_circle_field)
@@ -364,6 +369,26 @@ REJECTED_INPUTS = [
     ("study-tau", ["study.rate_min=2", "study.rate_max=1"], "study.rate_min"),
     ("study-bounds", ["study.ratio_window=0.5"], "study.ratio_window"),
     ("study-lipschitz", ["study.ratio_growth=0.5"], "study.ratio_growth"),
+    ("simulate", ["anisotropy.kind=bogus"], "anisotropy.kind"),
+    ("simulate", ["potential.kind=bogus"], "potential.kind"),
+    ("simulate", ["anisotropy.kind=matrix_family", "anisotropy.matrices=1 0"],
+     "anisotropy.matrices"),
+    # NaN fails every comparison, so range checks must be written to reject it
+    ("simulate", ["grid.lengths=nan"], "grid"),
+    ("simulate", ["anisotropy.kind=matrix_family", "anisotropy.matrices=1",
+                  "anisotropy.delta=nan"], "anisotropy"),
+    ("simulate", ["anisotropy.kind=matrix_family", "anisotropy.matrices=nan"],
+     "anisotropy"),
+    ("simulate", ["potential.kind=moreau_yosida", "potential.penalty=nan"],
+     "potential.penalty"),
+    ("simulate", ["potential.kind=truncated", "potential.cutoff=nan"],
+     "potential.cutoff"),
+    ("simulate", ["time.breakpoints=0 nan 1"], "time.breakpoints"),
+    ("optimize", ["control.lambda=nan", "control.target=final_time",
+                  "control.target_file={tmp}/target.field"], "control.lambda"),
+    ("study-bounds", ["study.growth_tol=nan"], "study.growth_tol"),
+    ("study-bounds", ["study.growth_tol=-5"], "study.growth_tol"),
+    ("study-tau", ["study.rate_max=nan"], "study.rate_max"),
 ]
 
 
@@ -396,6 +421,22 @@ def test_output_path_that_is_a_file_exits_1(tmp_path, capsys, from_config):
     assert code == 1
     assert "config error at 'output.directory'" in capsys.readouterr().err
     assert blocker.read_text() == "keep me\n"
+
+
+def test_study_lipschitz_at_the_bound_meets_it(tmp_path):
+    # tau = 1/3 rounds a few ulps above 1/(1+2c) = 1/3; the study accepts
+    # it, so the solves must not warn and the manifest must agree
+    cfg = BASE_CONFIG.replace("nodes = 33", "nodes = 17").replace(
+        "N = 10", "N = 3").replace("constant(1.0)",
+                                   "random_uniform(-0.5, 0.5, 2)")
+    cfg += "\n[study]\nlevels = 2\npairs = 1\n"
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("study-lipschitz", write_config(tmp_path, cfg),
+                   out_dir=str(out)) == 0
+    assert "tau_within_lipschitz_bound=True" in (
+        out / "manifest.txt").read_text().splitlines()
 
 
 def test_study_lipschitz_cli_runs(tmp_path):
@@ -506,6 +547,18 @@ def test_solver_failure_exits_2_with_partial_diagnostics(tmp_path, capsys):
     assert len(diag) == 2  # header + the initial state row
 
 
+def test_verify_energy_failure_writes_partial_diagnostics(tmp_path, capsys):
+    cfg = BASE_CONFIG.replace("constant(1.0)", "random_uniform(-1, 1, 4)")
+    out = tmp_path / "out"
+    code = run("verify-energy", write_config(tmp_path, cfg),
+               overrides=["solver.max_newton_iters=1"], out_dir=str(out))
+    assert code == 2
+    assert "failure at step 1:" in capsys.readouterr().err
+    diag = (out / "diagnostics.csv").read_text().strip().splitlines()
+    assert diag[0].startswith("j,")
+    assert len(diag) == 2 and diag[1].startswith("0,")
+
+
 def test_partial_diagnostics_match_successful_run(tmp_path):
     cfg = BASE_CONFIG.replace("constant(1.0)", "random_uniform(-1, 1, 4)")
     path = write_config(tmp_path, cfg)
@@ -516,3 +569,37 @@ def test_partial_diagnostics_match_successful_run(tmp_path):
     partial = (failed / "diagnostics.csv").read_bytes().splitlines(True)
     assert len(partial) == 2
     assert partial == (ok / "diagnostics.csv").read_bytes().splitlines(True)[:2]
+
+
+# -- model builders ---------------------------------------------------------------
+
+# per kind: overrides of the base config and the objects they should build
+MODEL_KINDS = {
+    "matrix_family": (
+        ["grid.dim=2", "grid.nodes=5 5", "grid.lengths=1 1",
+         "anisotropy.kind=matrix_family", "anisotropy.delta=0.01",
+         "anisotropy.matrices=1 0 0 0.04; 0.04 0 0 1"],
+        MatrixFamilyAnisotropy([np.diag([1.0, 0.04]), np.diag([0.04, 1.0])],
+                               0.01), DoubleWell()),
+    "moreau_yosida": (["potential.kind=moreau_yosida", "potential.penalty=50"],
+                      IsotropicAnisotropy(), MoreauYosida(50.0)),
+    "truncated": (["potential.kind=truncated", "potential.cutoff=1.5"],
+                  IsotropicAnisotropy(), TruncatedPotential(DoubleWell(), 1.5)),
+    "zero": (["potential.kind=zero"], IsotropicAnisotropy(), ZeroPotential()),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
+def test_simulate_builds_each_model_kind(tmp_path, kind):
+    overrides, aniso, pot = MODEL_KINDS[kind]
+    cfg = BASE_CONFIG.replace("nodes = 33", "nodes = 9").replace(
+        "constant(1.0)", "random_uniform(-1, 1, 4)")
+    out = tmp_path / "out"
+    assert run("simulate", write_config(tmp_path, cfg), overrides,
+               out_dir=str(out)) == 0
+    dim = 2 if kind == "matrix_family" else 1
+    g = build_grid(dim, [9] if dim == 1 else [5, 5], [1.0] * dim)
+    traj = solve_trajectory(g, aniso, pot, random_uniform_field(g, -1, 1, 4),
+                            None, TimePartition.uniform(1.0, 10))
+    assert np.array_equal(load_field(out / "state_0010.field", g),
+                          traj.states[-1])

@@ -328,6 +328,18 @@ def test_problem_validation():
         prob.check_control(np.zeros((4, 8)))
 
 
+@pytest.mark.parametrize("target,lam", [
+    (DistributedTarget(np.full((4, 9), np.nan)), 1.0),
+    (DistributedTarget(np.zeros((4, 9))), float("nan")),
+])
+def test_problem_rejects_nan_target_and_lambda(target, lam):
+    # a NaN target used to pass and stop optimize inside CG much later
+    g = build_grid(1, [9], [1.0])
+    with pytest.raises(ValueError):
+        ControlProblem(g, TimePartition.uniform(1.0, 4), np.zeros(9), target,
+                       lam, ISO, DW)
+
+
 @pytest.mark.parametrize("name,value", [
     ("max_iters", -1), ("grad_tol", -1.0), ("grad_tol", float("nan")),
     ("lbfgs_memory", 0), ("armijo_min_step", 0.0),

@@ -197,6 +197,23 @@ def test_step_rejects_tau_above_uniqueness_bound():
     assert np.all(np.isfinite(out))
 
 
+@pytest.mark.parametrize("tau", [0.0, -0.1, float("nan")])
+def test_step_rejects_nonpositive_tau(tau):
+    g = build_grid(1, [9], [1.0])
+    with pytest.raises(ValueError, match="tau must be positive"):
+        step(g, ISO, DW, np.ones(g.n_nodes), np.zeros(g.n_nodes), tau)
+
+
+def test_step_regimes_allow_rounding_on_the_non_strict_rules():
+    # T/N for T = 1, N = 3 rounds above 1/(1+2c) = 1/3 for the double well
+    tau = TimePartition.uniform(1.0, 3).tau_max
+    assert tau > 1.0 / 3.0
+    assert step_regimes(1.0, tau)[1]["lipschitz"]
+    assert not step_regimes(1.0, 2.0 * (1 + 1e-9))[1]["energy_decay"]
+    # the strict uniqueness rule gets no slack
+    assert not step_regimes(1.0, 1.0)[1]["uniqueness"]
+
+
 @pytest.mark.parametrize("name", ["armijo_slope", "armijo_backtrack"])
 @pytest.mark.parametrize("value", [0.0, 1.0, 1.5, -0.5, float("nan")])
 def test_step_config_rejects_armijo_constants_outside_unit_interval(name,
@@ -378,7 +395,7 @@ def test_trajectory_records_bounds():
     traj = solve_trajectory(g, ISO, DW, rng.uniform(-1, 1, g.n_nodes), None,
                             TimePartition.uniform(0.5, 5))
     for key in ("time_derivative_l2", "state_h1_max", "reaction_l2"):
-        assert np.isfinite(traj.bounds[key])
+        assert np.isfinite(trajectory_bounds(traj, DW)[key])
 
 
 def test_trajectory_shape_validation():
@@ -514,8 +531,8 @@ def test_telescoped_dissipation_inequality():
     drop = (energy(g, ISO, DW, traj.states[0])
             - energy(g, ISO, DW, traj.states[-1]))
     assert lhs <= drop + 1e-8
-    # and the recorded bound is the direct summation of the same quantity
-    assert abs(traj.bounds["time_derivative_l2"]
+    # and trajectory_bounds gives the direct summation of the same quantity
+    assert abs(trajectory_bounds(traj, DW)["time_derivative_l2"]
                - np.sqrt(2.0 * lhs)) <= 1e-12
 
 
@@ -537,7 +554,7 @@ def test_trajectory_bounds_match_vectorized_sums_1d():
     rng = np.random.default_rng(12)
     traj = solve_trajectory(g, ISO, DW, rng.uniform(-1, 1, g.n_nodes), None,
                             TimePartition.uniform(1.0, 64))
-    assert traj.bounds == _vectorized_bounds(traj, DW)
+    assert trajectory_bounds(traj, DW) == _vectorized_bounds(traj, DW)
 
 
 @pytest.mark.parametrize("pot", [DW, MoreauYosida(50.0)])
@@ -624,4 +641,4 @@ def test_trajectory_2d_anisotropic_energy_decay():
                             TimePartition.uniform(0.5, 5))
     energies = np.array([d.energy for d in traj.diagnostics])
     assert np.all(np.diff(energies) <= 1e-9)
-    assert all(np.isfinite(v) for v in traj.bounds.values())
+    assert all(np.isfinite(v) for v in trajectory_bounds(traj, DW).values())
