@@ -94,8 +94,8 @@ class Grid:
                 f"{nodes_per_axis} and {lengths}")
         if any(n < 2 for n in nodes_per_axis):
             raise ValueError(f"need at least 2 nodes per axis, got {nodes_per_axis}")
-        if not all(L > 0 for L in lengths):
-            raise ValueError(f"lengths must be positive, got {lengths}")
+        if not all(0 < L < np.inf for L in lengths):
+            raise ValueError(f"lengths must be positive and finite, got {lengths}")
 
         self.dim = dim
         self.shape = nodes_per_axis

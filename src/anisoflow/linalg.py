@@ -10,7 +10,11 @@ curvature against the matrix itself:
 
 * on 1D grids every one of these matrices is symmetric tridiagonal, and
   :func:`tridiagonal_ldlt` factorizes it exactly in O(n) plain-Python
-  work, so each solve returns after one operator application;
+  work, so each solve returns after one operator application.  The
+  factorization is one fused pass that overwrites the two diagonals with
+  the pivots and factors of L D L^T, and the solve one forward and one
+  backward pass; at these sizes the cost is the Python loop, not the
+  arithmetic;
 * on 2D grids :func:`multigrid_vcycle` is a geometric multigrid V-cycle
   whose CG iteration count does not grow as the mesh is refined;
 * either returns None when its construction finds the matrix unsuitable
@@ -42,31 +46,33 @@ def tridiagonal_ldlt(mat):
     ``mat`` is a scipy sparse (or dense) matrix read through its main and
     first upper diagonals only.  Returns a callable ``b -> A^{-1} b``, or
     None when a pivot is not positive (or is NaN), i.e. when A is not
-    positive definite.
+    positive definite.  One pass turns the two diagonals, read as Python
+    lists, into the pivots d_i and the factors l_i = e_i / d_i in place.
     """
-    diag = mat.diagonal().tolist()
-    upper = mat.diagonal(1).tolist()
-    pivots = [diag[0]]
-    factors = []
-    for a, e in zip(diag[1:], upper):
-        if not pivots[-1] > 0.0:
+    pivots = mat.diagonal().tolist()
+    factors = mat.diagonal(1).tolist()
+    p = pivots[0]
+    for i, e in enumerate(factors):
+        if not p > 0.0:
             return None
-        factors.append(e / pivots[-1])
-        pivots.append(a - factors[-1] * e)
-    if not pivots[-1] > 0.0:
+        factors[i] = l = e / p
+        pivots[i + 1] = p = pivots[i + 1] - l * e
+    if not p > 0.0:
         return None
+    return functools.partial(_ldlt_solve, pivots, factors)
 
-    def solve(b):
-        # L y = b, then D z = y, then L^T x = z
-        y = b.tolist()
-        for i, l in enumerate(factors):
-            y[i + 1] -= l * y[i]
-        x = [v / p for v, p in zip(y, pivots)]
-        for i in range(len(factors) - 1, -1, -1):
-            x[i] -= factors[i] * x[i + 1]
-        return np.array(x)
 
-    return solve
+def _ldlt_solve(pivots, factors, b):
+    # L z = b forward, then x = D^{-1} z - L^T x backward, both in place in
+    # one list and each carrying its last entry in a local
+    x = b.tolist()
+    z = x[0]
+    for i, l in enumerate(factors, 1):
+        x[i] = z = x[i] - l * z
+    x[-1] = v = z / pivots[-1]
+    for i in range(len(factors) - 1, -1, -1):
+        x[i] = v = x[i] / pivots[i] - factors[i] * v
+    return np.array(x)
 
 
 def multigrid_vcycle(mat, prolongations):

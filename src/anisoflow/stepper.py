@@ -56,6 +56,8 @@ class TimePartition:
         t = np.asarray(breakpoints, dtype=float)
         if t.ndim != 1 or t.size < 2:
             raise ValueError("need at least two breakpoints")
+        if not np.all(np.isfinite(t)):
+            raise ValueError(f"breakpoints must be finite, got {t.tolist()}")
         if t[0] != 0.0:
             raise ValueError(f"partition must start at 0, got {t[0]}")
         if not np.all(np.diff(t) > 0):
@@ -66,6 +68,8 @@ class TimePartition:
     def uniform(cls, final_time, n_steps):
         if n_steps < 1:
             raise ValueError("need at least one step")
+        if not np.isfinite(final_time):
+            raise ValueError(f"final time must be finite, got {final_time}")
         return cls(np.linspace(0.0, final_time, n_steps + 1))
 
     @property
@@ -186,15 +190,22 @@ def _energy(grid, pot, y, density):
             + float(np.sum(grid.weights * pot.value(y))))
 
 
-def _evaluate(grid, aniso, pot, y, y_prev, u, tau):
-    """Phi, the step residual, its max norm and the energy at ``y`` from
-    one element-gradient pass and one anisotropy pass."""
-    w, dy = grid.weights, y - y_prev
+def _state_terms(grid, aniso, pot, y):
+    """The terms of Phi and the step residual that depend on ``y`` alone:
+    the energy E(y) and B(A'(grad y)) + W psi'(y), from one
+    element-gradient pass and one anisotropy pass."""
     density, flux = aniso.derivatives(element_gradients(grid, y), 1)
-    e = _energy(grid, pot, y, density)
+    return (_energy(grid, pot, y, density),
+            assemble_flux_divergence(grid, flux) + grid.weights * pot.prime(y))
+
+
+def _evaluate(grid, y, y_prev, u, tau, terms):
+    """Phi, the step residual, its max norm and the energy at ``y``, given
+    its :func:`_state_terms`."""
+    e, drive = terms
+    w, dy = grid.weights, y - y_prev
     phi = 0.5 / tau * np.sum(w * dy ** 2) + e - float(np.sum(w * u * y))
-    res = w * dy + tau * (assemble_flux_divergence(grid, flux)
-                          + w * pot.prime(y) - w * u)
+    res = w * dy + tau * (drive - w * u)
     return phi, res, float(np.max(np.abs(res))), e
 
 
@@ -205,13 +216,15 @@ def step_residual(grid, aniso, pot, y, y_prev, u, tau):
     """
     y, y_prev, u = (grid.check_field(v) for v in (y, y_prev, u))
     step_regimes(0.0, tau)  # rejects a tau that is not positive
-    return _evaluate(grid, aniso, pot, y, y_prev, u, tau)[1]
+    return _evaluate(grid, y, y_prev, u, tau,
+                     _state_terms(grid, aniso, pot, y))[1]
 
 
 def step_objective(grid, aniso, pot, y, y_prev, u, tau):
     """Per-step convex objective whose minimizer is the implicit step."""
     y = np.asarray(y, dtype=float)
-    return _evaluate(grid, aniso, pot, y, y_prev, u, tau)[0]
+    return _evaluate(grid, y, y_prev, u, tau,
+                     _state_terms(grid, aniso, pot, y))[0]
 
 
 def _newton_matrix(grid, aniso, pot, y, tau):
@@ -230,9 +243,15 @@ def _newton_matrix(grid, aniso, pot, y, tau):
 _FORCING_CAP = 1e-6
 
 
-def _solve_step(grid, aniso, pot, y_prev, u, tau, config, y_start, c_psi):
+def _solve_step(grid, aniso, pot, y_prev, u, tau, config, y_start, c_psi,
+                start_terms=None):
     """Newton (or descent) iterations on Phi from ``y_start`` until the
     residual max norm is at most ``config.newton_tol``.
+
+    Returns the solution, its :class:`StepDiagnostics` and its
+    :func:`_state_terms`, which the next step may pass back as
+    ``start_terms`` when it starts from this solution; without them the
+    start is evaluated here.
 
     Each Newton direction is an inexact solve (Eisenstat & Walker, "Choosing
     the forcing terms in an inexact Newton method", SIAM J. Sci. Comput. 17,
@@ -251,10 +270,12 @@ def _solve_step(grid, aniso, pot, y_prev, u, tau, config, y_start, c_psi):
             f"(need tau < 1/c with c the semiconvexity constant)")
 
     y = np.array(y_start, dtype=float)
-    phi, res, res_inf, e = _evaluate(grid, aniso, pot, y, y_prev, u, tau)
+    terms = (_state_terms(grid, aniso, pot, y) if start_terms is None
+             else start_terms)
+    phi, res, res_inf, e = _evaluate(grid, y, y_prev, u, tau, terms)
     trials = 0
     if res_inf <= config.newton_tol:
-        return y, StepDiagnostics(0, res_inf, False, e, trials)
+        return y, StepDiagnostics(0, res_inf, False, e, trials), terms
 
     newton_ok = aniso.twice_differentiable
     fallback_used = not newton_ok
@@ -299,7 +320,8 @@ def _solve_step(grid, aniso, pot, y_prev, u, tau, config, y_start, c_psi):
         while alpha >= config.armijo_min_step:
             y_trial = y + alpha * direction
             predicted = config.armijo_slope * alpha * slope
-            trial = _evaluate(grid, aniso, pot, y_trial, y_prev, u, tau)
+            trial_terms = _state_terms(grid, aniso, pot, y_trial)
+            trial = _evaluate(grid, y_trial, y_prev, u, tau, trial_terms)
             trials += 1
             if (trial[0] <= phi + predicted
                     or (abs(predicted) <= noise and trial[2] < res_inf)):
@@ -311,7 +333,7 @@ def _solve_step(grid, aniso, pot, y_prev, u, tau, config, y_start, c_psi):
                 f"(residual {best_res:.3e} after {it} iterations)",
                 best_y, best_res, it)
 
-        y = y_trial
+        y, terms = y_trial, trial_terms
         phi, res, res_inf, e = trial
         prev_sq, res_sq = res_sq, float(res @ res)
         forcing = min(_FORCING_CAP, 0.9 * res_sq / prev_sq)
@@ -320,7 +342,8 @@ def _solve_step(grid, aniso, pot, y_prev, u, tau, config, y_start, c_psi):
         if not use_newton:
             alpha_descent = min(alpha * 2.0, 1e6)
         if res_inf <= config.newton_tol:
-            return y, StepDiagnostics(it, res_inf, fallback_used, e, trials)
+            return (y, StepDiagnostics(it, res_inf, fallback_used, e, trials),
+                    terms)
 
     raise NonConvergence(
         f"no convergence in {budget} iterations "
@@ -339,9 +362,8 @@ def step(grid, aniso, pot, y_prev, u, tau, config=None, initial_guess=None):
     y_prev = grid.check_field(y_prev)
     u = grid.check_field(u)
     start = y_prev if initial_guess is None else grid.check_field(initial_guess)
-    y, _ = _solve_step(grid, aniso, pot, y_prev, u, tau, config, start,
-                       pot.semiconvexity())
-    return y
+    return _solve_step(grid, aniso, pot, y_prev, u, tau, config, start,
+                       pot.semiconvexity())[0]
 
 
 def solve_trajectory(grid, aniso, pot, y0, control, partition, config=None):
@@ -376,13 +398,16 @@ def solve_trajectory(grid, aniso, pot, y0, control, partition, config=None):
 
     states = np.empty((n_steps + 1, grid.n_nodes))
     states[0] = y0
-    diags = [StepDiagnostics(0, 0.0, False, energy(grid, aniso, pot, y0), 0)]
+    # each step starts at the previous solution, so the terms of its final
+    # point are the next step's start terms: one pass per distinct state
+    terms = _state_terms(grid, aniso, pot, y0)
+    diags = [StepDiagnostics(0, 0.0, False, terms[0], 0)]
     taus = partition.tau_steps
     for j in range(1, n_steps + 1):
         try:
-            y, diag = _solve_step(grid, aniso, pot, states[j - 1],
-                                  control[j - 1], taus[j - 1], config,
-                                  states[j - 1], c_psi)
+            y, diag, terms = _solve_step(grid, aniso, pot, states[j - 1],
+                                         control[j - 1], taus[j - 1], config,
+                                         states[j - 1], c_psi, terms)
         except (UniquenessViolation, NonConvergence) as exc:
             exc.step_index = j
             exc.partial_trajectory = Trajectory(grid, partition, states[:j],

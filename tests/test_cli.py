@@ -408,6 +408,25 @@ def test_config_errors_write_nothing(tmp_path, capsys, command, overrides,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("overrides,message", [
+    (["time.T=nan"], "'time': final time must be finite, got nan"),
+    (["time.T=inf"], "'time': final time must be finite, got inf"),
+    (["time.breakpoints=0,0.5,inf"],
+     "'time.breakpoints': breakpoints must be finite, got [0.0, 0.5, inf]"),
+    (["grid.dim=2", "grid.nodes=5,5", "grid.lengths=inf,1"],
+     "'grid': lengths must be positive and finite, got (inf, 1.0)"),
+], ids=["T-nan", "T-inf", "breakpoints-inf", "lengths-inf"])
+def test_non_finite_time_and_lengths_are_named(tmp_path, capsys, overrides,
+                                               message):
+    # an infinite or NaN value must not surface as a later, wrong cause (a
+    # partition not starting at 0, a degenerate element, a step bound)
+    out = tmp_path / "out"
+    assert run("simulate", write_config(tmp_path), overrides,
+               out_dir=str(out)) == 1
+    assert capsys.readouterr().err.strip() == f"config error at {message}"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("from_config", [False, True])
 def test_output_path_that_is_a_file_exits_1(tmp_path, capsys, from_config):
     blocker = tmp_path / "blocker"

@@ -76,9 +76,44 @@ def test_ldlt_matches_dense_solve(n, seed):
     [[-1.0, 0.5], [0.5, 2.0]],                      # first pivot negative
     [[1.0, 2.0], [2.0, 1.0]],                       # second pivot -3
     [[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 5.0]],  # zero pivot
+    # NaN fails every comparison, so the pivot test must read "not > 0"
+    [[np.nan, 0.5], [0.5, 2.0]],                    # NaN first pivot
+    [[2.0, 0.5, 0.0], [0.5, np.nan, 0.5], [0.0, 0.5, 2.0]],  # NaN inside
+    [[2.0, 0.5], [0.5, np.nan]],                    # NaN last pivot
+    [[2.0, np.nan], [np.nan, 2.0]],                 # NaN off the diagonal
 ])
 def test_ldlt_rejects_non_positive_pivot(dense):
     assert tridiagonal_ldlt(sp.csr_matrix(dense)) is None
+
+
+def textbook_ldlt_solve(mat, b):
+    """A = L D L^T by the three textbook loops: factor, then L z = b and
+    L^T x = D^{-1} z."""
+    a, e = mat.diagonal(), mat.diagonal(1)
+    n = a.size
+    d, l = np.empty(n), np.empty(n - 1)
+    d[0] = a[0]
+    for i in range(n - 1):
+        l[i] = e[i] / d[i]
+        d[i + 1] = a[i + 1] - l[i] * e[i]
+    z = np.array(b, dtype=float)
+    for i in range(1, n):
+        z[i] = z[i] - l[i - 1] * z[i - 1]
+    x = np.empty(n)
+    x[n - 1] = z[n - 1] / d[n - 1]
+    for i in range(n - 2, -1, -1):
+        x[i] = z[i] / d[i] - l[i] * x[i + 1]
+    return x
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 65])
+def test_ldlt_is_bit_equal_to_the_textbook_loops(n):
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        mat = random_spd_tridiagonal(rng, n)
+        b = rng.normal(size=n)
+        assert np.array_equal(tridiagonal_ldlt(mat)(b),
+                              textbook_ldlt_solve(mat, b))
 
 
 def test_grid_preconditioner_is_exact_in_1d_only():

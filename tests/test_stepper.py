@@ -451,9 +451,10 @@ class CountingFamily(CountingPasses, MatrixFamilyAnisotropy):
 
 
 def test_trajectory_evaluates_each_point_once():
-    # one pass for the energy of y_0, then one per step for its start point
-    # and one per line-search trial; an accepted trial is not evaluated
-    # again, and the isotropic Newton matrix (A'' = I) needs no pass
+    # one pass for y_0, which gives its energy and the start of step 1, then
+    # one per line-search trial: an accepted trial is not evaluated again,
+    # each later step starts from the terms of the previous solution, and
+    # the isotropic Newton matrix (A'' = I) needs no pass
     g = build_grid(1, [17], [1.0])
     u = np.zeros((4, g.n_nodes))
     u[1:] = 30.0 * np.sin(np.pi * g.nodes[:, 0])
@@ -464,7 +465,7 @@ def test_trajectory_evaluates_each_point_once():
     # the data cover a step solved at its start point and a rejected trial
     assert steps[0].iterations == 0 and steps[0].linesearch_trials == 0
     assert any(d.linesearch_trials > d.iterations for d in steps)
-    assert counting.passes == 1 + sum(1 + d.linesearch_trials for d in steps)
+    assert counting.passes == 1 + sum(d.linesearch_trials for d in steps)
 
 
 def test_trajectory_takes_one_pass_per_point_and_newton_matrix():
@@ -479,8 +480,34 @@ def test_trajectory_takes_one_pass_per_point_and_newton_matrix():
     assert steps[0].iterations == 0
     assert not any(d.fallback for d in steps)
     assert any(d.linesearch_trials > d.iterations for d in steps)
-    assert counting.passes == 1 + sum(1 + d.linesearch_trials + d.iterations
+    # one pass for y_0, one per trial and one per Newton matrix
+    assert counting.passes == 1 + sum(d.linesearch_trials + d.iterations
                                       for d in steps)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_trajectory_equals_a_chain_of_steps(dim):
+    # the trajectory starts each step from the terms of the previous
+    # solution; step() evaluates its start afresh, so equal states show
+    # that the carried terms equal recomputed ones
+    if dim == 1:
+        g, aniso = build_grid(1, [17], [1.0]), ISO
+        bump = 30.0 * np.sin(np.pi * g.nodes[:, 0])
+    else:
+        g = build_grid(2, [9, 9], [1.0, 1.0])
+        aniso = MatrixFamilyAnisotropy(
+            [np.diag([1.0, 0.04]), np.diag([0.04, 1.0])], delta=1e-2)
+        bump = 60.0 * np.prod(np.sin(np.pi * g.nodes), axis=1)
+    u = np.zeros((4, g.n_nodes))
+    u[1:] = bump
+    part = TimePartition.uniform(0.8, 4)
+    traj = solve_trajectory(g, aniso, DW, np.ones(g.n_nodes), u, part)
+    assert any(d.linesearch_trials > d.iterations
+               for d in traj.diagnostics[1:])
+    y = traj.states[0]
+    for j, tau in enumerate(part.tau_steps):
+        y = step(g, aniso, DW, y, u[j], tau)
+        assert np.array_equal(traj.states[j + 1], y)
 
 
 def test_recorded_energy_is_the_energy_of_each_state():
