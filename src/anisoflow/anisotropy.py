@@ -14,7 +14,7 @@ stepper and the adjoint need.
 Evaluation is vectorized over leading axes: ``p`` may be a single vector
 (d,) or a batch (..., d), e.g. one gradient per element.  Each density has
 one entry point, ``derivatives(p, order)``, which returns A, A' and A''
-up to ``order`` from one pass; ``value``, ``grad`` and ``hess`` call it.
+up to ``order`` from one pass.
 """
 
 from typing import NamedTuple
@@ -26,25 +26,12 @@ class HessianUnavailable(RuntimeError):
     """Second derivative requested where the density is not C2."""
 
 
-class _Density:
-    """``value``, ``grad`` and ``hess`` as one-order calls of ``derivatives``."""
-
-    def value(self, p):
-        return self.derivatives(p, 0)[0]
-
-    def grad(self, p):
-        return self.derivatives(p, 1)[1]
-
-    def hess(self, p):
-        return self.derivatives(p, 2)[2]
-
-
 def _check_order(order):
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
 
 
-class IsotropicAnisotropy(_Density):
+class IsotropicAnisotropy:
     """A(p) = |p|^2 / 2; the flux A' is the identity."""
 
     kind = "isotropic"
@@ -67,7 +54,7 @@ class IsotropicAnisotropy(_Density):
         return "IsotropicAnisotropy()"
 
 
-class MatrixFamilyAnisotropy(_Density):
+class MatrixFamilyAnisotropy:
     """Regularized matrix-family density A(p) = (sum_l sqrt(p'G_l p + delta))^2 / 2.
 
     Parameters
@@ -218,12 +205,13 @@ def estimate_constants(aniso, sample_count=200, dim=None, seed=0):
     dp = p - q
     dist2 = np.sum(dp * dp, axis=1)
     keep = dist2 > 0.0
-    dgrad = aniso.grad(p[keep]) - aniso.grad(q[keep])
+    dgrad = (aniso.derivatives(p[keep], 1)[1]
+             - aniso.derivatives(q[keep], 1)[1])
     monotonicity = float(np.min(np.sum(dgrad * dp[keep], axis=1) / dist2[keep]))
 
     pts = np.vstack([p, q])
     nrm = np.linalg.norm(pts, axis=1)
     nz = nrm > 0.0
     growth = float(np.max(
-        np.linalg.norm(aniso.grad(pts[nz]), axis=1) / nrm[nz]))
+        np.linalg.norm(aniso.derivatives(pts[nz], 1)[1], axis=1) / nrm[nz]))
     return AnisotropyConstants(monotonicity, growth)

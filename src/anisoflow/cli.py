@@ -15,6 +15,7 @@ diagnostics of the steps before it written to ``diagnostics.csv``).
 
 import argparse
 import configparser
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -42,6 +43,17 @@ _STUDY_KINDS = {"study-tau": "tau_convergence",
                 "study-lipschitz": "lipschitz",
                 "study-control": "control_convergence"}
 
+# the settings dataclass each section builds, and the INI key of each field
+# named differently in the config
+_SETTINGS = {"solver": StepConfig, "optimize": OptimizeOptions}
+_INI_KEYS = {"linear_rtol": "linear_tol", "use_lbfgs": "lbfgs"}
+
+
+def _section_fields(cls):
+    """{INI key: dataclass field} of one settings section."""
+    return {_INI_KEYS.get(f.name, f.name): f for f in dataclasses.fields(cls)}
+
+
 # accepted sections and keys (lowercase; configparser lowercases on read)
 _SCHEMA = {
     "grid": {"dim", "nodes", "lengths"},
@@ -50,13 +62,11 @@ _SCHEMA = {
     "potential": {"kind", "penalty", "cutoff"},
     "control": {"lambda", "target", "target_file", "target_dir",
                 "y0", "y0_file", "forcing", "forcing_dir"},
-    "solver": {"newton_tol", "max_newton_iters", "armijo_slope",
-               "armijo_backtrack", "armijo_min_step", "linear_tol",
-               "enforce_uniqueness", "max_descent_iters"},
-    "optimize": {"max_iters", "grad_tol", "lbfgs", "lbfgs_memory"},
     "study": {"levels", "rate_min", "rate_max", "ratio_window",
               "growth_tol", "ratio_growth", "pairs", "perturbation_scale"},
     "output": {"directory", "seed"},
+    **{section: set(_section_fields(cls))
+       for section, cls in _SETTINGS.items()},
 }
 
 
@@ -64,6 +74,15 @@ class ConfigError(Exception):
     def __init__(self, key, message):
         super().__init__(f"config error at '{key}': {message}")
         self.key = key
+
+
+@contextlib.contextmanager
+def _blame(key, errors=ValueError):
+    """Re-raise a builder's ``errors`` as a ConfigError naming ``key``."""
+    try:
+        yield
+    except errors as exc:
+        raise ConfigError(key, str(exc))
 
 
 # -- built-in initial data ----------------------------------------------------
@@ -173,26 +192,22 @@ def _get(cfg, section, key, kind=str, default=None, required=False):
                           f"not {_KIND_NAMES[kind]}: '{raw}'")
 
 
-# INI keys named differently from the dataclass field they set
-_FIELD_NAMES = {"linear_tol": "linear_rtol", "lbfgs": "use_lbfgs"}
-
-
-def _from_section(cfg, section, cls):
-    """Build a settings dataclass from the keys given in one section.
+def _from_section(cfg, section):
+    """Build the settings dataclass of one section from the keys it gives.
 
     Field types come from the dataclass and its ``__post_init__``
     validates the values; unset fields keep the dataclass defaults.
     """
-    kinds = {f.name: f.type for f in dataclasses.fields(cls)}
-    keys = {_FIELD_NAMES.get(key, key): key for key in cfg.get(section, {})}
-    kwargs = {name: _get(cfg, section, key, kinds[name])
-              for name, key in keys.items()}
+    cls = _SETTINGS[section]
+    fields = _section_fields(cls)
+    kwargs = {fields[key].name: _get(cfg, section, key, fields[key].type)
+              for key in cfg.get(section, {})}
     try:
         return cls(**kwargs)
     except ValueError as exc:
         # validation messages start with the offending field's name
         name = str(exc).split()[0]
-        raise ConfigError(f"{section}.{keys.get(name, name)}", str(exc))
+        raise ConfigError(f"{section}.{_INI_KEYS.get(name, name)}", str(exc))
 
 
 def _floats(raw):
@@ -201,26 +216,21 @@ def _floats(raw):
 
 def _build_grid(cfg):
     dim = _get(cfg, "grid", "dim", int, required=True)
-    try:
+    with _blame("grid"):
         nodes = [int(x) for x in _get(cfg, "grid", "nodes", required=True)
                  .replace(",", " ").split()]
         lengths = _floats(_get(cfg, "grid", "lengths", required=True))
         return build_grid(dim, nodes, lengths)
-    except ValueError as exc:
-        raise ConfigError("grid", str(exc))
 
 
 def _build_partition(cfg):
     raw_breaks = _get(cfg, "time", "breakpoints")
-    try:
+    with _blame("time" if raw_breaks is None else "time.breakpoints"):
         if raw_breaks is not None:
             return TimePartition(_floats(raw_breaks))
         return TimePartition.uniform(
             _get(cfg, "time", "T", float, required=True),
             _get(cfg, "time", "N", int, required=True))
-    except ValueError as exc:
-        raise ConfigError("time" if raw_breaks is None else "time.breakpoints",
-                          str(exc))
 
 
 def _build_anisotropy(cfg, dim):
@@ -238,10 +248,8 @@ def _build_anisotropy(cfg, dim):
                                   f"each matrix needs {dim * dim} row-major "
                                   f"entries, got {len(vals)}")
             mats.append(np.array(vals).reshape(dim, dim))
-        try:
+        with _blame("anisotropy"):
             return MatrixFamilyAnisotropy(mats, delta)
-        except ValueError as exc:
-            raise ConfigError("anisotropy", str(exc))
     raise ConfigError("anisotropy.kind", f"unknown kind '{kind}'")
 
 
@@ -251,16 +259,12 @@ def _build_potential(cfg):
         return DoubleWell()
     if kind == "moreau_yosida":
         penalty = _get(cfg, "potential", "penalty", float, required=True)
-        try:
+        with _blame("potential.penalty"):
             return MoreauYosida(penalty)
-        except ValueError as exc:
-            raise ConfigError("potential.penalty", str(exc))
     if kind == "truncated":
         cutoff = _get(cfg, "potential", "cutoff", float, required=True)
-        try:
+        with _blame("potential.cutoff"):
             return TruncatedPotential(DoubleWell(), cutoff)
-        except ValueError as exc:
-            raise ConfigError("potential.cutoff", str(exc))
     if kind == "zero":
         return ZeroPotential()
     raise ConfigError("potential.kind", f"unknown kind '{kind}'")
@@ -270,17 +274,13 @@ def _load_file(key, path, grid):
     """The field in the file a config key names, checked against ``grid``."""
     if not os.path.exists(path):
         raise ConfigError(key, f"referenced file '{path}' does not exist")
-    try:
+    with _blame(key, (OSError, ValueError)):
         return load_field(path, grid)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(key, str(exc))
 
 
 def _initializer(key, spec, grid):
-    try:
+    with _blame(key):
         return grid.check_field(builtin_initializer(spec, grid))
-    except ValueError as exc:
-        raise ConfigError(key, str(exc))
 
 
 def _load_y0(cfg, grid):
@@ -326,11 +326,9 @@ def _control_problem(cfg, grid, partition, y0, aniso, pot):
     else:
         raise ConfigError("control.target", f"unknown target kind '{kind}'")
     lam = _get(cfg, "control", "lambda", float, required=True)
-    try:
+    # the fields are checked above, so only lambda is left to reject
+    with _blame("control.lambda"):
         return ControlProblem(grid, partition, y0, target, lam, aniso, pot)
-    except ValueError as exc:
-        # the fields are checked above, so only lambda is left to reject
-        raise ConfigError("control.lambda", str(exc))
 
 
 def _config_hash(cfg):
@@ -401,8 +399,8 @@ def run(command, config_path, overrides=(), out_dir=None, seed=None):
         partition = _build_partition(cfg)
         aniso = _build_anisotropy(cfg, grid.dim)
         pot = _build_potential(cfg)
-        step_config = _from_section(cfg, "solver", StepConfig)
-        opts = _from_section(cfg, "optimize", OptimizeOptions)
+        step_config = _from_section(cfg, "solver")
+        opts = _from_section(cfg, "optimize")
         c_psi = pot.semiconvexity()
         bounds, regimes = step_regimes(c_psi, partition.tau_max)
         if step_config.enforce_uniqueness and not regimes["uniqueness"]:

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import conjugate_gradient
-from .stepper import (NonConvergence, StepConfig, _check_armijo,
-                      _newton_matrix, solve_trajectory)
+from .stepper import (NonConvergence, StepConfig, newton_matrix,
+                      solve_trajectory)
 
 
 class AdjointUnavailable(RuntimeError):
@@ -133,7 +133,7 @@ def adjoint_solve(problem, trajectory, linear_rtol=1e-12):
     for j in range(n_steps, 0, -1):
         tau = taus[j - 1]
         y_j = trajectory.states[j]
-        mat = _newton_matrix(grid, problem.aniso, problem.pot, y_j, tau)
+        mat = newton_matrix(grid, problem.aniso, problem.pot, y_j, tau)
         if final_time:
             source = w * (y_j - problem.target.values) if j == n_steps else 0.0
         else:
@@ -191,13 +191,18 @@ def fd_gradient(problem, control, eps=1e-6, guard=10_000):
     return out
 
 
+_ARMIJO_SLOPE = 1e-4
+_BACKTRACK = 0.5
+_MIN_STEP = 1e-14
+
+
 @dataclass
 class OptimizeOptions:
+    """Optimizer settings.  The Armijo line search is fixed: slope
+    ``_ARMIJO_SLOPE`` = 1e-4, backtrack factor ``_BACKTRACK`` = 0.5, and it
+    stalls below step ``_MIN_STEP`` = 1e-14."""
     max_iters: int = 100
     grad_tol: float = 1e-8
-    armijo_slope: float = 1e-4
-    armijo_backtrack: float = 0.5
-    armijo_min_step: float = 1e-14
     use_lbfgs: bool = False
     lbfgs_memory: int = 10
 
@@ -208,9 +213,6 @@ class OptimizeOptions:
             raise ValueError("grad_tol must be >= 0")
         if self.lbfgs_memory < 1:
             raise ValueError("lbfgs_memory must be >= 1")
-        if not self.armijo_min_step > 0:
-            raise ValueError("armijo_min_step must be positive")
-        _check_armijo(self)
 
 
 @dataclass
@@ -295,20 +297,20 @@ def optimize(problem, u_init, options=None, config=None):
         alpha = alpha0
         evals = 0
         accepted = False
-        while alpha >= opts.armijo_min_step:
+        while alpha >= _MIN_STEP:
             u_trial = u + alpha * direction
             evals += 1
             try:
                 traj_trial = solve_state(problem, u_trial, config)
             except NonConvergence:
                 report.failed_trials += 1
-                alpha *= opts.armijo_backtrack
+                alpha *= _BACKTRACK
                 continue
             j_trial = cost(problem, traj_trial, u_trial)
-            if j_trial <= j_val + opts.armijo_slope * alpha * slope:
+            if j_trial <= j_val + _ARMIJO_SLOPE * alpha * slope:
                 accepted = True
                 break
-            alpha *= opts.armijo_backtrack
+            alpha *= _BACKTRACK
         if not accepted:
             report.linesearch_evals.append(evals)
             report.message = "line search stalled; returning best iterate"

@@ -145,16 +145,12 @@ class StepConfig:
         for name in ("max_newton_iters", "max_descent_iters"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        _check_armijo(self)
-
-
-def _check_armijo(settings):
-    """Reject Armijo constants outside (0, 1).  With a slope c1 >= 1 no
-    step of a convex objective passes, and a contraction factor >= 1 never
-    shrinks the trial step, so the line search would not end."""
-    for name in ("armijo_slope", "armijo_backtrack"):
-        if not 0 < getattr(settings, name) < 1:
-            raise ValueError(f"{name} must lie in (0, 1)")
+        # with a slope c1 >= 1 no step of a convex objective passes, and a
+        # contraction factor >= 1 never shrinks the trial step, so the line
+        # search would not end
+        for name in ("armijo_slope", "armijo_backtrack"):
+            if not 0 < getattr(self, name) < 1:
+                raise ValueError(f"{name} must lie in (0, 1)")
 
 
 @dataclass
@@ -227,7 +223,7 @@ def step_objective(grid, aniso, pot, y, y_prev, u, tau):
                      _state_terms(grid, aniso, pot, y))[0]
 
 
-def _newton_matrix(grid, aniso, pot, y, tau):
+def newton_matrix(grid, aniso, pot, y, tau):
     """Sparse W/tau + K_{A''(grad y)} + diag(W psi''(y)); SPD for tau < 1/c.
 
     The isotropic A'' is the identity, so that matrix needs no pass over
@@ -296,7 +292,7 @@ def _solve_step(grid, aniso, pot, y_prev, u, tau, config, y_start, c_psi,
         grad_phi = res / tau
         use_newton = newton_ok
         if use_newton:
-            h_mat = _newton_matrix(grid, aniso, pot, y, tau)
+            h_mat = newton_matrix(grid, aniso, pot, y, tau)
             try:
                 direction = conjugate_gradient(
                     h_mat, -grad_phi, rtol=max(config.linear_rtol, forcing),

@@ -22,12 +22,12 @@ arrays in, the same report comes out bit for bit.
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .control import (ControlProblem, DistributedTarget, OptimizeOptions,
-                      control_norm, cost, optimize)
+from .control import (DistributedTarget, OptimizeOptions, control_norm, cost,
+                      optimize)
 from .grid import dual_norm, norms
 from .stepper import (TimePartition, solve_trajectory, step_regimes,
                       trajectory_bounds)
@@ -282,9 +282,7 @@ def control_convergence_study(problem, levels, options=None, config=None):
         target = problem.target
         if isinstance(target, DistributedTarget):
             target = DistributedTarget(inject_time(target.values, 2**k))
-        level_problem = ControlProblem(problem.grid, part, problem.y0,
-                                       target, problem.lam, problem.aniso,
-                                       problem.pot)
+        level_problem = replace(problem, partition=part, target=target)
         u_star, traj, opt_report = optimize(
             level_problem, level_problem.zero_control(), options, config)
         if not opt_report.converged:

@@ -264,15 +264,17 @@ def test_c11_derivative_consistency():
             p = rng.uniform(-2.0, 2.0, fam.dim)
             h = 1e-6 * (1.0 + np.linalg.norm(p))
             fd_g = np.array([
-                (fam.value(p + h * e) - fam.value(p - h * e)) / (2 * h)
+                (fam.derivatives(p + h * e, 0)[0]
+                 - fam.derivatives(p - h * e, 0)[0]) / (2 * h)
                 for e in np.eye(fam.dim)])
-            exact = fam.grad(p)
+            exact = fam.derivatives(p, 1)[1]
             worst_g = max(worst_g, np.linalg.norm(fd_g - exact)
                           / max(np.linalg.norm(exact), 1e-10))
             fd_h = np.column_stack([
-                (fam.grad(p + h * e) - fam.grad(p - h * e)) / (2 * h)
+                (fam.derivatives(p + h * e, 1)[1]
+                 - fam.derivatives(p - h * e, 1)[1]) / (2 * h)
                 for e in np.eye(fam.dim)])
-            hess = fam.hess(p)
+            hess = fam.derivatives(p, 2)[2]
             worst_h = max(worst_h, np.max(np.abs(fd_h - hess))
                           / max(np.max(np.abs(hess)), 1e-10))
     assert worst_g <= 1e-5, worst_g

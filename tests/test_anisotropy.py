@@ -19,7 +19,8 @@ def fd_grad(aniso, p, h):
     for i in range(p.size):
         e = np.zeros_like(p)
         e[i] = h
-        out[i] = (aniso.value(p + e) - aniso.value(p - e)) / (2.0 * h)
+        out[i] = (aniso.derivatives(p + e, 0)[0]
+                  - aniso.derivatives(p - e, 0)[0]) / (2.0 * h)
     return out
 
 
@@ -28,7 +29,8 @@ def fd_hess(aniso, p, h):
     for i in range(p.size):
         e = np.zeros_like(p)
         e[i] = h
-        out[:, i] = (aniso.grad(p + e) - aniso.grad(p - e)) / (2.0 * h)
+        out[:, i] = (aniso.derivatives(p + e, 1)[1]
+                     - aniso.derivatives(p - e, 1)[1]) / (2.0 * h)
     return out
 
 
@@ -37,45 +39,47 @@ def fd_hess(aniso, p, h):
 def test_isotropic_values():
     iso = IsotropicAnisotropy()
     p = np.array([3.0, 4.0])
-    assert iso.value(p) == 12.5
-    assert np.array_equal(iso.grad(p), p)
-    assert np.array_equal(iso.hess(p), np.eye(2))
+    assert iso.derivatives(p, 0)[0] == 12.5
+    assert np.array_equal(iso.derivatives(p, 1)[1], p)
+    assert np.array_equal(iso.derivatives(p, 2)[2], np.eye(2))
 
 
 def test_single_identity_matrix_reduces_to_isotropic():
     fam = MatrixFamilyAnisotropy([np.eye(2)], delta=0.0)
     p = np.array([3.0, 4.0])
-    assert abs(fam.value(p) - 12.5) <= 1e-12
-    assert np.allclose(fam.grad(p), p, atol=1e-12)
+    assert abs(fam.derivatives(p, 0)[0] - 12.5) <= 1e-12
+    assert np.allclose(fam.derivatives(p, 1)[1], p, atol=1e-12)
 
 
 def test_two_identity_matrices():
     fam = MatrixFamilyAnisotropy([np.eye(2), np.eye(2)], delta=0.0)
     # gamma(p) = 2|p|, so the density quadruples the isotropic one
-    assert abs(fam.value(np.array([1.0, 0.0])) - 2.0) <= 1e-12
+    assert abs(fam.derivatives(np.array([1.0, 0.0]), 0)[0] - 2.0) <= 1e-12
 
 
 def test_value_at_origin_and_grad_at_origin():
     delta = 1e-3
     fam = MatrixFamilyAnisotropy([np.eye(2), 2.0 * np.eye(2)], delta=delta)
     zero = np.zeros(2)
-    assert abs(fam.value(zero) - 0.5 * 4 * delta) <= 1e-15
-    assert np.allclose(fam.grad(zero), 0.0, atol=1e-15)
+    assert abs(fam.derivatives(zero, 0)[0] - 0.5 * 4 * delta) <= 1e-15
+    assert np.allclose(fam.derivatives(zero, 1)[1], 0.0, atol=1e-15)
     # the unregularized family defines the flux as zero at the kink
     raw = MatrixFamilyAnisotropy([np.eye(2)], delta=0.0)
-    assert np.array_equal(raw.grad(zero), zero)
+    assert np.array_equal(raw.derivatives(zero, 1)[1], zero)
 
 
 def test_batched_evaluation_matches_pointwise():
     rng = np.random.default_rng(0)
     pts = rng.standard_normal((40, 2))
-    vals = ANISO_2D.value(pts)
-    grads = ANISO_2D.grad(pts)
-    hesses = ANISO_2D.hess(pts)
+    vals = ANISO_2D.derivatives(pts, 0)[0]
+    grads = ANISO_2D.derivatives(pts, 1)[1]
+    hesses = ANISO_2D.derivatives(pts, 2)[2]
     for k in range(40):
-        assert abs(vals[k] - ANISO_2D.value(pts[k])) <= 1e-14
-        assert np.allclose(grads[k], ANISO_2D.grad(pts[k]), atol=1e-14)
-        assert np.allclose(hesses[k], ANISO_2D.hess(pts[k]), atol=1e-14)
+        assert abs(vals[k] - ANISO_2D.derivatives(pts[k], 0)[0]) <= 1e-14
+        assert np.allclose(grads[k], ANISO_2D.derivatives(pts[k], 1)[1],
+                           atol=1e-14)
+        assert np.allclose(hesses[k], ANISO_2D.derivatives(pts[k], 2)[2],
+                           atol=1e-14)
 
 
 class EinsumReference:
@@ -114,8 +118,8 @@ class EinsumReference:
 def test_kernel_matches_einsum_form(aniso, batch):
     reference = EinsumReference(aniso.matrices, aniso.delta)
     p = np.random.default_rng(11).normal(size=batch + (aniso.dim,))
-    for method in ("value", "grad", "hess"):
-        got = getattr(aniso, method)(p)
+    for order, method in enumerate(("value", "grad", "hess")):
+        got = aniso.derivatives(p, order)[order]
         expected = getattr(reference, method)(p)
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
@@ -144,7 +148,7 @@ def test_grad_matches_fd(aniso, dim):
     for _ in range(500):
         p = rng.uniform(-2.0, 2.0, dim)
         h = 1e-6 * (1.0 + np.linalg.norm(p))
-        exact = aniso.grad(p)
+        exact = aniso.derivatives(p, 1)[1]
         approx = fd_grad(aniso, p, h)
         assert np.linalg.norm(approx - exact) <= 1e-6 * max(
             np.linalg.norm(exact), 1e-10)
@@ -155,7 +159,7 @@ def test_hess_matches_fd_and_is_symmetric_psd(aniso, dim):
     rng = np.random.default_rng(2)
     for _ in range(200):
         p = rng.uniform(-2.0, 2.0, dim)
-        exact = aniso.hess(p)
+        exact = aniso.derivatives(p, 2)[2]
         assert np.max(np.abs(exact - exact.T)) <= 1e-12
         approx = fd_hess(aniso, p, 1e-6 * (1.0 + np.linalg.norm(p)))
         assert np.max(np.abs(approx - exact)) <= 1e-5 * max(
@@ -166,7 +170,7 @@ def test_hess_matches_fd_and_is_symmetric_psd(aniso, dim):
 def test_hess_rejected_without_regularization():
     fam = MatrixFamilyAnisotropy([np.eye(2)], delta=0.0)
     with pytest.raises(HessianUnavailable):
-        fam.hess(np.array([1.0, 0.0]))
+        fam.derivatives(np.array([1.0, 0.0]), 2)
     assert not fam.twice_differentiable
     assert ANISO_2D.twice_differentiable
 
@@ -203,7 +207,8 @@ def test_monotonicity_holds_pairwise():
     rng = np.random.default_rng(6)
     for _ in range(200):
         p, q = rng.uniform(-2, 2, (2, 2))
-        gap = (ANISO_2D.grad(p) - ANISO_2D.grad(q)) @ (p - q)
+        gap = (ANISO_2D.derivatives(p, 1)[1]
+               - ANISO_2D.derivatives(q, 1)[1]) @ (p - q)
         assert gap >= -1e-12
     small = estimate_constants(ANISO_2D, 50, seed=7).monotonicity
     large = estimate_constants(ANISO_2D, 2000, seed=7).monotonicity
@@ -217,8 +222,9 @@ def test_two_homogeneity_without_regularization():
     for _ in range(50):
         p = rng.uniform(-2, 2, 2)
         s = rng.uniform(0.1, 10.0)
-        assert abs(fam.value(s * p) - s**2 * fam.value(p)) <= 1e-10 * max(
-            1.0, abs(fam.value(p)) * s**2)
+        value = fam.derivatives(p, 0)[0]
+        assert abs(fam.derivatives(s * p, 0)[0] - s**2 * value) <= 1e-10 * max(
+            1.0, abs(value) * s**2)
 
 
 # -- construction validation ----------------------------------------------------

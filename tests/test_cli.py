@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -8,9 +9,9 @@ from anisoflow import (DoubleWell, IsotropicAnisotropy,
                        StepConfig, TimePartition, TruncatedPotential,
                        ZeroPotential, build_grid, load_field, read_field,
                        solve_trajectory, write_field)
-from anisoflow.cli import (_from_section, builtin_initializer, constant_field,
-                           load_config, main, random_uniform_field, run,
-                           tanh_circle_field)
+from anisoflow.cli import (_SCHEMA, _from_section, _section_fields,
+                           builtin_initializer, constant_field, load_config,
+                           main, random_uniform_field, run, tanh_circle_field)
 
 BASE_CONFIG = """\
 [grid]
@@ -165,16 +166,40 @@ lbfgs = yes
 lbfgs_memory = 4
 """
     loaded = load_config(write_config(tmp_path, cfg))
-    assert _from_section(loaded, "solver", StepConfig) == StepConfig(
+    assert _from_section(loaded, "solver") == StepConfig(
         newton_tol=1e-9, max_newton_iters=7, armijo_slope=0.25,
         armijo_backtrack=0.75, armijo_min_step=1e-6, linear_rtol=1e-8,
         enforce_uniqueness=False, max_descent_iters=11)
-    assert _from_section(loaded, "optimize", OptimizeOptions) == \
+    assert _from_section(loaded, "optimize") == \
         OptimizeOptions(max_iters=3, grad_tol=1e-5, use_lbfgs=True,
                         lbfgs_memory=4)
     # an absent section gives the defaults
     loaded = load_config(write_config(tmp_path, BASE_CONFIG))
-    assert _from_section(loaded, "solver", StepConfig) == StepConfig()
+    assert _from_section(loaded, "solver") == StepConfig()
+
+
+@pytest.mark.parametrize("section,cls", [("solver", StepConfig),
+                                         ("optimize", OptimizeOptions)])
+def test_settings_schema_matches_the_dataclasses(section, cls):
+    # each INI key sets its own field and every field has a key, so no
+    # field of the dataclass is out of reach of the config
+    default = cls()
+    fields = _section_fields(cls)
+    reached = []
+    for key in sorted(_SCHEMA[section]):
+        name = fields[key].name
+        value = getattr(default, name)
+        if isinstance(value, bool):
+            raw = "no" if value else "yes"
+        elif isinstance(value, int):
+            raw = str(value + 1)
+        else:
+            raw = repr(value / 2)
+        built = _from_section({section: {key: raw}}, section)
+        assert [f.name for f in dataclasses.fields(cls)
+                if getattr(built, f.name) != getattr(default, f.name)] == [name]
+        reached.append(name)
+    assert sorted(reached) == sorted(f.name for f in dataclasses.fields(cls))
 
 
 def test_armijo_backtrack_of_one_exits_1(tmp_path, capsys):

@@ -342,9 +342,7 @@ def test_problem_rejects_nan_target_and_lambda(target, lam):
 
 @pytest.mark.parametrize("name,value", [
     ("max_iters", -1), ("grad_tol", -1.0), ("grad_tol", float("nan")),
-    ("lbfgs_memory", 0), ("armijo_min_step", 0.0),
-    ("armijo_slope", 0.0), ("armijo_slope", 1.0),
-    ("armijo_backtrack", 0.0), ("armijo_backtrack", 1.0),
+    ("lbfgs_memory", 0),
 ])
 def test_optimize_options_validation(name, value):
     with pytest.raises(ValueError, match=name):

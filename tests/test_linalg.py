@@ -14,7 +14,7 @@ from anisoflow import (ControlProblem, DoubleWell, FinalTimeTarget, Grid,
                        solve_state, step)
 from anisoflow.linalg import (NonPositiveCurvature, conjugate_gradient,
                               tridiagonal_ldlt)
-from anisoflow.stepper import _newton_matrix
+from anisoflow.stepper import newton_matrix
 
 ISO = IsotropicAnisotropy()
 DW = DoubleWell()
@@ -132,7 +132,7 @@ def relaxation_newton_matrix(n):
     """Newton matrix of the README relaxation at a rough state on n x n."""
     g = build_grid(2, [n, n], [1.0, 1.0])
     y = np.random.default_rng(9).uniform(-0.8, 0.8, g.n_nodes)
-    return g, _newton_matrix(g, ANISO_2D, DW, y, 0.1)
+    return g, newton_matrix(g, ANISO_2D, DW, y, 0.1)
 
 
 def dense_operator(apply, n):
