@@ -48,10 +48,10 @@ try:
 except UniquenessViolation as exc:
     print(f"tau = 1.5 refused: {exc}")
 
-# with the guard off the per-step problem is no longer convex; just above
-# the bound a solution is usually still found, further out the solver may
-# stall on the nonconvex landscape and reports that honestly
-config = StepConfig(enforce_uniqueness=False, max_descent_iters=1500)
+# with the guard off the per-step problem is no longer convex; Newton takes
+# its directions from the convex majorant of the Hessian and still finds a
+# solution, but a different warm start may find a different one
+config = StepConfig(enforce_uniqueness=False)
 for tau in (1.02, 1.5):
     try:
         loose = step(grid, aniso, pot, y_prev, u, tau, config)

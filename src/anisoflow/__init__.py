@@ -3,9 +3,8 @@ Allen-Cahn-type gradient flows, with refinement studies that check the
 scheme's stability, uniform-bound, and convergence behavior numerically.
 """
 
-from .anisotropy import (AnisotropyConstants, HessianUnavailable,
-                         IsotropicAnisotropy, MatrixFamilyAnisotropy,
-                         estimate_constants)
+from .anisotropy import (AnisotropyConstants, IsotropicAnisotropy,
+                         MatrixFamilyAnisotropy, estimate_constants)
 from .control import (AdjointUnavailable, ControlProblem, DistributedTarget,
                       FinalTimeTarget, OptimizeOptions, OptimizeReport,
                       adjoint_solve, control_inner, control_norm, cost,

@@ -6,10 +6,12 @@ A' = id.  The matrix-family density is
     A(p) = gamma(p)^2 / 2,    gamma(p) = sum_l sqrt(p' G_l p + delta),
 
 with symmetric positive definite matrices G_l and regularization
-delta >= 0.  For delta = 0 the density is absolutely 2-homogeneous but A'
-is not differentiable at p = 0 (A'(0) = 0 still holds and is used);
-delta > 0 trades the homogeneity for C2 smoothness, which the Newton
-stepper and the adjoint need.
+delta >= 0.  For delta = 0 the density is absolutely 2-homogeneous and A'
+is not differentiable at p = 0 (A'(0) = 0 still holds and is used).  Its
+A'' is 0-homogeneous, so A''(e_1) at p = 0 lies in Clarke's generalized
+Jacobian of A', which is all a semismooth Newton step needs (Qi & Sun,
+Math. Program. 58, 1993).  delta > 0 trades the homogeneity for C2
+smoothness, which the adjoint needs.
 
 Evaluation is vectorized over leading axes: ``p`` may be a single vector
 (d,) or a batch (..., d), e.g. one gradient per element.  Each density has
@@ -20,10 +22,6 @@ up to ``order`` from one pass.
 from typing import NamedTuple
 
 import numpy as np
-
-
-class HessianUnavailable(RuntimeError):
-    """Second derivative requested where the density is not C2."""
 
 
 def _check_order(order):
@@ -62,7 +60,8 @@ class MatrixFamilyAnisotropy:
     matrices : array-like, (L, d, d)
         Symmetric positive definite matrices.
     delta : float
-        Nonnegative regularization; delta > 0 makes A twice differentiable.
+        Nonnegative regularization; delta > 0 makes A twice differentiable,
+        which the adjoint checks through ``twice_differentiable``.
     """
 
     kind = "matrix_family"
@@ -109,18 +108,23 @@ class MatrixFamilyAnisotropy:
         gamma'' = sum_l (G_l / s_l - (G_l p)(G_l p)' / s_l^3), it returns
         A = gamma^2 / 2, A' = gamma gamma' and
         A'' = gamma' gamma'^T + gamma gamma''.
+
+        With delta = 0, A'' at p = 0 is the generalized Hessian A''(e_1),
+        while A and A' there stay 0.
         """
         _check_order(order)
-        if order == 2 and not self.twice_differentiable:
-            raise HessianUnavailable(
-                "matrix-family density with delta = 0 is not C2 at p = 0; "
-                "regularize with delta > 0 or use the first-order solver path")
         p = np.asarray(p, dtype=float)
         batch, d = p.shape[:-1], self.dim
         if p.shape[-1:] != (d,):
             raise ValueError(f"expected points of dimension {d}, got shape {p.shape}")
         x = np.ascontiguousarray(np.moveaxis(p, -1, 0).reshape(d, -1))
         m = x.shape[1]
+        origin = None
+        if order == 2 and self.delta == 0.0:
+            # A'' is 0-homogeneous: evaluate it at e_1 where p = 0
+            origin = ~np.any(x, axis=0)
+            x = x.copy()
+            x[0, origin] = 1.0
         gamma = np.zeros(m)
         dgamma = np.zeros((d, m)) if order else None
         # gamma'' is symmetric: one vector per entry on or above the diagonal
@@ -145,11 +149,13 @@ class MatrixFamilyAnisotropy:
                 r = 1.0 / s
                 for k, (i, j) in enumerate(upper):
                     d2gamma[k] += r * (G[i, j] - gx[i] * gx[j])
-        value = 0.5 * gamma ** 2
+        # A and A' vanish at p = 0; only A'' is read at e_1 there
+        outer = gamma if origin is None else np.where(origin, 0.0, gamma)
+        value = 0.5 * outer ** 2
         out = (value.reshape(batch) if batch else value[0],)
         if order >= 1:
             flux = np.empty((m, d))
-            np.multiply(dgamma.T, gamma[:, None], out=flux)
+            np.multiply(dgamma.T, outer[:, None], out=flux)
             out += (flux.reshape(batch + (d,)),)
         if order == 2:
             hess = np.empty((m, d, d))

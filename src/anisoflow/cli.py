@@ -216,10 +216,12 @@ def _floats(raw):
 
 def _build_grid(cfg):
     dim = _get(cfg, "grid", "dim", int, required=True)
-    with _blame("grid"):
+    with _blame("grid.nodes"):
         nodes = [int(x) for x in _get(cfg, "grid", "nodes", required=True)
                  .replace(",", " ").split()]
+    with _blame("grid.lengths"):
         lengths = _floats(_get(cfg, "grid", "lengths", required=True))
+    with _blame("grid"):
         return build_grid(dim, nodes, lengths)
 
 
@@ -248,8 +250,13 @@ def _build_anisotropy(cfg, dim):
                                   f"each matrix needs {dim * dim} row-major "
                                   f"entries, got {len(vals)}")
             mats.append(np.array(vals).reshape(dim, dim))
-        with _blame("anisotropy"):
+        try:
             return MatrixFamilyAnisotropy(mats, delta)
+        except ValueError as exc:
+            # the delta check's message starts with its name; every other
+            # check is on the matrices
+            name = "delta" if str(exc).startswith("delta") else "matrices"
+            raise ConfigError(f"anisotropy.{name}", str(exc))
     raise ConfigError("anisotropy.kind", f"unknown kind '{kind}'")
 
 

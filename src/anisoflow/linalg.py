@@ -1,12 +1,9 @@
 """Conjugate gradient solver shared by the Riesz, Newton, and adjoint solves.
 
-A hand-rolled CG is used instead of scipy's because the Newton stepper needs
-to detect non-positive curvature directions (the signal to fall back from the
-Newton system to plain descent when the per-step objective is not convex).
-
-CG stays the single solve entry point; the grid picks its preconditioner
-(``Grid.preconditioner``), and CG still checks the residual and the
-curvature against the matrix itself:
+Every matrix solved here is symmetric positive definite.  CG is the single
+solve entry point; the grid picks its preconditioner
+(``Grid.preconditioner``), and CG still checks the residual against the
+matrix itself:
 
 * on 1D grids every one of these matrices is symmetric tridiagonal, and
   :func:`tridiagonal_ldlt` factorizes it exactly in O(n) plain-Python
@@ -34,10 +31,6 @@ _COARSEST_MAX = 100
 
 class LinearSolveError(RuntimeError):
     """CG failed to reach the requested residual within 10 n iterations."""
-
-
-class NonPositiveCurvature(RuntimeError):
-    """CG found a direction d with d'Ad <= 0: the operator is not SPD."""
 
 
 def tridiagonal_ldlt(mat):
@@ -126,8 +119,7 @@ def _vcycle(levels, coarse_inverse, r, k=0):
     return x
 
 
-def conjugate_gradient(apply_a, b, rtol=1e-12, detect_curvature=False,
-                       precondition=None):
+def conjugate_gradient(apply_a, b, rtol=1e-12, precondition=None):
     """Solve A x = b for symmetric positive definite A.
 
     Parameters
@@ -140,9 +132,6 @@ def conjugate_gradient(apply_a, b, rtol=1e-12, detect_curvature=False,
         Convergence on ``||b - A x|| <= rtol * ||b||`` within ``10 * len(b)``
         iterations (CG terminates in n steps exactly, the slack absorbs
         floating-point drift).
-    detect_curvature : bool
-        Raise NonPositiveCurvature when a search direction has d'Ad <= 0
-        instead of dividing by it.
     precondition : callable, optional
         ``r -> M^{-1} r`` for an SPD approximation M of A (preconditioned
         CG).  With M = A exactly, one operator application solves the
@@ -177,12 +166,8 @@ def conjugate_gradient(apply_a, b, rtol=1e-12, detect_curvature=False,
     for _ in range(max_iters):
         ad = apply_a(d)
         dad = d @ ad
-        if dad <= 0.0:
-            if detect_curvature:
-                raise NonPositiveCurvature(
-                    f"curvature d'Ad = {dad:.3e} along a CG direction")
-            if dad == 0.0:
-                raise LinearSolveError("CG breakdown: d'Ad = 0")
+        if dad == 0.0:
+            raise LinearSolveError("CG breakdown: d'Ad = 0")
         alpha = rz / dad
         x += alpha * d
         r -= alpha * ad

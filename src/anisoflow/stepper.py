@@ -13,12 +13,19 @@ residual is exactly tau times the gradient of the per-step objective
 whose integrand is strongly convex whenever tau < 1 / c with c the
 semiconvexity constant of psi; in that regime the step has a unique
 solution and Newton's method on the residual, globalized by an Armijo line
-search on Phi, converges from any warm start.  The Newton directions are
-solved inexactly: CG stops at a relative residual tied to the decrease of
-the nonlinear residual (an Eisenstat-Walker forcing term, see
-:func:`_solve_step`).  When the gradient-energy density has no second
-derivative (unregularized matrix families), a scaled descent on Phi is
-used instead.
+search on Phi, converges from any warm start.  Every step runs this one
+algorithm, with directions from an SPD matrix:
+
+* for unregularized matrix families A' is only semismooth, and the
+  density's generalized Hessian makes the iteration a semismooth Newton
+  method (Qi & Sun, Math. Program. 58, 1993);
+* for tau >= 1/c (reachable only with ``enforce_uniqueness`` off) the
+  Hessian may be indefinite, and the directions come from its convex
+  majorant, see :func:`newton_matrix`.
+
+The Newton directions are solved inexactly: CG stops at a relative
+residual tied to the decrease of the nonlinear residual (an
+Eisenstat-Walker forcing term, see :func:`_solve_step`).
 
 The scheme inherits the decay of the total energy E(y) = sum_e |e| A + sum
 w psi for zero forcing as long as tau <= 2/c, which the stability monitor
@@ -32,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import assemble_flux_divergence, element_gradients, h1_norm
-from .linalg import NonPositiveCurvature, conjugate_gradient
+from .linalg import conjugate_gradient
 
 
 class UniquenessViolation(ValueError):
@@ -126,38 +133,34 @@ def step_regimes(c, tau):
     return bounds, flags
 
 
+_ARMIJO_SLOPE = 1e-4
+_BACKTRACK = 0.5
+_MIN_STEP = 1e-12
+
+
 @dataclass
 class StepConfig:
-    """Solver knobs for one implicit step."""
+    """Solver knobs for one implicit step.  The Armijo line search on Phi is
+    fixed: slope ``_ARMIJO_SLOPE`` = 1e-4, backtrack factor ``_BACKTRACK`` =
+    0.5, and it stalls below step ``_MIN_STEP`` = 1e-12."""
     newton_tol: float = 1e-10          # residual max-norm target
     max_newton_iters: int = 50
-    armijo_slope: float = 1e-4
-    armijo_backtrack: float = 0.5
-    armijo_min_step: float = 1e-12
     linear_rtol: float = 1e-12         # Newton forcing floor; adjoint CG rtol
     enforce_uniqueness: bool = True    # reject tau >= 1/c
-    max_descent_iters: int = 5000      # cap for the first-order fallback
 
     def __post_init__(self):
-        for name in ("newton_tol", "armijo_min_step", "linear_rtol"):
+        for name in ("newton_tol", "linear_rtol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("max_newton_iters", "max_descent_iters"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        # with a slope c1 >= 1 no step of a convex objective passes, and a
-        # contraction factor >= 1 never shrinks the trial step, so the line
-        # search would not end
-        for name in ("armijo_slope", "armijo_backtrack"):
-            if not 0 < getattr(self, name) < 1:
-                raise ValueError(f"{name} must lie in (0, 1)")
+        if self.max_newton_iters < 1:
+            raise ValueError("max_newton_iters must be >= 1")
 
 
 @dataclass
 class StepDiagnostics:
     iterations: int
     residual_inf: float
-    fallback: bool
+    fallback: bool              # directions came from the convex majorant
     energy: float
     linesearch_trials: int      # trial points the line searches evaluated
 
@@ -223,16 +226,23 @@ def step_objective(grid, aniso, pot, y, y_prev, u, tau):
                      _state_terms(grid, aniso, pot, y))[0]
 
 
-def newton_matrix(grid, aniso, pot, y, tau):
+def newton_matrix(grid, aniso, pot, y, tau, majorant=False):
     """Sparse W/tau + K_{A''(grad y)} + diag(W psi''(y)); SPD for tau < 1/c.
 
+    A'' is the density's (generalized, for delta = 0) Hessian.  With
+    ``majorant`` psi'' is cut at 0 from below, which gives the convex
+    majorant W/tau + K_{A''} + diag(W max(psi'', 0)): SPD for every tau,
+    and the step's matrix above 1/c.  The adjoint uses the exact matrix.
     The isotropic A'' is the identity, so that matrix needs no pass over
     the gradients of y.
     """
     w = grid.weights
     hess = (None if aniso.kind == "isotropic"
             else aniso.derivatives(element_gradients(grid, y), 2)[2])
-    return grid.assemble_weighted_stiffness(hess, w / tau + w * pot.second(y))
+    second = pot.second(y)
+    if majorant:
+        second = np.maximum(second, 0.0)
+    return grid.assemble_weighted_stiffness(hess, w / tau + w * second)
 
 
 # loosest relative residual a Newton solve asks CG for
@@ -241,8 +251,8 @@ _FORCING_CAP = 1e-6
 
 def _solve_step(grid, aniso, pot, y_prev, u, tau, config, y_start, c_psi,
                 start_terms=None):
-    """Newton (or descent) iterations on Phi from ``y_start`` until the
-    residual max norm is at most ``config.newton_tol``.
+    """Newton iterations on Phi from ``y_start`` until the residual max
+    norm is at most ``config.newton_tol``.
 
     Returns the solution, its :class:`StepDiagnostics` and its
     :func:`_state_terms`, which the next step may pass back as
@@ -256,7 +266,8 @@ def _solve_step(grid, aniso, pot, y_prev, u, tau, config, y_start, c_psi,
     eta_k = min(_FORCING_CAP, 0.9 (|res_k| / |res_{k-1}|)^2) in the 2-norm of
     the step residual.  Early iterates far from the solution get cheap
     directions; once Newton converges fast, the ratio, and with it the
-    tolerance, drops to ``linear_rtol``.
+    tolerance, drops to ``linear_rtol``.  Above the uniqueness bound the
+    directions come from the convex majorant of :func:`newton_matrix`.
     """
     w = grid.weights
     _, regimes = step_regimes(c_psi, tau)
@@ -273,37 +284,16 @@ def _solve_step(grid, aniso, pot, y_prev, u, tau, config, y_start, c_psi,
     if res_inf <= config.newton_tol:
         return y, StepDiagnostics(0, res_inf, False, e, trials), terms
 
-    newton_ok = aniso.twice_differentiable
-    fallback_used = not newton_ok
-
+    majorant = not regimes["uniqueness"]
     best_y, best_res = y.copy(), res_inf
-    alpha_descent = tau  # adaptive initial step for the descent path
     res_sq, forcing = float(res @ res), _FORCING_CAP
 
-    it = 0
-    while True:
-        # descent iterations are cheap and slow; they get the larger budget
-        # as soon as the first-order path is in play
-        budget = (config.max_descent_iters if fallback_used
-                  else config.max_newton_iters)
-        if it >= budget:
-            break
-        it += 1
+    for it in range(1, config.max_newton_iters + 1):
         grad_phi = res / tau
-        use_newton = newton_ok
-        if use_newton:
-            h_mat = newton_matrix(grid, aniso, pot, y, tau)
-            try:
-                direction = conjugate_gradient(
-                    h_mat, -grad_phi, rtol=max(config.linear_rtol, forcing),
-                    detect_curvature=not config.enforce_uniqueness,
-                    precondition=grid.preconditioner(h_mat))
-            except NonPositiveCurvature:
-                use_newton = False
-                fallback_used = True
-        if not use_newton:
-            direction = -grad_phi / w
-
+        h_mat = newton_matrix(grid, aniso, pot, y, tau, majorant)
+        direction = conjugate_gradient(
+            h_mat, -grad_phi, rtol=max(config.linear_rtol, forcing),
+            precondition=grid.preconditioner(h_mat))
         slope = float(grad_phi @ direction)
         if slope >= 0.0:  # cannot happen for exact solves; guard roundoff
             direction = -grad_phi / w
@@ -312,20 +302,20 @@ def _solve_step(grid, aniso, pot, y_prev, u, tau, config, y_start, c_psi,
         # near the minimizer the objective decrease drops below evaluation
         # noise; there the line search accepts on residual decrease instead
         noise = 1e-13 * (1.0 + abs(phi))
-        alpha = 1.0 if use_newton else alpha_descent
-        while alpha >= config.armijo_min_step:
+        alpha = 1.0
+        while alpha >= _MIN_STEP:
             y_trial = y + alpha * direction
-            predicted = config.armijo_slope * alpha * slope
+            predicted = _ARMIJO_SLOPE * alpha * slope
             trial_terms = _state_terms(grid, aniso, pot, y_trial)
             trial = _evaluate(grid, y_trial, y_prev, u, tau, trial_terms)
             trials += 1
             if (trial[0] <= phi + predicted
                     or (abs(predicted) <= noise and trial[2] < res_inf)):
                 break
-            alpha *= config.armijo_backtrack
+            alpha *= _BACKTRACK
         else:
             raise NonConvergence(
-                f"line search stalled below {config.armijo_min_step:g} "
+                f"line search stalled below {_MIN_STEP:g} "
                 f"(residual {best_res:.3e} after {it} iterations)",
                 best_y, best_res, it)
 
@@ -335,16 +325,13 @@ def _solve_step(grid, aniso, pot, y_prev, u, tau, config, y_start, c_psi,
         forcing = min(_FORCING_CAP, 0.9 * res_sq / prev_sq)
         if res_inf < best_res:
             best_y, best_res = y.copy(), res_inf
-        if not use_newton:
-            alpha_descent = min(alpha * 2.0, 1e6)
         if res_inf <= config.newton_tol:
-            return (y, StepDiagnostics(it, res_inf, fallback_used, e, trials),
-                    terms)
+            return y, StepDiagnostics(it, res_inf, majorant, e, trials), terms
 
     raise NonConvergence(
-        f"no convergence in {budget} iterations "
+        f"no convergence in {config.max_newton_iters} iterations "
         f"(best residual {best_res:.3e}, tolerance {config.newton_tol:g})",
-        best_y, best_res, budget)
+        best_y, best_res, config.max_newton_iters)
 
 
 def step(grid, aniso, pot, y_prev, u, tau, config=None, initial_guess=None):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from anisoflow import (HessianUnavailable, IsotropicAnisotropy,
-                       MatrixFamilyAnisotropy, estimate_constants)
+from anisoflow import (IsotropicAnisotropy, MatrixFamilyAnisotropy,
+                       estimate_constants)
 
 # the regularized two-matrix family used throughout: strongly directional
 ANISO_2D = MatrixFamilyAnisotropy(
@@ -167,10 +167,28 @@ def test_hess_matches_fd_and_is_symmetric_psd(aniso, dim):
         assert np.linalg.eigvalsh(exact)[0] >= -1e-10
 
 
-def test_hess_rejected_without_regularization():
-    fam = MatrixFamilyAnisotropy([np.eye(2)], delta=0.0)
-    with pytest.raises(HessianUnavailable):
-        fam.derivatives(np.array([1.0, 0.0]), 2)
+def test_generalized_hessian_at_origin_without_regularization():
+    # A'' is 0-homogeneous for delta = 0, so A''(e_1) at p = 0 lies in the
+    # generalized Jacobian of A'; A(0) = A'(0) = 0 must survive
+    fam = MatrixFamilyAnisotropy(
+        [np.diag([1.0, 0.04]), np.diag([0.04, 1.0])], delta=0.0)
+    origin = np.zeros(2)
+    value, flux, hess = fam.derivatives(origin, 2)
+    assert value == 0.0 and np.array_equal(flux, np.zeros(2))
+    assert np.array_equal(hess, fam.derivatives(np.array([1.0, 0.0]), 2)[2])
+    assert np.array_equal(hess, hess.T)
+    assert np.linalg.eigvalsh(hess)[0] >= 0.0
+    assert origin.tolist() == [0.0, 0.0]  # the input is not modified
+    # in a batch, only the points at the origin take the e_1 Hessian
+    batch = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, -2.0]])
+    values, fluxes, hessians = fam.derivatives(batch, 2)
+    assert values[0] == 0.0 and np.array_equal(fluxes[0], np.zeros(2))
+    assert np.array_equal(hessians[0], hessians[1])
+    for k in (1, 2):
+        single = fam.derivatives(batch[k], 2)
+        for got, want in zip((values[k], fluxes[k], hessians[k]), single):
+            assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+    # the adjoint still needs a C2 density
     assert not fam.twice_differentiable
     assert ANISO_2D.twice_differentiable
 

@@ -126,9 +126,8 @@ def test_missing_file_reference_exits_1(tmp_path, capsys):
 
 
 SETTINGS_KEYS = [
-    "solver.newton_tol", "solver.max_newton_iters", "solver.armijo_slope",
-    "solver.armijo_backtrack", "solver.armijo_min_step", "solver.linear_tol",
-    "solver.enforce_uniqueness", "solver.max_descent_iters",
+    "solver.newton_tol", "solver.max_newton_iters", "solver.linear_tol",
+    "solver.enforce_uniqueness",
     "optimize.max_iters", "optimize.grad_tol", "optimize.lbfgs",
     "optimize.lbfgs_memory",
 ]
@@ -152,12 +151,8 @@ def test_settings_sections_build_the_dataclasses(tmp_path):
 [solver]
 newton_tol = 1e-9
 max_newton_iters = 7
-armijo_slope = 0.25
-armijo_backtrack = 0.75
-armijo_min_step = 1e-6
 linear_tol = 1e-8
 enforce_uniqueness = off
-max_descent_iters = 11
 
 [optimize]
 max_iters = 3
@@ -167,9 +162,8 @@ lbfgs_memory = 4
 """
     loaded = load_config(write_config(tmp_path, cfg))
     assert _from_section(loaded, "solver") == StepConfig(
-        newton_tol=1e-9, max_newton_iters=7, armijo_slope=0.25,
-        armijo_backtrack=0.75, armijo_min_step=1e-6, linear_rtol=1e-8,
-        enforce_uniqueness=False, max_descent_iters=11)
+        newton_tol=1e-9, max_newton_iters=7, linear_rtol=1e-8,
+        enforce_uniqueness=False)
     assert _from_section(loaded, "optimize") == \
         OptimizeOptions(max_iters=3, grad_tol=1e-5, use_lbfgs=True,
                         lbfgs_memory=4)
@@ -202,22 +196,11 @@ def test_settings_schema_matches_the_dataclasses(section, cls):
     assert sorted(reached) == sorted(f.name for f in dataclasses.fields(cls))
 
 
-def test_armijo_backtrack_of_one_exits_1(tmp_path, capsys):
-    # a contraction factor of 1 would make the line search loop forever;
-    # the stationary base run never searches, so it cannot hang here
-    path = write_config(tmp_path)
-    code = run("simulate", path, overrides=["solver.armijo_backtrack=1"],
-               out_dir=str(tmp_path / "out"))
-    assert code == 1
-    assert "solver.armijo_backtrack" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("override", ["optimize.max_iters=-1",
                                       "optimize.grad_tol=-1",
                                       "optimize.lbfgs_memory=0",
                                       "solver.max_newton_iters=0",
-                                      "solver.max_newton_iters=-2",
-                                      "solver.max_descent_iters=0"])
+                                      "solver.max_newton_iters=-2"])
 def test_optimize_settings_out_of_range_exit_1(tmp_path, capsys, override):
     g = build_grid(1, [33], [1.0])
     write_field(tmp_path / "target.field", g, np.zeros(g.n_nodes))
@@ -401,9 +384,9 @@ REJECTED_INPUTS = [
     # NaN fails every comparison, so range checks must be written to reject it
     ("simulate", ["grid.lengths=nan"], "grid"),
     ("simulate", ["anisotropy.kind=matrix_family", "anisotropy.matrices=1",
-                  "anisotropy.delta=nan"], "anisotropy"),
+                  "anisotropy.delta=nan"], "anisotropy.delta"),
     ("simulate", ["anisotropy.kind=matrix_family", "anisotropy.matrices=nan"],
-     "anisotropy"),
+     "anisotropy.matrices"),
     ("simulate", ["potential.kind=moreau_yosida", "potential.penalty=nan"],
      "potential.penalty"),
     ("simulate", ["potential.kind=truncated", "potential.cutoff=nan"],
@@ -414,6 +397,10 @@ REJECTED_INPUTS = [
     ("study-bounds", ["study.growth_tol=nan"], "study.growth_tol"),
     ("study-bounds", ["study.growth_tol=-5"], "study.growth_tol"),
     ("study-tau", ["study.rate_max=nan"], "study.rate_max"),
+    ("simulate", ["grid.nodes=abc"], "grid.nodes"),
+    ("simulate", ["grid.lengths=abc"], "grid.lengths"),
+    ("simulate", ["anisotropy.kind=matrix_family", "anisotropy.matrices=1",
+                  "anisotropy.delta=-1"], "anisotropy.delta"),
 ]
 
 
@@ -647,3 +634,15 @@ def test_simulate_builds_each_model_kind(tmp_path, kind):
                             None, TimePartition.uniform(1.0, 10))
     assert np.array_equal(load_field(out / "state_0010.field", g),
                           traj.states[-1])
+
+
+def test_simulate_unregularized_single_matrix_family(tmp_path, capsys):
+    # matrices = 1 with delta = 0 is A(p) = p^2 / 2 written as a family that
+    # is not C2 at 0; each step must still reach newton_tol
+    out = tmp_path / "out"
+    overrides = ["control.y0=random_uniform(-1, 1, 5)",
+                 "anisotropy.kind=matrix_family", "anisotropy.matrices=1"]
+    assert run("simulate", write_config(tmp_path), overrides,
+               out_dir=str(out)) == 0, capsys.readouterr().err
+    rows = (out / "diagnostics.csv").read_text().strip().splitlines()
+    assert len(rows) == 12  # header + 11 states

@@ -12,8 +12,7 @@ from anisoflow import (ControlProblem, DoubleWell, FinalTimeTarget, Grid,
                        IsotropicAnisotropy, MatrixFamilyAnisotropy,
                        TimePartition, adjoint_solve, build_grid, dual_norm,
                        solve_state, step)
-from anisoflow.linalg import (NonPositiveCurvature, conjugate_gradient,
-                              tridiagonal_ldlt)
+from anisoflow.linalg import conjugate_gradient, tridiagonal_ldlt
 from anisoflow.stepper import newton_matrix
 
 ISO = IsotropicAnisotropy()
@@ -217,13 +216,6 @@ def test_unpreconditioned_cg_keeps_its_arithmetic():
     b = np.random.default_rng(5).normal(size=g.n_nodes)
     assert np.array_equal(conjugate_gradient(mat, b, rtol=1e-12),
                           reference_cg(mat, b, 1e-12))
-
-
-def test_preconditioned_cg_still_detects_curvature():
-    mat = sp.csr_matrix([[1.0, 0.0], [0.0, -1.0]])
-    with pytest.raises(NonPositiveCurvature):
-        conjugate_gradient(mat, np.array([0.0, 1.0]), detect_curvature=True,
-                           precondition=lambda r: r)
 
 
 # -- 1D solves agree with the unpreconditioned path -------------------------------
