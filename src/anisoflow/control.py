@@ -204,7 +204,11 @@ class OptimizeOptions:
     max_iters: int = 100
     grad_tol: float = 1e-8
     use_lbfgs: bool = False
-    lbfgs_memory: int = 10
+    # 20 pairs (s, y) take 2 * 20 * N * n floats, 1.3 MB at N = 64 and
+    # n = 65, twice what 10 took; on the c09 control study they cut the
+    # iterations per level from 32-43 to 28-34 (Nocedal & Wright,
+    # Numerical Optimization, 2nd ed., section 7.2)
+    lbfgs_memory: int = 20
 
     def __post_init__(self):
         if self.max_iters < 0:
@@ -253,7 +257,8 @@ def optimize(problem, u_init, options=None, config=None):
     """Descent on the reduced cost from ``u_init``.
 
     Steepest descent with Armijo backtracking by default; two-loop L-BFGS
-    (same line search) behind ``options.use_lbfgs``.  Accepted iterates have
+    (same line search, the last ``options.lbfgs_memory`` pairs, 20 by
+    default) behind ``options.use_lbfgs``.  Accepted iterates have
     non-increasing cost by construction.  A trial control whose forward
     solve raises NonConvergence is rejected like one that fails the Armijo
     test: the step backtracks, the trial counts as a line-search evaluation

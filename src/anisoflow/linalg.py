@@ -3,22 +3,28 @@
 Every matrix solved here is symmetric positive definite.  CG is the single
 solve entry point; the grid picks its preconditioner
 (``Grid.preconditioner``), and CG still checks the residual against the
-matrix itself:
+matrix itself.  Both preconditioners read the matrix through index maps
+that the grid builds once, so building one costs a few passes over the
+CSR values:
 
 * on 1D grids every one of these matrices is symmetric tridiagonal, and
   :func:`tridiagonal_ldlt` factorizes it exactly in O(n) plain-Python
-  work, so each solve returns after one operator application.  The
-  factorization is one fused pass that overwrites the two diagonals with
-  the pivots and factors of L D L^T, and the solve one forward and one
-  backward pass; at these sizes the cost is the Python loop, not the
-  arithmetic;
+  work, so each solve returns after one operator application.  It reads
+  the two diagonals at the pattern positions of the diagonal entries and
+  the positions after them.  The factorization is one fused pass that
+  overwrites the two diagonals with the pivots and factors of L D L^T,
+  and the solve one forward and one backward pass; at these sizes the
+  cost is the Python loop, not the arithmetic;
 * on 2D grids :func:`multigrid_vcycle` is a geometric multigrid V-cycle
-  whose CG iteration count does not grow as the mesh is refined;
+  whose CG iteration count does not grow as the mesh is refined.  Each
+  Galerkin operator is summed from the finer level's values by fixed
+  maps, with no sparse-sparse products;
 * either returns None when its construction finds the matrix unsuitable
   (a non-positive pivot, a grid that does not coarsen to a small dense
   level), and CG then runs unpreconditioned.
 """
 
+import copy
 import functools
 
 import numpy as np
@@ -33,17 +39,19 @@ class LinearSolveError(RuntimeError):
     """CG failed to reach the requested residual within 10 n iterations."""
 
 
-def tridiagonal_ldlt(mat):
+def tridiagonal_ldlt(values, diagonal_at):
     """Exact solver for a symmetric tridiagonal matrix, by A = L D L^T.
 
-    ``mat`` is a scipy sparse (or dense) matrix read through its main and
-    first upper diagonals only.  Returns a callable ``b -> A^{-1} b``, or
+    ``values`` are the CSR values of the matrix stored on the full
+    tridiagonal pattern with sorted columns, and ``diagonal_at`` the
+    position of each diagonal entry in them, so entry (i, i+1) sits at
+    ``diagonal_at[i] + 1``.  Returns a callable ``b -> A^{-1} b``, or
     None when a pivot is not positive (or is NaN), i.e. when A is not
     positive definite.  One pass turns the two diagonals, read as Python
     lists, into the pivots d_i and the factors l_i = e_i / d_i in place.
     """
-    pivots = mat.diagonal().tolist()
-    factors = mat.diagonal(1).tolist()
+    pivots = values[diagonal_at].tolist()
+    factors = values[diagonal_at[:-1] + 1].tolist()
     p = pivots[0]
     for i, e in enumerate(factors):
         if not p > 0.0:
@@ -68,45 +76,98 @@ def _ldlt_solve(pivots, factors, b):
     return np.array(x)
 
 
-def multigrid_vcycle(mat, prolongations):
+def multigrid_vcycle(mat, hierarchy):
     """Symmetric V(1,1)-cycle preconditioner for a sparse symmetric matrix.
 
-    ``prolongations`` is the chain of sparse interpolations P_k from level
-    k+1 to level k, finest first, as pairs (P_k, P_k^T).  The coarse
-    operators are the Galerkin products P_k^T A_k P_k; coarsening stops at
-    the first level with at most 100 unknowns, which is solved exactly
-    through its dense Cholesky factor.  Each level smooths with one l1-Jacobi sweep x += r / rowsum|A|
-    before and one after the coarse correction.  Since 2 diag(rowsum|A|) - A
-    is strictly diagonally dominant for any symmetric A without zero rows,
-    the cycle is an SPD operator whenever the coarsest matrix is.
+    ``mat`` is a CSR matrix on the pattern of the finest level of
+    ``hierarchy``, the chain of coarse levels finest first (see
+    ``Grid.prolongations``); the coarse operators are the Galerkin
+    products P_k^T A_k P_k (:func:`galerkin_operator`).  Coarsening stops
+    at the first level with at most 100 unknowns, which is solved exactly
+    by a dense inverse formed after a Cholesky check
+    (:func:`_spd_inverse`).  Each level smooths with one l1-Jacobi sweep
+    x += r / rowsum|A| before and one after the coarse correction.  Since
+    2 diag(rowsum|A|) - A is strictly diagonally dominant for any
+    symmetric A without zero rows, the cycle is an SPD operator whenever
+    the coarsest matrix is.
 
     Returns a callable ``r -> M^{-1} r``, or None when no level of at most
     100 unknowns is reached, a row of A is zero, or the coarsest matrix is
     not positive definite.
     """
     levels = []
-    a = mat.tocsr()
-    for p, pt in prolongations:
+    a = mat
+    for level in hierarchy:
         if a.shape[0] <= _COARSEST_MAX:
             break
-        rowsum = abs(a) @ np.ones(a.shape[0])
+        # every row of a grid pattern holds its diagonal entry, so no
+        # segment of reduceat is empty
+        rowsum = np.add.reduceat(np.abs(a.data), a.indptr[:-1])
         if not np.all(rowsum > 0.0):
             return None
-        levels.append((a, 1.0 / rowsum, p, pt))
-        a = pt @ a @ p
+        levels.append((a, 1.0 / rowsum, level.p, level.pt))
+        a = galerkin_operator(a, level)
     if a.shape[0] > _COARSEST_MAX:
         return None
+    coarse_inverse = _spd_inverse(a.toarray())
+    if coarse_inverse is None:
+        return None
+    # a partial of a module-level function: a closure calling itself would
+    # be a reference cycle, kept alive with its matrices until the garbage
+    # collector runs
+    return functools.partial(_vcycle, tuple(levels), coarse_inverse)
+
+
+def galerkin_operator(a, level):
+    """P^T A P for a CSR matrix ``a`` on the pattern above ``level``.
+
+    ``level`` is a coarse level of ``Grid.prolongations``.  With
+    P = (E_0 + E_1) / 2, where E_s sends a node to its s-th parent (a
+    coarse node is its own parent twice), value i of ``a`` adds a quarter
+    of itself at position ``level.galerkin[2s + t, i]`` of the coarse
+    pattern for each of the four parent pairs (s, t).  So four
+    ``bincount`` passes fill a shallow copy of ``level.template``: no
+    sparse-sparse product, and no CSR constructor, which would check the
+    index arrays again.
+    """
+    size = level.template.data.size
+    coarse = np.bincount(level.galerkin[0], a.data, size)
+    for to in level.galerkin[1:]:
+        coarse += np.bincount(to, a.data, size)
+    out = copy.copy(level.template)
+    out.data = 0.25 * coarse
+    return out
+
+
+def _spd_inverse(a):
+    """Inverse of a symmetric matrix, or None when its Cholesky
+    factorization finds it not positive definite.
+
+    The inverse is formed from the two half-size diagonal blocks: with
+    X = A_11^{-1} A_12 and S = A_22 - A_21 X the Schur complement,
+    A^{-1} = [[A_11^{-1} + X S^{-1} X^T, -X S^{-1}], [-S^{-1} X^T, S^{-1}]].
+    ``np.linalg.inv`` costs about linearly in the order at these sizes
+    (some 2 us per column at 81), while the products run at full BLAS
+    speed, so at 81 unknowns this takes about 60% of the time of
+    inverting the Cholesky factor and forming L^-T L^-1.
+    """
     try:
-        chol = np.linalg.cholesky(a.toarray())
+        chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         return None
     if not np.all(np.isfinite(chol)):
         return None
-    inv_chol = np.linalg.inv(chol)
-    # a partial of a module-level function: a closure calling itself would
-    # be a reference cycle, kept alive with its matrices until the garbage
-    # collector runs
-    return functools.partial(_vcycle, tuple(levels), inv_chol.T @ inv_chol)
+    h = a.shape[0] // 2
+    a11_inv = np.linalg.inv(a[:h, :h])
+    x = a11_inv @ a[:h, h:]
+    s_inv = np.linalg.inv(a[h:, h:] - a[h:, :h] @ x)
+    y = x @ s_inv
+    inverse = np.empty_like(a)
+    inverse[:h, :h] = a11_inv + y @ x.T
+    inverse[:h, h:] = -y
+    inverse[h:, :h] = -y.T
+    inverse[h:, h:] = s_inv
+    return inverse
 
 
 def _vcycle(levels, coarse_inverse, r, k=0):
@@ -151,7 +212,7 @@ def conjugate_gradient(apply_a, b, rtol=1e-12, precondition=None):
 
     x = np.zeros_like(b)
     r = b.copy()
-    bnorm = np.linalg.norm(b)
+    bnorm = np.sqrt(b @ b)
     if bnorm == 0.0:
         return x
     tol = rtol * bnorm

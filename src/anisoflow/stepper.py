@@ -185,8 +185,9 @@ def energy(grid, aniso, pot, values):
 
 
 def _energy(grid, pot, y, density):
-    return (float(np.sum(grid.measures * density))
-            + float(np.sum(grid.weights * pot.value(y))))
+    # dot products: np.sum costs a few microseconds of dispatch per call,
+    # more than the arithmetic on small grids
+    return float(grid.measures @ density) + float(grid.weights @ pot.value(y))
 
 
 def _state_terms(grid, aniso, pot, y):
@@ -202,10 +203,11 @@ def _evaluate(grid, y, y_prev, u, tau, terms):
     """Phi, the step residual, its max norm and the energy at ``y``, given
     its :func:`_state_terms`."""
     e, drive = terms
-    w, dy = grid.weights, y - y_prev
-    phi = 0.5 / tau * np.sum(w * dy ** 2) + e - float(np.sum(w * u * y))
-    res = w * dy + tau * (drive - w * u)
-    return phi, res, float(np.max(np.abs(res))), e
+    dy = y - y_prev
+    w_dy, w_u = grid.weights * dy, grid.weights * u
+    phi = 0.5 / tau * float(w_dy @ dy) + e - float(w_u @ y)
+    res = w_dy + tau * (drive - w_u)
+    return phi, res, float(np.abs(res).max()), e
 
 
 def step_residual(grid, aniso, pot, y, y_prev, u, tau):

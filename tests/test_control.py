@@ -10,6 +10,7 @@ from anisoflow import (AdjointUnavailable, ControlProblem, DistributedTarget,
                        build_grid, control_inner, control_norm, cost,
                        fd_gradient, optimize, reduced_gradient,
                        solve_state, write_history)
+from anisoflow.cli import tanh_circle_field
 
 ISO = IsotropicAnisotropy()
 DW = DoubleWell()
@@ -352,3 +353,23 @@ def test_optimize_options_validation(name, value):
 def test_optimize_options_accept_boundary_values():
     opts = OptimizeOptions(max_iters=0, grad_tol=0.0, lbfgs_memory=1)
     assert (opts.max_iters, opts.grad_tol, opts.lbfgs_memory) == (0, 0.0, 1)
+
+
+def test_default_lbfgs_memory_takes_fewer_iterations_on_c09():
+    """Level 0 of the c09 control study: 20 pairs beat the old default 10."""
+    g = build_grid(1, [65], [1.0])
+    y0 = tanh_circle_field(g, [0.5], 0.25, 0.05)
+    drive = np.tile(2.0 * np.sin(np.pi * g.nodes[:, 0]), (128, 1))
+    probe = ControlProblem(g, TimePartition.uniform(0.5, 128), y0,
+                           FinalTimeTarget(np.zeros(g.n_nodes)), 1e-3, ISO, DW)
+    target = solve_state(probe, drive).states[-1]
+    prob = ControlProblem(g, TimePartition.uniform(0.5, 8), y0,
+                          FinalTimeTarget(target), 1e-3, ISO, DW)
+    iterations = []
+    for memory in (OptimizeOptions().lbfgs_memory, 10):
+        opts = OptimizeOptions(max_iters=400, grad_tol=1e-9, use_lbfgs=True,
+                               lbfgs_memory=memory)
+        _, _, rep = optimize(prob, prob.zero_control(), opts)
+        assert rep.converged, rep.message
+        iterations.append(rep.iterations)
+    assert iterations[0] < iterations[1], iterations

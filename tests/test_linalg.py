@@ -12,7 +12,8 @@ from anisoflow import (ControlProblem, DoubleWell, FinalTimeTarget, Grid,
                        IsotropicAnisotropy, MatrixFamilyAnisotropy,
                        TimePartition, adjoint_solve, build_grid, dual_norm,
                        solve_state, step)
-from anisoflow.linalg import conjugate_gradient, tridiagonal_ldlt
+from anisoflow.linalg import (conjugate_gradient, galerkin_operator,
+                              tridiagonal_ldlt)
 from anisoflow.stepper import newton_matrix
 
 ISO = IsotropicAnisotropy()
@@ -49,6 +50,12 @@ def random_spd_tridiagonal(rng, n):
     return sp.diags([off, diag, off], [-1, 0, 1], format="csr")
 
 
+def ldlt(mat):
+    """:func:`tridiagonal_ldlt` of ``mat``, read on a 1D grid's pattern."""
+    g = build_grid(1, [mat.shape[0]], [1.0])
+    return tridiagonal_ldlt(g.on_pattern(mat).data, g.sparsity_pattern()[3])
+
+
 class CountingOperator:
     def __init__(self, mat):
         self.mat, self.calls = mat, 0
@@ -66,7 +73,7 @@ def test_ldlt_matches_dense_solve(n, seed):
     rng = np.random.default_rng(seed)
     mat = random_spd_tridiagonal(rng, n)
     b = rng.normal(size=n)
-    solve = tridiagonal_ldlt(mat)
+    solve = ldlt(mat)
     expected = np.linalg.solve(mat.toarray(), b)
     assert np.max(np.abs(solve(b) - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -82,7 +89,7 @@ def test_ldlt_matches_dense_solve(n, seed):
     [[2.0, np.nan], [np.nan, 2.0]],                 # NaN off the diagonal
 ])
 def test_ldlt_rejects_non_positive_pivot(dense):
-    assert tridiagonal_ldlt(sp.csr_matrix(dense)) is None
+    assert ldlt(sp.csr_matrix(dense)) is None
 
 
 def textbook_ldlt_solve(mat, b):
@@ -111,8 +118,19 @@ def test_ldlt_is_bit_equal_to_the_textbook_loops(n):
     for _ in range(20):
         mat = random_spd_tridiagonal(rng, n)
         b = rng.normal(size=n)
-        assert np.array_equal(tridiagonal_ldlt(mat)(b),
+        assert np.array_equal(ldlt(mat)(b),
                               textbook_ldlt_solve(mat, b))
+
+
+@pytest.mark.parametrize("aniso", [ISO, MatrixFamilyAnisotropy(
+    [[[1.0]], [[0.3]]], delta=1e-2)])
+def test_1d_preconditioner_reads_the_diagonals_by_position(aniso):
+    g = build_grid(1, [65], [1.0])
+    rng = np.random.default_rng(16)
+    mat = newton_matrix(g, aniso, DW, rng.uniform(-1, 1, g.n_nodes), 0.05)
+    b = rng.normal(size=g.n_nodes)
+    assert np.array_equal(g.preconditioner(mat)(b),
+                          textbook_ldlt_solve(mat, b))
 
 
 def test_grid_preconditioner_is_exact_in_1d_only():
@@ -142,7 +160,7 @@ def dense_operator(apply, n):
 def test_prolongation_is_p1_interpolation(n):
     g = build_grid(2, [n, n], [1.0, 2.0])
     coarse = build_grid(2, [(n + 1) // 2] * 2, [1.0, 2.0])
-    p, pt = g.prolongations()[0]
+    p, pt = g.prolongations()[0][:2]
     assert (pt != p.T).nnz == 0
     affine = lambda x: 0.3 - 1.7 * x[:, 0] + 2.9 * x[:, 1]
     assert np.max(np.abs(p @ affine(coarse.nodes) - affine(g.nodes))) <= 1e-14
@@ -154,6 +172,49 @@ def test_prolongation_is_p1_interpolation(n):
     fine_k, coarse_k = (grid.assemble_weighted_stiffness(
         np.broadcast_to(m, (grid.n_elements, 2, 2))) for grid in (g, coarse))
     assert np.max(np.abs((pt @ fine_k @ p - coarse_k).toarray())) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(9, 9), (17, 17), (33, 33), (129, 129),
+                                   (17, 33)])
+def test_galerkin_maps_match_sparse_products(shape):
+    g = build_grid(2, list(shape), [1.0, 2.0])
+    rng = np.random.default_rng(15)
+    # symmetric element tensors with off-diagonal entries, and a diagonal
+    m = rng.uniform(-0.4, 0.4, (g.n_elements, 2, 2))
+    tensors = m + m.swapaxes(1, 2) + np.eye(2)
+    a = g.assemble_weighted_stiffness(tensors, rng.uniform(0.5, 1.5, g.n_nodes))
+    levels = g.prolongations()
+    assert len(levels) == int(np.log2(min(shape) - 1)) - 1
+    for level in levels:
+        coarse = galerkin_operator(a, level)
+        expected = level.pt @ a @ level.p
+        assert abs(coarse - expected).max() <= 1e-14 * abs(expected).max()
+        # the maps fill the coarse grid's own P1 pattern
+        coarse_grid = build_grid(2, [(n + 1) // 2 for n in shape], [1.0, 2.0])
+        indptr, indices = coarse_grid.sparsity_pattern()[:2]
+        assert np.array_equal(coarse.indptr, indptr)
+        assert np.array_equal(coarse.indices, indices)
+        a, shape = coarse, coarse_grid.shape
+
+
+@pytest.mark.parametrize("dim,nodes", [(1, [17]), (2, [17, 17])])
+def test_matrix_from_scipy_arithmetic_gets_the_same_preconditioner(dim, nodes):
+    g = build_grid(dim, nodes, [1.0, 1.0][:dim])
+    assembled = g.assemble_weighted_stiffness(None, g.weights)
+    # scipy drops the exact zeros of the 2D stiffness, the two couplings
+    # along the diagonal of each of the 16 x 16 cells
+    summed = (g.stiffness_matrix() + sp.diags(g.weights)).tocsr()
+    assert summed.nnz == assembled.nnz - (0 if dim == 1 else 2 * 16 * 16)
+    r = np.random.default_rng(17).normal(size=g.n_nodes)
+    assert np.array_equal(g.preconditioner(summed)(r),
+                          g.preconditioner(assembled)(r))
+
+
+def test_matrix_off_the_grid_pattern_is_rejected():
+    g = build_grid(2, [9, 9], [1.0, 1.0])
+    off = (g.stiffness_matrix() + sp.eye(g.n_nodes, k=2)).tocsr()
+    with pytest.raises(ValueError, match="outside the grid's sparsity pattern"):
+        g.preconditioner(off)
 
 
 def test_vcycle_is_symmetric_positive_definite():
@@ -196,7 +257,7 @@ def test_exact_preconditioner_takes_one_operator_application():
     b = rng.normal(size=65)
     op = CountingOperator(mat)
     x = conjugate_gradient(op, b, rtol=1e-12,
-                           precondition=tridiagonal_ldlt(mat))
+                           precondition=ldlt(mat))
     assert op.calls == 1
     assert np.linalg.norm(b - mat @ x) <= 1e-12 * np.linalg.norm(b)
 
@@ -318,6 +379,14 @@ def test_1d_solves_import_no_scipy_solver_modules():
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("dim,nodes", [(1, [65]), (2, [33, 33]), (2, [65, 65])])
+def test_dual_norm_default_tolerance_matches_a_tight_solve(dim, nodes):
+    g = build_grid(dim, nodes, [1.0, 1.0][:dim])
+    f = np.random.default_rng(18).uniform(-1, 1, g.n_nodes)
+    tight = dual_norm(g, f, rtol=1e-14)
+    assert abs(dual_norm(g, f) - tight) <= 1e-12 * tight
 
 
 @pytest.mark.parametrize("dim,nodes", [(1, [33]), (2, [17, 17])])
