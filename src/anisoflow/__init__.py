@@ -8,19 +8,17 @@ from .anisotropy import (AnisotropyConstants, IsotropicAnisotropy,
 from .control import (AdjointUnavailable, ControlProblem, DistributedTarget,
                       FinalTimeTarget, OptimizeOptions, OptimizeReport,
                       adjoint_solve, control_inner, control_norm, cost,
-                      fd_gradient, optimize, reduced_gradient, solve_state,
-                      write_history)
+                      optimize, reduced_gradient, solve_state, write_history)
 from .grid import (FieldNorms, Grid, assemble_flux_divergence, build_grid,
-                   dual_norm, element_gradients, h1_norm, load_field, norms,
+                   dual_norm, element_gradients, load_field, norms,
                    read_field, write_field)
 from .potential import (DoubleWell, MoreauYosida, TruncatedPotential,
                         ZeroPotential)
 from .stepper import (EnergyStabilityReport, NonConvergence, StepConfig,
                       StepDiagnostics, TimePartition, Trajectory,
-                      UniquenessViolation, backward_difference,
-                      check_energy_stability, energy, solve_trajectory, step,
-                      step_objective, step_residual, trajectory_bounds,
-                      write_diagnostics)
+                      UniquenessViolation, check_energy_stability, energy,
+                      solve_trajectory, step, step_objective, step_residual,
+                      trajectory_bounds, write_diagnostics)
 from .studies import (StudyReport, control_convergence_study, fit_rate,
                       inject_time, lipschitz_study, perturbation_ratio,
                       summary_text, tau_convergence_study, uniform_bound_study,

@@ -148,11 +148,15 @@ def builtin_initializer(spec, grid):
 
 def load_config(path, overrides=()):
     """Parse and schema-check a config file, applying section.key overrides."""
-    if not os.path.exists(path):
-        raise ConfigError(path, "config file does not exist")
     parser = configparser.ConfigParser(interpolation=None)
+    # read() would skip a file it cannot open, and the first required key
+    # would take the blame
     try:
-        parser.read(path)
+        with open(path) as f:
+            parser.read_file(f)
+    except OSError as exc:
+        raise ConfigError(
+            path, f"cannot read config file: {exc.strerror}") from exc
     except configparser.Error as exc:
         raise ConfigError(path, f"unparseable config: {exc}") from exc
     cfg = {s: dict(parser[s]) for s in parser.sections()}
@@ -171,8 +175,6 @@ def load_config(path, overrides=()):
     return cfg
 
 
-_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
-          "0": False, "false": False, "no": False, "off": False}
 _KIND_NAMES = {float: "a number", int: "an integer", bool: "a boolean"}
 
 
@@ -185,7 +187,8 @@ def _get(cfg, section, key, kind=str, default=None, required=False):
         return default
     try:
         if kind is bool:
-            return _BOOLS[raw.strip().lower()]
+            return configparser.ConfigParser.BOOLEAN_STATES[
+                raw.strip().lower()]
         return kind(raw)
     except (KeyError, ValueError):
         raise ConfigError(f"{section}.{key}",

@@ -14,23 +14,21 @@ refinement.
 Gradients come from the discrete adjoint: one backward sweep of linear
 solves with the transposed linearization of the forward step (the system
 matrices are symmetric, so they coincide with the Newton matrices at the
-forward states).  A finite-difference gradient over full forward solves is
-provided as the independent oracle; the adjoint path and the oracle must
-agree to a few digits on any instance small enough to afford it.
+forward states).
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .grid import write_csv
 from .linalg import conjugate_gradient
 from .stepper import (NonConvergence, StepConfig, newton_matrix,
                       solve_trajectory)
 
 
 class AdjointUnavailable(RuntimeError):
-    """The linearized flux needs A''; use the finite-difference gradient."""
+    """The linearized flux needs A'', which the gradient energy lacks."""
 
 
 @dataclass(frozen=True)
@@ -122,7 +120,7 @@ def adjoint_solve(problem, trajectory, linear_rtol=1e-12):
     if not problem.aniso.twice_differentiable:
         raise AdjointUnavailable(
             "flux linearization needs a twice-differentiable gradient energy "
-            "(regularize the matrix family); fd_gradient remains available")
+            "(regularize the matrix family)")
     w = grid.weights
     taus = part.tau_steps
     n_steps = part.n_steps
@@ -162,61 +160,31 @@ def reduced_gradient(problem, control, config=None):
     return problem.lam * control + adjoints, trajectory
 
 
-def fd_gradient(problem, control, eps=1e-6, guard=10_000):
-    """Central-difference gradient oracle over full forward solves.
-
-    Differences of the cost are converted to the same weighted-inner-product
-    representative that :func:`reduced_gradient` returns (divide by
-    tau_j w_i), so the two are directly comparable.  Guarded to small
-    instances: n_nodes * N must not exceed ``guard``.
-    """
-    control = problem.check_control(control)
-    n_steps, n = control.shape
-    if n_steps * n > guard:
-        raise ValueError(
-            f"fd_gradient guard: {n_steps * n} unknowns > {guard}")
-
-    def value(u):
-        return cost(problem, solve_state(problem, u), u)
-
-    taus = problem.partition.tau_steps
-    w = problem.grid.weights
-    out = np.zeros_like(control)
-    for j in range(n_steps):
-        for i in range(n):
-            bump = np.zeros_like(control)
-            bump[j, i] = eps
-            out[j, i] = ((value(control + bump) - value(control - bump))
-                         / (2.0 * eps * taus[j] * w[i]))
-    return out
-
-
 _ARMIJO_SLOPE = 1e-4
 _BACKTRACK = 0.5
 _MIN_STEP = 1e-14
+# L-BFGS pairs (s, y) kept: 20 take 2 * 20 * N * n floats, 1.3 MB at
+# N = 64 and n = 65, twice what 10 took; on the c09 control study they cut
+# the iterations per level from 32-43 to 28-34 (Nocedal & Wright,
+# Numerical Optimization, 2nd ed., section 7.2)
+_LBFGS_MEMORY = 20
 
 
 @dataclass
 class OptimizeOptions:
     """Optimizer settings.  The Armijo line search is fixed: slope
     ``_ARMIJO_SLOPE`` = 1e-4, backtrack factor ``_BACKTRACK`` = 0.5, and it
-    stalls below step ``_MIN_STEP`` = 1e-14."""
+    stalls below step ``_MIN_STEP`` = 1e-14; L-BFGS keeps the last
+    ``_LBFGS_MEMORY`` = 20 pairs."""
     max_iters: int = 100
     grad_tol: float = 1e-8
     use_lbfgs: bool = False
-    # 20 pairs (s, y) take 2 * 20 * N * n floats, 1.3 MB at N = 64 and
-    # n = 65, twice what 10 took; on the c09 control study they cut the
-    # iterations per level from 32-43 to 28-34 (Nocedal & Wright,
-    # Numerical Optimization, 2nd ed., section 7.2)
-    lbfgs_memory: int = 20
 
     def __post_init__(self):
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
         if not self.grad_tol >= 0:
             raise ValueError("grad_tol must be >= 0")
-        if self.lbfgs_memory < 1:
-            raise ValueError("lbfgs_memory must be >= 1")
 
 
 @dataclass
@@ -257,9 +225,9 @@ def optimize(problem, u_init, options=None, config=None):
     """Descent on the reduced cost from ``u_init``.
 
     Steepest descent with Armijo backtracking by default; two-loop L-BFGS
-    (same line search, the last ``options.lbfgs_memory`` pairs, 20 by
-    default) behind ``options.use_lbfgs``.  Accepted iterates have
-    non-increasing cost by construction.  A trial control whose forward
+    (same line search, the last ``_LBFGS_MEMORY`` pairs) behind
+    ``options.use_lbfgs``.  Accepted iterates have non-increasing cost by
+    construction.  A trial control whose forward
     solve raises NonConvergence is rejected like one that fails the Armijo
     test: the step backtracks, the trial counts as a line-search evaluation
     and in ``report.failed_trials``.  Returns (control, trajectory, report);
@@ -272,7 +240,7 @@ def optimize(problem, u_init, options=None, config=None):
     u = problem.check_control(u_init).copy()
     g, traj = reduced_gradient(problem, u, config)
     j_val = cost(problem, traj, u)
-    g_norm = float(np.sqrt(max(inner(g, g), 0.0)))
+    g_norm = control_norm(problem, g)
 
     report = OptimizeReport()
     report.j_values.append(j_val)
@@ -328,10 +296,10 @@ def optimize(problem, u_init, options=None, config=None):
             sy = inner(s, y)
             if sy > 1e-14 * max(inner(s, s), 1e-300):
                 pairs.append((s, y, 1.0 / sy))
-                if len(pairs) > opts.lbfgs_memory:
+                if len(pairs) > _LBFGS_MEMORY:
                     pairs.pop(0)
         u, traj, g, j_val = u_trial, traj_trial, g_new, j_trial
-        g_norm = float(np.sqrt(max(inner(g, g), 0.0)))
+        g_norm = control_norm(problem, g)
         alpha_prev = min(alpha * 2.0, 1e8)
 
         report.j_values.append(j_val)
@@ -354,14 +322,10 @@ def write_history(report, path):
     A line search that stalled ends the file with one more row: the best
     iterate's J and grad_norm again, step_length 0 and the trials spent.
     """
-    rows = len(report.j_values)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["iter", "J", "grad_norm", "step_length",
-                         "linesearch_evals"])
-        for it, evals in enumerate(report.linesearch_evals):
-            k = min(it, rows - 1)
-            step = report.step_lengths[it] if it < rows else 0.0
-            writer.writerow([it, f"{report.j_values[k]:.17g}",
-                             f"{report.grad_norms[k]:.17g}",
-                             f"{step:.17g}", evals])
+    last = len(report.j_values) - 1
+    write_csv(path, ["iter", "J", "grad_norm", "step_length",
+                     "linesearch_evals"],
+              ([it, report.j_values[min(it, last)],
+                report.grad_norms[min(it, last)],
+                report.step_lengths[it] if it <= last else 0.0, evals]
+               for it, evals in enumerate(report.linesearch_evals)))

@@ -25,6 +25,7 @@ alongside them in function signatures.
 """
 
 import copy
+import csv
 from typing import NamedTuple
 
 import numpy as np
@@ -86,7 +87,10 @@ class Grid:
     def __init__(self, dim, nodes_per_axis, lengths):
         if dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {dim}")
-        nodes_per_axis = tuple(int(n) for n in np.atleast_1d(nodes_per_axis))
+        counts = np.atleast_1d(nodes_per_axis).tolist()
+        if not all(float(n).is_integer() for n in counts):
+            raise ValueError(f"node counts must be integers, got {counts}")
+        nodes_per_axis = tuple(int(n) for n in counts)
         lengths = tuple(float(L) for L in np.atleast_1d(lengths))
         if len(nodes_per_axis) != dim or len(lengths) != dim:
             raise ValueError(
@@ -274,51 +278,27 @@ class Grid:
                            minlength=self._pattern[1].size)
 
     def preconditioner(self, mat):
-        """Preconditioner for an SPD matrix on this grid's pattern.
+        """Preconditioner for an SPD matrix this grid assembled.
 
         On 1D grids P1 matrices are tridiagonal, so this is the exact LDL^T
         solve (:func:`tridiagonal_ldlt`), read at the pattern positions of
         the diagonal.  On 2D grids it is a multigrid V-cycle over the grid's
-        coarsening hierarchy (:func:`multigrid_vcycle`).  A matrix not
-        assembled by this grid is first put on its pattern
-        (:meth:`on_pattern`).  It is None when the factorization meets a
-        non-positive pivot, when a 2D grid does not coarsen to at most 100
-        nodes, or when the coarsest matrix is not positive definite; CG
-        then runs plain.
+        coarsening hierarchy (:func:`multigrid_vcycle`).  Both read the
+        values by position, so ``mat`` must share the index arrays of the
+        grid's :meth:`sparsity_pattern`, as every matrix from
+        :meth:`assemble_weighted_stiffness` does; any other matrix raises
+        ValueError.  It is None when the factorization meets a non-positive
+        pivot, when a 2D grid does not coarsen to at most 100 nodes, or
+        when the coarsest matrix is not positive definite; CG then runs
+        plain.
         """
-        mat = self.on_pattern(mat)
+        self.sparsity_pattern()
+        if getattr(mat, "indices", None) is not self._template.indices:
+            raise ValueError(
+                "matrix was not assembled on the grid's sparsity pattern")
         if self.dim == 1:
             return tridiagonal_ldlt(mat.data, self._pattern[3])
         return multigrid_vcycle(mat, self.prolongations())
-
-    def on_pattern(self, mat):
-        """``mat`` as a CSR matrix on the grid's :meth:`sparsity_pattern`.
-
-        Matrices this grid assembled share the pattern's index arrays and
-        are returned as they are.  Any other matrix, such as the result of
-        scipy arithmetic, which drops exact zeros, has its values summed
-        into the pattern; an entry outside it raises ValueError.
-        """
-        indptr, indices = self.sparsity_pattern()[:2]
-        if getattr(mat, "indices", None) is self._template.indices:
-            return mat
-        entries = sp.coo_matrix(mat)
-        entries.sum_duplicates()
-        entries.eliminate_zeros()
-        n = self.n_nodes
-        keys = np.repeat(np.arange(n), np.diff(indptr)) * n + indices
-        wanted = entries.row.astype(np.int64) * n + entries.col
-        at = np.searchsorted(keys, wanted)
-        if (entries.shape != (n, n)
-                or not np.array_equal(keys[np.minimum(at, keys.size - 1)],
-                                      wanted)):
-            raise ValueError(
-                "matrix has entries outside the grid's sparsity pattern")
-        values = np.zeros(keys.size)
-        values[at] = entries.data
-        on_grid = copy.copy(self._template)
-        on_grid.data = values
-        return on_grid
 
     def prolongations(self):
         """The 2D coarsening hierarchy, finest first, as :class:`CoarseLevel`
@@ -452,12 +432,6 @@ def norms(grid, values):
     return FieldNorms(l2, h1_semi)
 
 
-def h1_norm(grid, values):
-    """Full H1 norm, sqrt(l2^2 + |.|_H1^2)."""
-    n = norms(grid, values)
-    return float(np.hypot(n.l2, n.h1_semi))
-
-
 def dual_norm(grid, values, rtol=1e-6):
     """Discrete dual norm of a field viewed as a functional on H1.
 
@@ -495,6 +469,17 @@ def write_field(path, grid, values):
     with open(path, "w") as f:
         f.write(f"{_FIELD_MAGIC} dim={grid.dim} n={n} L={L}\n")
         f.write("".join(f"{v:.17g}\n" for v in values.tolist()))
+
+
+def write_csv(path, header, rows):
+    """Write a CSV file: the ``header`` row, then one line per entry of
+    ``rows``.  Floats are written with 17 significant digits, which
+    round-trips them exactly, and every other value with ``str``."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows([f"{v:.17g}" if isinstance(v, float) else str(v)
+                          for v in row] for row in rows)
 
 
 def read_field(path):

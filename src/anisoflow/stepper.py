@@ -32,13 +32,13 @@ w psi for zero forcing as long as tau <= 2/c, which the stability monitor
 checks a posteriori.
 """
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import assemble_flux_divergence, element_gradients, h1_norm
+from .grid import (assemble_flux_divergence, element_gradients, norms,
+                   write_csv)
 from .linalg import conjugate_gradient
 
 
@@ -404,12 +404,6 @@ def solve_trajectory(grid, aniso, pot, y0, control, partition, config=None):
     return Trajectory(grid, partition, states, diags, config, regimes)
 
 
-def backward_difference(trajectory):
-    """Per-interval difference quotients (y_j - y_{j-1}) / tau_j, shape (N, n)."""
-    taus = trajectory.partition.tau_steps
-    return np.diff(trajectory.states, axis=0) / taus[:, None]
-
-
 # values of the stored states that trajectory_bounds reads at a time
 _BLOCK_VALUES = 2 ** 16
 
@@ -439,7 +433,7 @@ def trajectory_bounds(trajectory, pot):
         react = pot.prime(states[a + 1:b + 1])
         react_rows[a:b] = np.sum(w * react**2, axis=1)
     dt_l2 = float(np.sqrt(np.sum(taus * dt_rows)))
-    h1_max = max(h1_norm(grid, state) for state in states)
+    h1_max = max(float(np.hypot(*norms(grid, state))) for state in states)
     react_l2 = float(np.sqrt(np.sum(taus * react_rows)))
     return {"time_derivative_l2": dt_l2, "state_h1_max": h1_max,
             "reaction_l2": react_l2}
@@ -487,13 +481,9 @@ def write_diagnostics(trajectory, path):
     residual_inf, energy); reads only ``partition`` and ``diagnostics``, so
     the partial trajectory of a failed solve is written the same way."""
     t = trajectory.partition.breakpoints
-    taus = trajectory.partition.tau_steps
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["j", "t_j", "tau_j", "newton_iters",
-                         "residual_inf", "energy"])
-        for j, diag in enumerate(trajectory.diagnostics):
-            tau_j = 0.0 if j == 0 else taus[j - 1]
-            writer.writerow([j, f"{t[j]:.17g}", f"{tau_j:.17g}",
-                             diag.iterations, f"{diag.residual_inf:.17g}",
-                             f"{diag.energy:.17g}"])
+    taus = np.concatenate(([0.0], trajectory.partition.tau_steps))
+    write_csv(path, ["j", "t_j", "tau_j", "newton_iters", "residual_inf",
+                     "energy"],
+              ([j, t[j], taus[j], diag.iterations, diag.residual_inf,
+                diag.energy]
+               for j, diag in enumerate(trajectory.diagnostics)))

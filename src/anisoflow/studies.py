@@ -21,14 +21,13 @@ the same function exactly.  All studies are deterministic: given the same
 arrays in, the same report comes out bit for bit.
 """
 
-import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .control import (DistributedTarget, OptimizeOptions, control_norm, cost,
                       optimize)
-from .grid import dual_norm, norms
+from .grid import dual_norm, norms, write_csv
 from .stepper import (TimePartition, solve_trajectory, step_regimes,
                       trajectory_bounds)
 
@@ -322,14 +321,11 @@ def control_convergence_study(problem, levels, options=None, config=None):
 def write_study_csv(report, path):
     """One CSV row per ladder level (level, N, tau, metrics..., rate)."""
     cols = report.metric_columns()
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["level", "N", "tau"] + cols + ["rate"])
-        for row in report.rows:
-            rate = "" if report.rate is None else f"{report.rate:.17g}"
-            writer.writerow(
-                [row["level"], row["n_steps"], f"{row['tau']:.17g}"]
-                + [f"{row.get(c, np.nan):.17g}" for c in cols] + [rate])
+    rate = "" if report.rate is None else report.rate
+    write_csv(path, ["level", "N", "tau"] + cols + ["rate"],
+              ([row["level"], row["n_steps"], row["tau"]]
+               + [row.get(c, np.nan) for c in cols] + [rate]
+               for row in report.rows))
 
 
 def summary_text(report):

@@ -1,7 +1,11 @@
 """Shared independent oracles: plain element-loop assembly with closed-form
-local matrices, deliberately separate from the library's vectorized paths."""
+local matrices, deliberately separate from the library's vectorized paths,
+and a finite-difference gradient over full forward solves, separate from
+the discrete adjoint."""
 
 import numpy as np
+
+from anisoflow import cost, solve_state
 
 
 def oracle_mass_matrix(grid):
@@ -62,3 +66,32 @@ def oracle_weighted_stiffness(grid, tensors):
         g = _oracle_basis_gradients(grid, conn)
         k[np.ix_(conn, conn)] += measure * g @ tensor @ g.T
     return k
+
+
+def fd_gradient(problem, control, eps=1e-6, guard=10_000):
+    """Central-difference gradient oracle over full forward solves.
+
+    Differences of the cost are converted to the same weighted-inner-product
+    representative that :func:`reduced_gradient` returns (divide by
+    tau_j w_i), so the two are directly comparable.  Guarded to small
+    instances: n_nodes * N must not exceed ``guard``.
+    """
+    control = problem.check_control(control)
+    n_steps, n = control.shape
+    if n_steps * n > guard:
+        raise ValueError(
+            f"fd_gradient guard: {n_steps * n} unknowns > {guard}")
+
+    def value(u):
+        return cost(problem, solve_state(problem, u), u)
+
+    taus = problem.partition.tau_steps
+    w = problem.grid.weights
+    out = np.zeros_like(control)
+    for j in range(n_steps):
+        for i in range(n):
+            bump = np.zeros_like(control)
+            bump[j, i] = eps
+            out[j, i] = ((value(control + bump) - value(control - bump))
+                         / (2.0 * eps * taus[j] * w[i]))
+    return out

@@ -116,6 +116,21 @@ def test_step_rule_violation_exits_1(tmp_path, capsys):
     assert "unique" in captured.err.lower()
 
 
+@pytest.mark.parametrize("is_directory", [True, False])
+def test_unreadable_config_path_is_named(tmp_path, capsys, is_directory):
+    # configparser.read skips a file it cannot open, so a directory used to
+    # be reported as a config without 'grid.dim'
+    path = tmp_path / "run.ini"
+    if is_directory:
+        path.mkdir()
+    out = tmp_path / "out"
+    assert run("simulate", str(path), out_dir=str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error at '{path}': ")
+    assert "grid.dim" not in err
+    assert not out.exists()
+
+
 def test_missing_file_reference_exits_1(tmp_path, capsys):
     cfg = BASE_CONFIG.replace("y0 = constant(1.0)",
                               "y0_file = does_not_exist.field")
@@ -129,7 +144,6 @@ SETTINGS_KEYS = [
     "solver.newton_tol", "solver.max_newton_iters", "solver.linear_tol",
     "solver.enforce_uniqueness",
     "optimize.max_iters", "optimize.grad_tol", "optimize.lbfgs",
-    "optimize.lbfgs_memory",
 ]
 
 
@@ -158,15 +172,13 @@ enforce_uniqueness = off
 max_iters = 3
 grad_tol = 1e-5
 lbfgs = yes
-lbfgs_memory = 4
 """
     loaded = load_config(write_config(tmp_path, cfg))
     assert _from_section(loaded, "solver") == StepConfig(
         newton_tol=1e-9, max_newton_iters=7, linear_rtol=1e-8,
         enforce_uniqueness=False)
     assert _from_section(loaded, "optimize") == \
-        OptimizeOptions(max_iters=3, grad_tol=1e-5, use_lbfgs=True,
-                        lbfgs_memory=4)
+        OptimizeOptions(max_iters=3, grad_tol=1e-5, use_lbfgs=True)
     # an absent section gives the defaults
     loaded = load_config(write_config(tmp_path, BASE_CONFIG))
     assert _from_section(loaded, "solver") == StepConfig()
@@ -198,6 +210,7 @@ def test_settings_schema_matches_the_dataclasses(section, cls):
 
 @pytest.mark.parametrize("override", ["optimize.max_iters=-1",
                                       "optimize.grad_tol=-1",
+                                      # no longer a key, so rejected as unknown
                                       "optimize.lbfgs_memory=0",
                                       "solver.max_newton_iters=0",
                                       "solver.max_newton_iters=-2"])

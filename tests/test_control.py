@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import oracle_stiffness_matrix
+from conftest import fd_gradient, oracle_stiffness_matrix
 
 import anisoflow.control
 from anisoflow import (AdjointUnavailable, ControlProblem, DistributedTarget,
@@ -8,8 +8,8 @@ from anisoflow import (AdjointUnavailable, ControlProblem, DistributedTarget,
                        MatrixFamilyAnisotropy, NonConvergence, OptimizeOptions,
                        StepConfig, TimePartition, ZeroPotential, adjoint_solve,
                        build_grid, control_inner, control_norm, cost,
-                       fd_gradient, optimize, reduced_gradient,
-                       solve_state, write_history)
+                       optimize, reduced_gradient, solve_state,
+                       write_history)
 from anisoflow.cli import tanh_circle_field
 
 ISO = IsotropicAnisotropy()
@@ -343,7 +343,6 @@ def test_problem_rejects_nan_target_and_lambda(target, lam):
 
 @pytest.mark.parametrize("name,value", [
     ("max_iters", -1), ("grad_tol", -1.0), ("grad_tol", float("nan")),
-    ("lbfgs_memory", 0),
 ])
 def test_optimize_options_validation(name, value):
     with pytest.raises(ValueError, match=name):
@@ -351,11 +350,11 @@ def test_optimize_options_validation(name, value):
 
 
 def test_optimize_options_accept_boundary_values():
-    opts = OptimizeOptions(max_iters=0, grad_tol=0.0, lbfgs_memory=1)
-    assert (opts.max_iters, opts.grad_tol, opts.lbfgs_memory) == (0, 0.0, 1)
+    opts = OptimizeOptions(max_iters=0, grad_tol=0.0)
+    assert (opts.max_iters, opts.grad_tol) == (0, 0.0)
 
 
-def test_default_lbfgs_memory_takes_fewer_iterations_on_c09():
+def test_default_lbfgs_memory_takes_fewer_iterations_on_c09(monkeypatch):
     """Level 0 of the c09 control study: 20 pairs beat the old default 10."""
     g = build_grid(1, [65], [1.0])
     y0 = tanh_circle_field(g, [0.5], 0.25, 0.05)
@@ -365,10 +364,10 @@ def test_default_lbfgs_memory_takes_fewer_iterations_on_c09():
     target = solve_state(probe, drive).states[-1]
     prob = ControlProblem(g, TimePartition.uniform(0.5, 8), y0,
                           FinalTimeTarget(target), 1e-3, ISO, DW)
+    opts = OptimizeOptions(max_iters=400, grad_tol=1e-9, use_lbfgs=True)
     iterations = []
-    for memory in (OptimizeOptions().lbfgs_memory, 10):
-        opts = OptimizeOptions(max_iters=400, grad_tol=1e-9, use_lbfgs=True,
-                               lbfgs_memory=memory)
+    for memory in (anisoflow.control._LBFGS_MEMORY, 10):
+        monkeypatch.setattr(anisoflow.control, "_LBFGS_MEMORY", memory)
         _, _, rep = optimize(prob, prob.zero_control(), opts)
         assert rep.converged, rep.message
         iterations.append(rep.iterations)

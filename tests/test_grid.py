@@ -41,6 +41,14 @@ def test_build_rejects_invalid(args):
         build_grid(*args)
 
 
+@pytest.mark.parametrize("nodes", [[3.7], [5, 4.5], [float("nan")]])
+def test_build_rejects_non_integer_node_counts(nodes):
+    # int() used to truncate 3.7 nodes to a 3-node grid without a word
+    with pytest.raises(ValueError, match=r"node counts must be integers, got"):
+        build_grid(len(nodes), nodes, [1.0] * len(nodes))
+    assert build_grid(1, [3.0], [1.0]).shape == (3,)
+
+
 def test_node_ordering_is_x_fastest():
     g = build_grid(2, [3, 2], [2.0, 1.0])
     # node 1 is the x-neighbor of node 0, node 3 starts the second row

@@ -1,14 +1,18 @@
+import csv
+
 import numpy as np
 import pytest
 
+import anisoflow.control
 from anisoflow import (ControlProblem, DistributedTarget, DoubleWell,
-                       FinalTimeTarget, IsotropicAnisotropy, OptimizeOptions,
-                       TimePartition, ZeroPotential, build_grid,
-                       control_convergence_study, cost, fit_rate,
+                       FinalTimeTarget, IsotropicAnisotropy, NonConvergence,
+                       OptimizeOptions, TimePartition, ZeroPotential,
+                       build_grid, control_convergence_study, cost, fit_rate,
                        inject_time, lipschitz_study, optimize,
                        perturbation_ratio, solve_state,
                        solve_trajectory, summary_text, tau_convergence_study,
-                       uniform_bound_study, write_study_csv)
+                       uniform_bound_study, write_diagnostics, write_history,
+                       write_study_csv)
 
 ISO = IsotropicAnisotropy()
 DW = DoubleWell()
@@ -255,3 +259,70 @@ def test_studies_are_deterministic(tmp_path):
         write_study_csv(report, path)
         outputs.append(path.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def assert_csv_holds(path, header, rows):
+    """Every float cell parses back to the same double, every int is written
+    plainly, and every other cell is the value's str."""
+    with open(path, newline="") as f:
+        lines = list(csv.reader(f))
+    assert lines[0] == header
+    assert len(lines) == len(rows) + 1
+    for line, row in zip(lines[1:], rows):
+        assert len(line) == len(row)
+        for cell, value in zip(line, row):
+            if isinstance(value, float):
+                assert repr(float(cell)) == repr(value), (cell, value)
+            else:
+                assert cell == str(value), (cell, value)
+
+
+def test_csv_files_round_trip(tmp_path, monkeypatch):
+    g = build_grid(1, [9], [1.0])
+    part = TimePartition.uniform(0.4, 2)
+    y0 = np.random.default_rng(7).uniform(-1, 1, g.n_nodes)
+    prob = ControlProblem(g, part, y0, FinalTimeTarget(np.zeros(g.n_nodes)),
+                          1e-2, ISO, DW)
+
+    traj = solve_state(prob, np.full((2, g.n_nodes), 0.3))
+    write_diagnostics(traj, tmp_path / "diagnostics.csv")
+    t = part.breakpoints
+    assert_csv_holds(
+        tmp_path / "diagnostics.csv",
+        ["j", "t_j", "tau_j", "newton_iters", "residual_inf", "energy"],
+        [[j, float(t[j]), float(t[j] - t[j - 1]) if j else 0.0, d.iterations,
+          d.residual_inf, d.energy] for j, d in enumerate(traj.diagnostics)])
+
+    # every trial solve fails, so the first line search stalls and the
+    # history ends with the stalled row
+    solve = anisoflow.control.solve_state
+    calls = []
+
+    def failing_trials(problem, control, config=None):
+        calls.append(control)
+        if len(calls) > 1:
+            raise NonConvergence("trial failed", control[0], 1.0, 50)
+        return solve(problem, control, config)
+
+    monkeypatch.setattr(anisoflow.control, "solve_state", failing_trials)
+    _, _, report = optimize(prob, prob.zero_control(),
+                            OptimizeOptions(max_iters=3, grad_tol=1e-14))
+    monkeypatch.undo()
+    assert report.message.startswith("line search stalled")
+    write_history(report, tmp_path / "history.csv")
+    best = [report.j_values[0], report.grad_norms[0], 0.0]
+    assert_csv_holds(
+        tmp_path / "history.csv",
+        ["iter", "J", "grad_norm", "step_length", "linesearch_evals"],
+        [[it, *best, evals] for it, evals in enumerate(report.linesearch_evals)])
+
+    study = control_convergence_study(
+        prob, 2, options=OptimizeOptions(max_iters=5, use_lbfgs=True))
+    write_study_csv(study, tmp_path / "study.csv")
+    columns = ["j_star", "grad_norm", "optimizer_iters", "cauchy_diff"]
+    assert study.metric_columns() == columns
+    assert all(type(row["optimizer_iters"]) is int for row in study.rows)
+    assert_csv_holds(
+        tmp_path / "study.csv", ["level", "N", "tau"] + columns + ["rate"],
+        [[row["level"], row["n_steps"], row["tau"]]
+         + [row[c] for c in columns] + [""] for row in study.rows])
