@@ -157,7 +157,7 @@ def load_config(path, overrides=()):
     except OSError as exc:
         raise ConfigError(
             path, f"cannot read config file: {exc.strerror}") from exc
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(path, f"unparseable config: {exc}") from exc
     cfg = {s: dict(parser[s]) for s in parser.sections()}
     for item in overrides:
@@ -421,8 +421,11 @@ def run(command, config_path, overrides=(), out_dir=None, seed=None):
                 "constant); refine time.N or disable solver.enforce_uniqueness")
         if out_dir is None:
             out_dir = _get(cfg, "output", "directory", default="out")
+        seed_key = "--seed" if seed is not None else "output.seed"
         if seed is None:
             seed = _get(cfg, "output", "seed", int, default=0)
+        if seed < 0:
+            raise ConfigError(seed_key, f"must be non-negative, got {seed}")
         if (command in ("study-tau", "study-bounds", "study-lipschitz")
                 and np.ptp(partition.tau_steps) > 1e-12 * partition.tau_max):
             raise ConfigError(

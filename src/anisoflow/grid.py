@@ -39,6 +39,11 @@ _REF_GRADS = {
     2: np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]),
 }
 
+# largest level solved densely at the bottom of a V-cycle.  The dense
+# inverse is formed once per matrix: at 289 unknowns (a 17^2 level) it alone
+# cost ~7.6 ms per Newton matrix, more than the V-cycle saved on 33^2 grids
+_COARSEST_MAX = 100
+
 
 class Grid:
     """Uniform simplicial P1 mesh of a 1D or 2D box.
@@ -221,23 +226,18 @@ class Grid:
         if self._pattern is None:
             n = self.n_nodes
             keys = self.elements[:, :, None] * n + self.elements[:, None, :]
-            pairs = np.sort(keys, axis=None)
-            pairs = pairs[np.concatenate(([True], pairs[1:] != pairs[:-1]))]
+            pairs, self._template = _csr_template(keys, n)
             by_shape = keys.reshape(
                 -1, self.n_shapes, (self.dim + 1) ** 2).swapaxes(0, 1)
             # np.bincount copies a read-only index array on every call, so
             # assembly reads the writeable array behind the read-only view
             self._scatter = np.searchsorted(pairs, by_shape)
             self._pattern = (
-                np.searchsorted(pairs, np.arange(n + 1) * n).astype(np.int32),
-                (pairs % n).astype(np.int32),
+                self._template.indptr, self._template.indices,
                 self._scatter.view(),
                 np.searchsorted(pairs, np.arange(n) * (n + 1)).astype(np.int32))
             for a in self._pattern:
                 a.flags.writeable = False
-            indptr, indices = self._pattern[:2]
-            self._template = sp.csr_matrix(
-                (np.zeros(indices.size), indices, indptr), shape=(n, n))
         return self._pattern
 
     def assemble_weighted_stiffness(self, tensors, diagonal=None):
@@ -282,15 +282,14 @@ class Grid:
 
         On 1D grids P1 matrices are tridiagonal, so this is the exact LDL^T
         solve (:func:`tridiagonal_ldlt`), read at the pattern positions of
-        the diagonal.  On 2D grids it is a multigrid V-cycle over the grid's
-        coarsening hierarchy (:func:`multigrid_vcycle`).  Both read the
-        values by position, so ``mat`` must share the index arrays of the
-        grid's :meth:`sparsity_pattern`, as every matrix from
+        the diagonal.  On 2D grids of every shape it is a multigrid V-cycle
+        over the grid's coarsening hierarchy (:func:`multigrid_vcycle`).
+        Both read the values by position, so ``mat`` must share the index
+        arrays of the grid's :meth:`sparsity_pattern`, as every matrix from
         :meth:`assemble_weighted_stiffness` does; any other matrix raises
         ValueError.  It is None when the factorization meets a non-positive
-        pivot, when a 2D grid does not coarsen to at most 100 nodes, or
-        when the coarsest matrix is not positive definite; CG then runs
-        plain.
+        pivot, when a row of a 2D matrix is zero, or when the coarsest
+        matrix is not positive definite; CG then runs plain.
         """
         self.sparsity_pattern()
         if getattr(mat, "indices", None) is not self._template.indices:
@@ -304,28 +303,33 @@ class Grid:
         """The 2D coarsening hierarchy, finest first, as :class:`CoarseLevel`
         records.  Built once; empty on 1D grids.
 
-        Each coarse grid keeps every other node of the one above it, which
-        needs an odd node count of at least 5 on both axes; coarsening goes
-        on while that holds.  A fine node takes the mean of its two
+        Each level halves the axes whose spacing is within a factor 2 of
+        the finest axis with more than one node, while the others wait
+        (semi-coarsening), until the first level of at most
+        ``_COARSEST_MAX`` nodes, which the V-cycle solves densely.  A
+        halved axis keeps every other node and its last one; a 2-node axis
+        merges into one node.  A fine node takes the mean of its two
         parents, the coarse nodes at the ends of the coarse edge it lies on
         (both are the node itself where it is a coarse node); cell centres
-        lie on the cell diagonal from v10 to v01.  This is the exact P1
-        interpolation, so P^T K P is the stiffness matrix of the coarse
-        grid, and every P^T A P lies on the coarse P1 pattern.  To keep the
-        hierarchy small, only the coarse patterns are kept, no coarse
-        grids, and the Galerkin maps are int32: about 2.5 MB on a 129^2
-        grid.  ``np.bincount`` converts them to intp on each call, which
-        costs some 5% of a V-cycle build at 33^2.
+        lie on the cell diagonal from v10 to v01.  Where both axes halve
+        from odd counts this is the exact P1 interpolation, so P^T K P is
+        the coarse grid's stiffness matrix; elsewhere P is still a valid
+        Galerkin prolongation.  To keep the hierarchy small, only the
+        coarse patterns are kept, no coarse grids, and the Galerkin maps
+        are int32: about 2.5 MB on a 129^2 grid.  ``np.bincount`` converts
+        them to intp on each call, which costs some 5% of a V-cycle build
+        at 33^2.
         """
         if self._prolongations is None:
-            chain = []
-            shape = self.shape
-            indptr, indices = self.sparsity_pattern()[:2]
-            while self.dim == 2 and all(n >= 5 and n % 2 for n in shape):
-                level = _coarse_level(shape, indptr, indices)
-                chain.append(level)
-                indptr, indices = level.template.indptr, level.template.indices
-                shape = tuple((n + 1) // 2 for n in shape)
+            shape, spacing = np.array(self.shape), np.array(self.spacing)
+            self.sparsity_pattern()
+            chain, template = [], self._template
+            while self.dim == 2 and shape.prod() > _COARSEST_MAX:
+                halve = (shape > 1) & (spacing <= 2 * spacing[shape > 1].min())
+                coarse = np.where(halve, shape // 2 + (shape > 2), shape)
+                chain.append(_coarse_level(shape, coarse, template))
+                template = chain[-1].template
+                shape, spacing = coarse, np.where(halve, 2 * spacing, spacing)
             self._prolongations = tuple(chain)
         return self._prolongations
 
@@ -341,10 +345,11 @@ class CoarseLevel(NamedTuple):
     """One level of the 2D coarsening hierarchy (:meth:`Grid.prolongations`).
 
     ``p`` interpolates from this level to the finer one and ``pt`` is its
-    transpose.  ``template`` is a CSR matrix on this level's P1 pattern
-    with zero values.  ``galerkin`` is a (4, nnz) array over the values of
-    the finer pattern: row 2s + t sends value (i, j) to the position of
-    (parent_s(i), parent_t(j)) in ``template``
+    transpose.  ``template`` is a CSR matrix with zero values on the
+    pattern of P^T A P, which is this level's P1 pattern where both axes
+    halved and both counts were odd.  ``galerkin`` is a (4, nnz) array
+    over the values of the finer pattern: row 2s + t sends value (i, j) to
+    the position of (parent_s(i), parent_t(j)) in ``template``
     (:func:`~anisoflow.linalg.galerkin_operator`).
     """
     p: object
@@ -353,30 +358,44 @@ class CoarseLevel(NamedTuple):
     template: object
 
 
-def _coarse_level(shape, indptr, indices):
-    """The :class:`CoarseLevel` below the 2D grid ``shape``, whose CSR
-    pattern is (``indptr``, ``indices``)."""
-    n1, n2 = shape
-    m1, m2 = (n1 + 1) // 2, (n2 + 1) // 2
-    m = m1 * m2
-    i1, i2 = (a.ravel() for a in np.meshgrid(np.arange(n1), np.arange(n2)))
-    o1, o2 = i1 % 2, i2 % 2
-    parents = np.stack([(i2 - o2) // 2 * m1 + (i1 + o1) // 2,
-                        (i2 + o2) // 2 * m1 + (i1 - o1) // 2])
+def _csr_template(keys, n):
+    """Sorted distinct ``keys`` row*n + column, and int32 CSR zeros on them."""
+    # sort and mask: np.unique hashes int64 keys, several times slower
+    pairs = np.sort(keys, axis=None)
+    pairs = pairs[np.concatenate(([True], pairs[1:] != pairs[:-1]))]
+    return pairs, sp.csr_matrix(
+        (np.zeros(pairs.size), (pairs % n).astype(np.int32),
+         np.searchsorted(pairs, np.arange(n + 1) * n).astype(np.int32)),
+        shape=(n, n))
+
+
+def _coarse_level(shape, coarse, template):
+    """The :class:`CoarseLevel` from the 2D grid ``shape``, whose CSR
+    pattern is that of ``template``, to the grid ``coarse``."""
+    axes = []
+    for n, m in zip(shape, coarse):
+        # node i of a halved axis lies between coarse nodes i//2 and
+        # (i+1)//2; its last node is coarse (node 0 where 2 nodes merge)
+        i = np.arange(n)
+        low, high = (i, i) if m == n else (i // 2, np.minimum((i + 1) // 2, m - 1))
+        low[-1] = high[-1]
+        axes.append((low, high))
+    (low1, high1), (low2, high2) = axes
+    m1, m = int(coarse[0]), int(coarse.prod())
+    parents = np.stack([(low2[:, None] * m1 + high1).ravel(),
+                        (high2[:, None] * m1 + low1).ravel()])
+    fine = parents.shape[1]
     # duplicate entries are summed, so a coarse node gets 0.5 + 0.5
     p = sp.csr_matrix(
-        (np.full(parents.size, 0.5), (np.tile(np.arange(n1 * n2), 2),
+        (np.full(parents.size, 0.5), (np.tile(np.arange(fine), 2),
                                       parents.ravel())),
-        shape=(n1 * n2, m))
-    rows = np.repeat(np.arange(n1 * n2), np.diff(indptr))
-    keys = (parents[:, None, rows] * m + parents[None, :, indices]).reshape(4, -1)
-    pairs = np.unique(keys)
-    coarse_indptr = np.searchsorted(pairs, np.arange(m + 1) * m).astype(np.int32)
-    coarse_indices = (pairs % m).astype(np.int32)
-    template = sp.csr_matrix(
-        (np.zeros(pairs.size), coarse_indices, coarse_indptr), shape=(m, m))
-    return CoarseLevel(p, p.T.tocsr(),
-                       np.searchsorted(pairs, keys).astype(np.int32), template)
+        shape=(fine, m))
+    rows = np.repeat(np.arange(fine), np.diff(template.indptr))
+    keys = (parents[:, None, rows] * m
+            + parents[None, :, template.indices]).reshape(4, -1)
+    pairs, coarse_template = _csr_template(keys, m)
+    galerkin = np.searchsorted(pairs, keys).astype(np.int32)
+    return CoarseLevel(p, p.T.tocsr(), galerkin, coarse_template)
 
 
 def build_grid(dim, nodes_per_axis, lengths):

@@ -15,24 +15,19 @@ CSR values:
   overwrites the two diagonals with the pivots and factors of L D L^T,
   and the solve one forward and one backward pass; at these sizes the
   cost is the Python loop, not the arithmetic;
-* on 2D grids :func:`multigrid_vcycle` is a geometric multigrid V-cycle
-  whose CG iteration count does not grow as the mesh is refined.  Each
-  Galerkin operator is summed from the finer level's values by fixed
-  maps, with no sparse-sparse products;
-* either returns None when its construction finds the matrix unsuitable
-  (a non-positive pivot, a grid that does not coarsen to a small dense
-  level), and CG then runs unpreconditioned.
+* on 2D grids of every shape :func:`multigrid_vcycle` is a geometric
+  multigrid V-cycle over the hierarchy the grid builds, whose CG
+  iteration count does not grow as the mesh is refined.  Each Galerkin
+  operator is summed from the finer level's values by fixed maps;
+* either returns None when it finds the matrix unsuitable (a
+  non-positive pivot, a zero row, an indefinite coarsest level), and CG
+  then runs unpreconditioned.
 """
 
 import copy
 import functools
 
 import numpy as np
-
-# largest level solved densely at the bottom of a V-cycle.  The dense
-# inverse is formed once per matrix: at 289 unknowns (a 17^2 level) it alone
-# cost ~7.6 ms per Newton matrix, more than the V-cycle saved on 33^2 grids
-_COARSEST_MAX = 100
 
 
 class LinearSolveError(RuntimeError):
@@ -81,25 +76,22 @@ def multigrid_vcycle(mat, hierarchy):
 
     ``mat`` is a CSR matrix on the pattern of the finest level of
     ``hierarchy``, the chain of coarse levels finest first (see
-    ``Grid.prolongations``); the coarse operators are the Galerkin
-    products P_k^T A_k P_k (:func:`galerkin_operator`).  Coarsening stops
-    at the first level with at most 100 unknowns, which is solved exactly
-    by a dense inverse formed after a Cholesky check
-    (:func:`_spd_inverse`).  Each level smooths with one l1-Jacobi sweep
+    ``Grid.prolongations``), all of which the cycle visits; the coarse
+    operators are the Galerkin products P_k^T A_k P_k
+    (:func:`galerkin_operator`).  The last level is solved exactly by a
+    dense inverse formed after a Cholesky check (:func:`_spd_inverse`),
+    so it must be small.  Each level smooths with one l1-Jacobi sweep
     x += r / rowsum|A| before and one after the coarse correction.  Since
     2 diag(rowsum|A|) - A is strictly diagonally dominant for any
     symmetric A without zero rows, the cycle is an SPD operator whenever
     the coarsest matrix is.
 
-    Returns a callable ``r -> M^{-1} r``, or None when no level of at most
-    100 unknowns is reached, a row of A is zero, or the coarsest matrix is
-    not positive definite.
+    Returns a callable ``r -> M^{-1} r``, or None when a row of A is zero
+    or the coarsest matrix is not positive definite.
     """
     levels = []
     a = mat
     for level in hierarchy:
-        if a.shape[0] <= _COARSEST_MAX:
-            break
         # every row of a grid pattern holds its diagonal entry, so no
         # segment of reduceat is empty
         rowsum = np.add.reduceat(np.abs(a.data), a.indptr[:-1])
@@ -107,8 +99,6 @@ def multigrid_vcycle(mat, hierarchy):
             return None
         levels.append((a, 1.0 / rowsum, level.p, level.pt))
         a = galerkin_operator(a, level)
-    if a.shape[0] > _COARSEST_MAX:
-        return None
     coarse_inverse = _spd_inverse(a.toarray())
     if coarse_inverse is None:
         return None

@@ -131,6 +131,30 @@ def test_unreadable_config_path_is_named(tmp_path, capsys, is_directory):
     assert not out.exists()
 
 
+def test_config_that_is_not_utf8_is_named(tmp_path, capsys):
+    path = tmp_path / "run.ini"
+    path.write_bytes(b"[grid]\ndim = \xff\xfe\n")
+    out = tmp_path / "out"
+    assert run("simulate", str(path), out_dir=str(out)) == 1
+    assert capsys.readouterr().err.startswith(
+        f"config error at '{path}': unparseable config")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "study-lipschitz"])
+@pytest.mark.parametrize("flag", [True, False])
+def test_negative_seed_is_named(tmp_path, capsys, command, flag):
+    # the seed reached numpy only after the output directory was made
+    out = tmp_path / "out"
+    seed, overrides = (-1, []) if flag else (None, ["output.seed=-1"])
+    assert run(command, write_config(tmp_path), overrides, out_dir=str(out),
+               seed=seed) == 1
+    key = "--seed" if flag else "output.seed"
+    assert capsys.readouterr().err.strip() == (
+        f"config error at '{key}': must be non-negative, got -1")
+    assert not out.exists()
+
+
 def test_missing_file_reference_exits_1(tmp_path, capsys):
     cfg = BASE_CONFIG.replace("y0 = constant(1.0)",
                               "y0_file = does_not_exist.field")

@@ -136,22 +136,24 @@ def test_1d_preconditioner_reads_the_diagonals_by_position(aniso):
                           textbook_ldlt_solve(mat, b))
 
 
-def test_grid_preconditioner_is_exact_in_1d_only():
+def test_grid_preconditioner_covers_every_shape():
     g1 = build_grid(1, [9], [1.0])
     g2 = build_grid(2, [5, 5], [1.0, 1.0])
     g12 = build_grid(2, [12, 12], [1.0, 1.0])
     shifted = lambda g: g.assemble_weighted_stiffness(None, np.ones(g.n_nodes))
     assert g1.preconditioner(shifted(g1)) is not None
     assert g2.preconditioner(shifted(g2)) is not None
-    # 11 intervals per axis do not halve: no hierarchy, plain CG
-    assert g12.preconditioner(shifted(g12)) is None
+    # 11 intervals per axis do not halve, yet the grid coarsens: a V-cycle
+    assert len(g12.prolongations()) == 1
+    assert g12.preconditioner(shifted(g12)) is not None
 
 
 # -- 2D multigrid ---------------------------------------------------------------
 
-def relaxation_newton_matrix(n):
-    """Newton matrix of the README relaxation at a rough state on n x n."""
-    g = build_grid(2, [n, n], [1.0, 1.0])
+def relaxation_newton_matrix(n, m=None, lengths=(1.0, 1.0)):
+    """Newton matrix of the README relaxation at a rough state on n x m
+    (n x n by default)."""
+    g = build_grid(2, [n, n if m is None else m], list(lengths))
     y = np.random.default_rng(9).uniform(-0.8, 0.8, g.n_nodes)
     return g, newton_matrix(g, ANISO_2D, DW, y, 0.1)
 
@@ -160,7 +162,7 @@ def dense_operator(apply, n):
     return np.column_stack([apply(e) for e in np.eye(n)])
 
 
-@pytest.mark.parametrize("n", [5, 9, 33])
+@pytest.mark.parametrize("n", [17, 33, 65])
 def test_prolongation_is_p1_interpolation(n):
     g = build_grid(2, [n, n], [1.0, 2.0])
     coarse = build_grid(2, [(n + 1) // 2] * 2, [1.0, 2.0])
@@ -179,7 +181,7 @@ def test_prolongation_is_p1_interpolation(n):
 
 
 @pytest.mark.parametrize("shape", [(9, 9), (17, 17), (33, 33), (129, 129),
-                                   (17, 33)])
+                                   (17, 33), (16, 12), (12, 33), (129, 5)])
 def test_galerkin_maps_match_sparse_products(shape):
     g = build_grid(2, list(shape), [1.0, 2.0])
     rng = np.random.default_rng(15)
@@ -188,17 +190,25 @@ def test_galerkin_maps_match_sparse_products(shape):
     tensors = m + m.swapaxes(1, 2) + np.eye(2)
     a = g.assemble_weighted_stiffness(tensors, rng.uniform(0.5, 1.5, g.n_nodes))
     levels = g.prolongations()
-    assert len(levels) == int(np.log2(min(shape) - 1)) - 1
+    # the hierarchy ends at its first level of at most 100 nodes
+    sizes = [g.n_nodes] + [level.p.shape[1] for level in levels]
+    assert all(size > 100 for size in sizes[:-1]) and sizes[-1] <= 100
+    nested = True
     for level in levels:
         coarse = galerkin_operator(a, level)
         expected = level.pt @ a @ level.p
         assert abs(coarse - expected).max() <= 1e-14 * abs(expected).max()
-        # the maps fill the coarse grid's own P1 pattern
-        coarse_grid = build_grid(2, [(n + 1) // 2 for n in shape], [1.0, 2.0])
-        indptr, indices = coarse_grid.sparsity_pattern()[:2]
-        assert np.array_equal(coarse.indptr, indptr)
-        assert np.array_equal(coarse.indices, indices)
-        a, shape = coarse, coarse_grid.shape
+        # while both axes halve from odd counts, the maps fill the coarse
+        # grid's own P1 pattern
+        nested = nested and all(n % 2 for n in shape)
+        shape = [(n + 1) // 2 for n in shape]
+        if nested and level.p.shape[1] == np.prod(shape):
+            indptr, indices = build_grid(2, shape, [1.0, 2.0]).sparsity_pattern()[:2]
+            assert np.array_equal(coarse.indptr, indptr)
+            assert np.array_equal(coarse.indices, indices)
+        else:
+            nested = False
+        a = coarse
 
 
 def test_matrix_off_the_grid_pattern_is_rejected():
@@ -210,19 +220,25 @@ def test_matrix_off_the_grid_pattern_is_rejected():
 
 
 def test_vcycle_is_symmetric_positive_definite():
-    g, newton = relaxation_newton_matrix(17)
-    # indefinite: one fine-only node with a negative diagonal entry, while
-    # the Galerkin matrix of the coarsest level stays positive definite
-    v = np.zeros(g.n_nodes)
-    v[3 * 17 + 3] = -6.0
-    indefinite = g.assemble_weighted_stiffness(None, 1.0 + v)
-    assert np.linalg.eigvalsh(indefinite.toarray())[0] < 0.0
-    for mat in (newton, indefinite):
-        vcycle = g.preconditioner(mat)
-        assert vcycle is not None
-        m_inv = dense_operator(vcycle, g.n_nodes)
-        assert np.max(np.abs(m_inv - m_inv.T)) <= 1e-12 * np.max(np.abs(m_inv))
-        assert np.linalg.eigvalsh(0.5 * (m_inv + m_inv.T))[0] > 0.0
+    for shape in [(17, 17), (16, 12), (65, 5)]:
+        g, newton = relaxation_newton_matrix(*shape)
+        # indefinite: one fine-only node with a negative diagonal entry,
+        # while the Galerkin matrix of the coarsest level stays positive
+        # definite, as its two neighbours on the x-axis, both coarse nodes,
+        # carry as much more
+        node = 3 * shape[0] + 3
+        v = np.zeros(g.n_nodes)
+        v[node] = -2.0 - g.stiffness_matrix().diagonal()[node]
+        v[[node - 1, node + 1]] = -v[node]
+        indefinite = g.assemble_weighted_stiffness(None, 1.0 + v)
+        assert np.linalg.eigvalsh(indefinite.toarray())[0] < 0.0
+        for mat in (newton, indefinite):
+            vcycle = g.preconditioner(mat)
+            assert vcycle is not None
+            m_inv = dense_operator(vcycle, g.n_nodes)
+            assert (np.max(np.abs(m_inv - m_inv.T))
+                    <= 1e-12 * np.max(np.abs(m_inv)))
+            assert np.linalg.eigvalsh(0.5 * (m_inv + m_inv.T))[0] > 0.0
 
 
 @pytest.mark.parametrize("n", [33, 65, 129])
@@ -233,6 +249,36 @@ def test_vcycle_iterations_do_not_grow_with_the_grid(n):
     x = conjugate_gradient(op, b, rtol=1e-12, precondition=g.preconditioner(mat))
     assert op.calls <= 40
     assert np.linalg.norm(b - mat @ x) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("shape", [
+    (3, 130), (130, 3), (2, 130), (4, 4), (12, 12), (13, 97), (16, 48),
+    (31, 64), (100, 100), (127, 129), (128, 128), (129, 5)])
+def test_vcycle_covers_every_grid_shape(shape):
+    g, mat = relaxation_newton_matrix(*shape)
+    b = np.random.default_rng(10).normal(size=g.n_nodes)
+    op = CountingOperator(mat)
+    precondition = g.preconditioner(mat)
+    assert precondition is not None
+    x = conjugate_gradient(op, b, rtol=1e-12, precondition=precondition)
+    assert op.calls <= 40
+    assert np.linalg.norm(b - mat @ x) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("shape,lengths", [((2, 300), (1e-3, 1.0)),
+                                           ((300, 2), (1.0, 1e-3))])
+def test_vcycle_coarsens_extreme_aspect_ratios(shape, lengths):
+    # the short axis couples strongly and has too few nodes to halve, so
+    # it merges into one node while the long axis waits
+    g, mat = relaxation_newton_matrix(*shape, lengths)
+    assert [level.p.shape[1] for level in g.prolongations()] == [300, 151, 76]
+    b = np.random.default_rng(10).normal(size=g.n_nodes)
+    op = CountingOperator(mat)
+    x = conjugate_gradient(op, b, rtol=1e-12, precondition=g.preconditioner(mat))
+    assert op.calls <= 40
+    # CG's own residual is at most 1e-12; the true one also carries
+    # rounding of order 1e-16 times the condition number, about 2.5e6 here
+    assert np.linalg.norm(b - mat @ x) <= 1e-10 * np.linalg.norm(b)
 
 
 def test_vcycle_declines_unsuitable_matrices():
