@@ -11,13 +11,13 @@ from .control import (AdjointUnavailable, ControlProblem, DistributedTarget,
                       optimize, reduced_gradient, solve_state, write_history)
 from .grid import (FieldNorms, Grid, assemble_flux_divergence, build_grid,
                    dual_norm, element_gradients, load_field, norms,
-                   read_field, write_field)
+                   write_field)
 from .potential import (DoubleWell, MoreauYosida, TruncatedPotential,
                         ZeroPotential)
 from .stepper import (EnergyStabilityReport, NonConvergence, StepConfig,
                       StepDiagnostics, TimePartition, Trajectory,
                       UniquenessViolation, check_energy_stability, energy,
-                      solve_trajectory, step, step_objective, step_residual,
+                      solve_trajectory, step, step_residual,
                       trajectory_bounds, write_diagnostics)
 from .studies import (StudyReport, control_convergence_study, fit_rate,
                       inject_time, lipschitz_study, perturbation_ratio,

@@ -60,8 +60,8 @@ class MatrixFamilyAnisotropy:
     matrices : array-like, (L, d, d)
         Symmetric positive definite matrices.
     delta : float
-        Nonnegative regularization; delta > 0 makes A twice differentiable,
-        which the adjoint checks through ``twice_differentiable``.
+        Finite, nonnegative regularization; delta > 0 makes A twice
+        differentiable, which the adjoint checks (``twice_differentiable``).
     """
 
     kind = "matrix_family"
@@ -82,8 +82,8 @@ class MatrixFamilyAnisotropy:
             if not lam_min > 0:
                 raise ValueError(
                     f"matrix {k} not positive definite (min eigenvalue {lam_min:.2e})")
-        if not delta >= 0:
-            raise ValueError(f"delta must be nonnegative, got {delta}")
+        if not 0 <= delta < np.inf:
+            raise ValueError(f"delta must be nonnegative and finite, got {delta}")
         # the exactly symmetric part, whose upper triangle derivatives() reads
         self.matrices = 0.5 * (mats + np.swapaxes(mats, 1, 2))
         self.delta = float(delta)

@@ -247,7 +247,8 @@ def _build_anisotropy(cfg, dim):
         delta = _get(cfg, "anisotropy", "delta", float, default=0.0)
         mats = []
         for chunk in raw.split(";"):
-            vals = _floats(chunk)
+            with _blame("anisotropy.matrices"):
+                vals = _floats(chunk)
             if len(vals) != dim * dim:
                 raise ConfigError("anisotropy.matrices",
                                   f"each matrix needs {dim * dim} row-major "
@@ -376,10 +377,13 @@ def _write_fields(out_dir, grid, prefix, fields, first=0):
         write_field(os.path.join(out_dir, f"{prefix}_{j:04d}.field"), grid, y)
 
 
-def _study_value(cfg, key, kind, default, ok, need):
-    """A [study] value, rejected unless ``ok(value)``; ``need`` says why."""
+def _study_value(cfg, key, kind, default, ok=None, need=None):
+    """A [study] value.  Every float must be finite, and a value is
+    rejected unless ``ok(value)``; ``need`` says what ``ok`` asks for."""
     value = _get(cfg, "study", key, kind, default=default)
-    if not ok(value):
+    if kind is float and not np.isfinite(value):
+        raise ConfigError(f"study.{key}", f"needs a finite value, got {value}")
+    if ok is not None and not ok(value):
         raise ConfigError(f"study.{key}", f"needs {need}, got {value}")
     return value
 
@@ -457,8 +461,7 @@ def run(command, config_path, overrides=(), out_dir=None, seed=None):
         # each study bound to all its inputs, run after the manifest
         final_time, base_n = partition.final_time, partition.n_steps
         if command == "study-tau":
-            rate_max = _study_value(cfg, "rate_max", float, 1.2, np.isfinite,
-                                    "a finite value")
+            rate_max = _study_value(cfg, "rate_max", float, 1.2)
             rate_min = _study_value(cfg, "rate_min", float, 0.8,
                                     lambda v: v <= rate_max,
                                     f"at most study.rate_max = {rate_max:g}")

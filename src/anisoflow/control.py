@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import write_csv
-from .linalg import conjugate_gradient
 from .stepper import (NonConvergence, StepConfig, newton_matrix,
                       solve_trajectory)
 
@@ -54,8 +53,9 @@ class ControlProblem:
     pot: object
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"lambda must be positive, got {self.lam}")
+        if not 0 < self.lam < np.inf:
+            raise ValueError(
+                f"lambda must be positive and finite, got {self.lam}")
         self.y0 = self.grid.check_field(self.y0)
         if isinstance(self.target, FinalTimeTarget):
             self.grid.check_field(self.target.values)
@@ -137,8 +137,7 @@ def adjoint_solve(problem, trajectory, linear_rtol=1e-12):
         else:
             source = tau * w * (y_j - problem.target.values[j - 1])
         rhs = (w * p_next + source) / tau
-        p_j = conjugate_gradient(mat, rhs, rtol=linear_rtol,
-                                 precondition=grid.preconditioner(mat))
+        p_j = grid.solver(mat)(rhs, rtol=linear_rtol)
         if not np.all(np.isfinite(p_j)):
             raise RuntimeError(f"adjoint state at step {j} is not finite")
         adjoints[j - 1] = p_j
@@ -183,8 +182,9 @@ class OptimizeOptions:
     def __post_init__(self):
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
-        if not self.grad_tol >= 0:
-            raise ValueError("grad_tol must be >= 0")
+        # an infinite tolerance would accept the initial control
+        if not 0 <= self.grad_tol < np.inf:
+            raise ValueError("grad_tol must be >= 0 and finite")
 
 
 @dataclass

@@ -26,6 +26,7 @@ alongside them in function signatures.
 
 import copy
 import csv
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -137,7 +138,7 @@ class Grid:
         self._pattern = self._scatter = self._template = None
         self._identity_data = None
         self._prolongations = None
-        self._riesz = None
+        self._riesz_solve = None
 
     @property
     def n_nodes(self):
@@ -277,6 +278,13 @@ class Grid:
         return np.bincount(self._scatter.ravel(), weights=blocks.ravel(),
                            minlength=self._pattern[1].size)
 
+    def solver(self, mat):
+        """``rhs, rtol -> x`` for an SPD matrix this grid assembled: CG
+        (:func:`conjugate_gradient`) with the grid's :meth:`preconditioner`.
+        Every linear solve of the library goes through here."""
+        return functools.partial(conjugate_gradient, mat,
+                                 precondition=self.preconditioner(mat))
+
     def preconditioner(self, mat):
         """Preconditioner for an SPD matrix this grid assembled.
 
@@ -333,12 +341,12 @@ class Grid:
             self._prolongations = tuple(chain)
         return self._prolongations
 
-    def _riesz_system(self):
-        """The Riesz matrix K + diag(W) and its preconditioner, built once."""
-        if self._riesz is None:
-            mat = self.assemble_weighted_stiffness(None, self.weights)
-            self._riesz = (mat, self.preconditioner(mat))
-        return self._riesz
+    def _riesz_solver(self):
+        """The :meth:`solver` of the Riesz matrix K + diag(W), built once."""
+        if self._riesz_solve is None:
+            self._riesz_solve = self.solver(
+                self.assemble_weighted_stiffness(None, self.weights))
+        return self._riesz_solve
 
 
 class CoarseLevel(NamedTuple):
@@ -455,20 +463,18 @@ def dual_norm(grid, values, rtol=1e-6):
     """Discrete dual norm of a field viewed as a functional on H1.
 
     Solves the Riesz problem (grad z, grad phi) + (z, phi) = (f, phi) for
-    all nodal phi (conjugate gradients, relative residual <= rtol, with the
-    grid's preconditioner: exact in one step on 1D grids, a multigrid
-    V-cycle in 2D) and returns sqrt((f, z)).  (f, z) is the energy of the
-    Riesz problem at its solution, so its error is quadratic in the CG
-    residual: at the default rtol = 1e-6 it is within 1e-13 relative of a
-    1e-14 solve, in 10 V-cycles where 1e-10 took 16, on 33^2 and 129^2
-    grids.  For f constant the representative is z = f, so
-    the value is |f| sqrt(volume); for any f it is bounded by the lumped
-    L2 norm.
+    all nodal phi (the grid's :meth:`Grid.solver`, relative residual <=
+    rtol: exact in one step on 1D grids, multigrid-preconditioned CG in 2D)
+    and returns sqrt((f, z)).  (f, z) is the energy of the Riesz problem at
+    its solution, so its error is quadratic in the CG residual: at the
+    default rtol = 1e-6 it is within 1e-13 relative of a 1e-14 solve, in 10
+    V-cycles where 1e-10 took 16, on 33^2 and 129^2 grids.  For f constant
+    the representative is z = f, so the value is |f| sqrt(volume); for any
+    f it is bounded by the lumped L2 norm.
     """
     values = np.asarray(values, dtype=float)
     rhs = grid.weights * values
-    mat, precondition = grid._riesz_system()
-    z = conjugate_gradient(mat, rhs, rtol=rtol, precondition=precondition)
+    z = grid._riesz_solver()(rhs, rtol=rtol)
     return float(np.sqrt(max(rhs @ z, 0.0)))
 
 
@@ -501,9 +507,10 @@ def write_csv(path, header, rows):
                           for v in row] for row in rows)
 
 
-def read_field(path):
-    """Read a snapshot file; returns (values, header) with header dict
-    holding 'dim', 'shape', 'lengths'."""
+def load_field(path, grid):
+    """Read a snapshot file and check it against ``grid``: the header must
+    name the grid's dimension, node counts and lengths, and the file must
+    hold one finite value per node."""
     with open(path) as f:
         first = f.readline().rstrip("\n")
         if not first.startswith(_FIELD_MAGIC):
@@ -526,12 +533,6 @@ def read_field(path):
     if values.size != expected:
         raise ValueError(
             f"{path}: {values.size} values, header promises {expected}")
-    return values, meta
-
-
-def load_field(path, grid):
-    """Read a snapshot and validate it against ``grid``."""
-    values, meta = read_field(path)
     if (meta["dim"] != grid.dim or meta["shape"] != grid.shape
             or not np.allclose(meta["lengths"], grid.lengths)):
         raise ValueError(

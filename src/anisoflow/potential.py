@@ -56,8 +56,8 @@ class MoreauYosida:
     smoothness = "semismooth"
 
     def __init__(self, penalty):
-        if not penalty > 0:
-            raise ValueError(f"penalty must be positive, got {penalty}")
+        if not 0 < penalty < np.inf:
+            raise ValueError(f"penalty must be positive and finite, got {penalty}")
         self.penalty = float(penalty)
 
     def value(self, y):
@@ -90,19 +90,23 @@ class TruncatedPotential:
     Taylor continuation from the window edge is used, so the second
     derivative is bounded by its range on the window and the growth of the
     derivative is at most linear.  Raises ValueError for a non-C2 base
-    (e.g. MoreauYosida) or a non-positive cutoff.
+    (e.g. MoreauYosida) or a cutoff that is not positive and finite.
     """
 
     smoothness = "c2"
 
     def __init__(self, base, cutoff):
-        if not cutoff > 0:
-            raise ValueError(f"cutoff must be positive, got {cutoff}")
+        if not 0 < cutoff < np.inf:
+            raise ValueError(f"cutoff must be positive and finite, got {cutoff}")
         if getattr(base, "smoothness", None) != "c2":
             raise ValueError(
                 f"truncation needs a C2 base potential, got {base!r}")
         self.base = base
         self.cutoff = float(cutoff)
+        # dense-grid minimization of psi'' on the window; outside the window
+        # the continuation's psi'' equals the window-edge values
+        ys = np.linspace(-self.cutoff, self.cutoff, 100001)
+        self._semiconvexity = max(0.0, -float(np.min(base.second(ys))))
 
     # the base and its Taylor terms at y clamped to the window; the step
     # t from there to y is zero inside, so the base is reproduced exactly
@@ -122,10 +126,7 @@ class TruncatedPotential:
         return self.base.second(np.clip(y, -self.cutoff, self.cutoff))
 
     def semiconvexity(self):
-        # dense-grid minimization of psi'' on the window; outside the window
-        # the continuation's psi'' equals the window-edge values
-        ys = np.linspace(-self.cutoff, self.cutoff, 100001)
-        return max(0.0, -float(np.min(self.base.second(ys))))
+        return self._semiconvexity
 
     def __repr__(self):
         return f"TruncatedPotential({self.base!r}, cutoff={self.cutoff!r})"

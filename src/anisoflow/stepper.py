@@ -39,7 +39,6 @@ import numpy as np
 
 from .grid import (assemble_flux_divergence, element_gradients, norms,
                    write_csv)
-from .linalg import conjugate_gradient
 
 
 class UniquenessViolation(ValueError):
@@ -149,9 +148,11 @@ class StepConfig:
     enforce_uniqueness: bool = True    # reject tau >= 1/c
 
     def __post_init__(self):
-        for name in ("newton_tol", "linear_rtol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        if not 0 < self.newton_tol < np.inf:
+            raise ValueError("newton_tol must be positive and finite")
+        # CG returns zero at once for a relative residual of 1 or more
+        if not 0 < self.linear_rtol < 1:
+            raise ValueError("linear_rtol must be in (0, 1)")
         if self.max_newton_iters < 1:
             raise ValueError("max_newton_iters must be >= 1")
 
@@ -213,19 +214,13 @@ def _evaluate(grid, y, y_prev, u, tau, terms):
 def step_residual(grid, aniso, pot, y, y_prev, u, tau):
     """Residual of the lumped implicit step; zero exactly at the step solution.
 
-    Equals tau times the gradient of :func:`step_objective`.
+    Equals tau times the gradient of the step's objective Phi (see the
+    module docstring).
     """
     y, y_prev, u = (grid.check_field(v) for v in (y, y_prev, u))
     step_regimes(0.0, tau)  # rejects a tau that is not positive
     return _evaluate(grid, y, y_prev, u, tau,
                      _state_terms(grid, aniso, pot, y))[1]
-
-
-def step_objective(grid, aniso, pot, y, y_prev, u, tau):
-    """Per-step convex objective whose minimizer is the implicit step."""
-    y = np.asarray(y, dtype=float)
-    return _evaluate(grid, y, y_prev, u, tau,
-                     _state_terms(grid, aniso, pot, y))[0]
 
 
 def newton_matrix(grid, aniso, pot, y, tau, majorant=False):
@@ -293,9 +288,8 @@ def _solve_step(grid, aniso, pot, y_prev, u, tau, config, y_start, c_psi,
     for it in range(1, config.max_newton_iters + 1):
         grad_phi = res / tau
         h_mat = newton_matrix(grid, aniso, pot, y, tau, majorant)
-        direction = conjugate_gradient(
-            h_mat, -grad_phi, rtol=max(config.linear_rtol, forcing),
-            precondition=grid.preconditioner(h_mat))
+        direction = grid.solver(h_mat)(
+            -grad_phi, rtol=max(config.linear_rtol, forcing))
         slope = float(grad_phi @ direction)
         if slope >= 0.0:  # cannot happen for exact solves; guard roundoff
             direction = -grad_phi / w

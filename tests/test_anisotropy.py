@@ -258,5 +258,7 @@ def test_rejects_indefinite_matrix():
 
 
 def test_rejects_negative_delta():
-    with pytest.raises(ValueError):
-        MatrixFamilyAnisotropy([np.eye(2)], delta=-1e-3)
+    for delta in (-1e-3, np.inf):
+        with pytest.raises(ValueError,
+                           match="^delta must be nonnegative and finite"):
+            MatrixFamilyAnisotropy([np.eye(2)], delta=delta)

@@ -7,7 +7,7 @@ import pytest
 from anisoflow import (DoubleWell, IsotropicAnisotropy,
                        MatrixFamilyAnisotropy, MoreauYosida, OptimizeOptions,
                        StepConfig, TimePartition, TruncatedPotential,
-                       ZeroPotential, build_grid, load_field, read_field,
+                       ZeroPotential, build_grid, load_field,
                        solve_trajectory, write_field)
 from anisoflow.cli import (_SCHEMA, _from_section, _section_fields,
                            builtin_initializer, constant_field, load_config,
@@ -289,9 +289,8 @@ def test_states_roundtrip_through_snapshots(tmp_path):
     path = write_config(tmp_path, cfg)
     out = tmp_path / "out"
     assert run("simulate", path, out_dir=str(out)) == 0
-    values, meta = read_field(out / "state_0000.field")
-    assert meta["shape"] == (33,)
     g = build_grid(1, [33], [1.0])
+    values = load_field(out / "state_0000.field", g)
     assert np.array_equal(values, random_uniform_field(g, -1, 1, 9))
 
 
@@ -438,6 +437,35 @@ REJECTED_INPUTS = [
     ("simulate", ["grid.lengths=abc"], "grid.lengths"),
     ("simulate", ["anisotropy.kind=matrix_family", "anisotropy.matrices=1",
                   "anisotropy.delta=-1"], "anisotropy.delta"),
+    # a non-number in a matrix
+    ("simulate", ["anisotropy.kind=matrix_family",
+                  "anisotropy.matrices=1 0 0 abc"], "anisotropy.matrices"),
+    ("simulate", ["anisotropy.kind=matrix_family", "anisotropy.matrices=true"],
+     "anisotropy.matrices"),
+    # non-finite model parameters; 1e400 parses as inf
+    ("simulate", ["potential.kind=truncated", "potential.cutoff=inf",
+                  "time.T=4", "time.N=2"], "potential.cutoff"),
+    ("simulate", ["potential.kind=truncated", "potential.cutoff=1e400"],
+     "potential.cutoff"),
+    ("simulate", ["anisotropy.kind=matrix_family", "anisotropy.matrices=1",
+                  "anisotropy.delta=inf"], "anisotropy.delta"),
+    ("simulate", ["potential.kind=moreau_yosida", "potential.penalty=inf"],
+     "potential.penalty"),
+    # tolerances the solver cannot honour
+    ("simulate", ["solver.newton_tol=inf"], "solver.newton_tol"),
+    ("simulate", ["solver.linear_tol=2"], "solver.linear_tol"),
+    ("simulate", ["solver.linear_tol=1e400"], "solver.linear_tol"),
+    # non-finite [study] values
+    ("study-lipschitz", ["study.perturbation_scale=inf"],
+     "study.perturbation_scale"),
+    ("study-bounds", ["study.growth_tol=inf"], "study.growth_tol"),
+    ("study-bounds", ["study.ratio_window=inf"], "study.ratio_window"),
+    ("study-lipschitz", ["study.ratio_growth=inf"], "study.ratio_growth"),
+    ("study-tau", ["study.rate_min=-inf"], "study.rate_min"),
+    ("study-tau", ["study.rate_max=-inf"], "study.rate_max"),
+    ("optimize", ["control.lambda=inf", "control.target=final_time",
+                  "control.target_file={tmp}/target.field"], "control.lambda"),
+    ("optimize", ["optimize.grad_tol=inf"], "optimize.grad_tol"),
 ]
 
 

@@ -3,6 +3,7 @@ import pytest
 from conftest import fd_gradient, oracle_stiffness_matrix
 
 import anisoflow.control
+import anisoflow.grid
 from anisoflow import (AdjointUnavailable, ControlProblem, DistributedTarget,
                        DoubleWell, FinalTimeTarget, IsotropicAnisotropy,
                        MatrixFamilyAnisotropy, NonConvergence, OptimizeOptions,
@@ -122,13 +123,21 @@ def test_adjoint_needs_flux_hessian():
 def test_adjoint_uses_configured_linear_tolerance(monkeypatch, entry):
     prob, _ = make_problem(seed=13)
     rtols = []
-    original = anisoflow.control.conjugate_gradient
+    original = anisoflow.grid.conjugate_gradient
+    sweep = anisoflow.control.adjoint_solve
 
     def spy(mat, rhs, rtol=1e-12, **kwargs):
         rtols.append(rtol)
         return original(mat, rhs, rtol=rtol, **kwargs)
 
-    monkeypatch.setattr(anisoflow.control, "conjugate_gradient", spy)
+    def spied_sweep(*args, **kwargs):
+        # the Newton solves share the grid's solve entry, with their own
+        # forcing terms, so only the adjoint sweep's solves are recorded
+        with monkeypatch.context() as m:
+            m.setattr(anisoflow.grid, "conjugate_gradient", spy)
+            return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(anisoflow.control, "adjoint_solve", spied_sweep)
     config = StepConfig(linear_rtol=1e-7)
     if entry == "reduced_gradient":
         reduced_gradient(prob, prob.zero_control(), config)

@@ -8,7 +8,7 @@ from anisoflow import (ControlProblem, DoubleWell, FinalTimeTarget,
                        MatrixFamilyAnisotropy, TimePartition,
                        adjoint_solve, assemble_flux_divergence, build_grid,
                        dual_norm, element_gradients, load_field,
-                       norms, read_field, solve_state, step, write_field)
+                       norms, solve_state, step, write_field)
 
 
 # -- construction -------------------------------------------------------------
@@ -302,9 +302,8 @@ def test_field_roundtrip_bit_exact(tmp_path):
     values = rng.standard_normal(g.n_nodes) * 1e3
     path = tmp_path / "field.txt"
     write_field(path, g, values)
-    back, meta = read_field(path)
-    assert np.array_equal(back, values)
-    assert meta == {"dim": 2, "shape": (4, 3), "lengths": (1.0, 2.0)}
+    assert path.read_text().startswith(
+        "# anisoflow-field v1 dim=2 n=4,3 L=1,2\n")
     assert np.array_equal(load_field(path, g), values)
 
 
@@ -320,20 +319,21 @@ def test_field_file_bytes_and_extreme_values(tmp_path):
     for v in values:
         golden += f"{v:.17g}\n"
     assert path.read_bytes() == golden.encode()
-    back, _ = read_field(path)
+    back = load_field(path, g)
     assert np.array_equal(back.view(np.uint64), values.view(np.uint64))
 
 
 def test_read_field_rejects_malformed_values(tmp_path):
+    g = build_grid(1, [3], [1.0])
     header = "# anisoflow-field v1 dim=1 n=3 L=1\n"
     two = tmp_path / "two.txt"
     two.write_text(header + "0.5\n1 2\n0.25\n")
     with pytest.raises(ValueError, match="could not convert"):
-        read_field(two)
+        load_field(two, g)
     short = tmp_path / "short.txt"
     short.write_text(header + "0.5\n\n0.25\n")
     with pytest.raises(ValueError, match="2 values, header promises 3"):
-        read_field(short)
+        load_field(short, g)
 
 
 def test_field_header_checked(tmp_path):
@@ -346,7 +346,7 @@ def test_field_header_checked(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("not a snapshot\n1.0\n")
     with pytest.raises(ValueError):
-        read_field(bad)
+        load_field(bad, g)
 
 
 def test_write_rejects_bad_fields(tmp_path):

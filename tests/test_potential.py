@@ -176,13 +176,18 @@ def test_truncation_rejects_semismooth_base():
 
 
 def test_truncation_rejects_bad_cutoff():
-    with pytest.raises(ValueError):
-        TruncatedPotential(DoubleWell(), 0.0)
+    # an infinite window scanned for inf psi'' gave NaN and c = 0
+    for cutoff in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError,
+                           match="^cutoff must be positive and finite"):
+            TruncatedPotential(DoubleWell(), cutoff)
 
 
 def test_moreau_yosida_rejects_bad_penalty():
-    with pytest.raises(ValueError):
-        MoreauYosida(0.0)
+    for penalty in (0.0, np.inf):
+        with pytest.raises(ValueError,
+                           match="^penalty must be positive and finite"):
+            MoreauYosida(penalty)
 
 
 def test_zero_potential_is_zero():

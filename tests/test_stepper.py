@@ -9,14 +9,20 @@ from anisoflow import (DoubleWell, IsotropicAnisotropy, MatrixFamilyAnisotropy,
                        MoreauYosida, NonConvergence, StepConfig, TimePartition,
                        Trajectory, UniquenessViolation, ZeroPotential,
                        build_grid, check_energy_stability, energy, norms,
-                       solve_trajectory, step, step_objective, step_residual,
+                       solve_trajectory, step, step_residual,
                        trajectory_bounds, write_diagnostics)
-from anisoflow import stepper
+from anisoflow import grid, stepper
 from anisoflow.linalg import conjugate_gradient
 from anisoflow.stepper import newton_matrix, step_regimes
 
 ISO = IsotropicAnisotropy()
 DW = DoubleWell()
+
+
+def step_objective(g, aniso, pot, y, y_prev, u, tau):
+    """The step's objective Phi = E(y) + sum w ((y - y_prev)^2 / (2 tau) - u y)."""
+    return energy(g, aniso, pot, y) + float(
+        np.sum(g.weights * ((y - y_prev) ** 2 / (2 * tau) - u * y)))
 
 
 # -- time partitions ------------------------------------------------------------
@@ -197,6 +203,16 @@ def test_step_rejects_tau_above_uniqueness_bound():
     assert np.all(np.isfinite(out))
 
 
+@pytest.mark.parametrize("name,value", [
+    ("newton_tol", np.inf), ("newton_tol", 0.0), ("linear_rtol", 1.0),
+    ("linear_rtol", np.inf), ("linear_rtol", np.nan)])
+def test_step_config_rejects_tolerances_it_cannot_honour(name, value):
+    # newton_tol = inf took no Newton iteration; linear_rtol >= 1 made CG
+    # return zero directions
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        StepConfig(**{name: value})
+
+
 @pytest.mark.parametrize("tau", [0.0, -0.1, float("nan")])
 def test_step_rejects_nonpositive_tau(tau):
     g = build_grid(1, [9], [1.0])
@@ -301,7 +317,7 @@ def test_step_above_the_uniqueness_bound_converges(seed):
 # -- inexact Newton -------------------------------------------------------------
 
 class CountingSolves:
-    """Stands in for ``stepper.conjugate_gradient``: records the relative
+    """Stands in for ``grid.conjugate_gradient``: records the relative
     tolerance and right-hand-side norm of each solve, grouped per step, and
     counts the preconditioner applications."""
 
@@ -314,7 +330,7 @@ class CountingSolves:
             return solve_step(*args)
 
         monkeypatch.setattr(stepper, "_solve_step", counting_step)
-        monkeypatch.setattr(stepper, "conjugate_gradient", self)
+        monkeypatch.setattr(grid, "conjugate_gradient", self)
 
     def __call__(self, mat, b, rtol, precondition):
         self.steps[-1].append((rtol, np.linalg.norm(b)))
