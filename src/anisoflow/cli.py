@@ -19,6 +19,7 @@ import contextlib
 import dataclasses
 import functools
 import hashlib
+import math
 import os
 import sys
 
@@ -62,8 +63,7 @@ _SCHEMA = {
     "potential": {"kind", "penalty", "cutoff"},
     "control": {"lambda", "target", "target_file", "target_dir",
                 "y0", "y0_file", "forcing", "forcing_dir"},
-    "study": {"levels", "rate_min", "rate_max", "ratio_window",
-              "growth_tol", "ratio_growth", "pairs", "perturbation_scale"},
+    "study": {"levels"},
     "output": {"directory", "seed"},
     **{section: set(_section_fields(cls))
        for section, cls in _SETTINGS.items()},
@@ -217,11 +217,48 @@ def _floats(raw):
     return [float(x) for x in raw.replace(",", " ").split()]
 
 
+def _node_counts(cfg):
+    with _blame("grid.nodes"):
+        return [int(x) for x in _get(cfg, "grid", "nodes", required=True)
+                .replace(",", " ").split()]
+
+
+# the most doubles the states of one trajectory may take: (N_f + 1) * n_nodes
+# for the N_f steps of the finest partition a command solves, 1 GiB.  A
+# 4-level study-tau at 257^2 nodes and N = 40 takes 4.2e7.
+_STATE_BUDGET = 2**27
+
+
+def _check_size(cfg, halvings):
+    """Reject a run whose finest partition, of N * 2^halvings steps, has
+    states of more than ``_STATE_BUDGET`` doubles.  Read from the raw values
+    before anything is allocated; names the first of grid.nodes, the time
+    key and study.levels that breaks it with the later keys at their least.
+    """
+    # a count below 1 is left for the builders to reject by name
+    n_nodes = math.prod(max(n, 0) for n in _node_counts(cfg))
+    raw_breaks = _get(cfg, "time", "breakpoints")
+    if raw_breaks is None:
+        time_key, n_steps = "time.N", _get(cfg, "time", "N", int,
+                                           required=True)
+    else:
+        time_key = "time.breakpoints"
+        with _blame(time_key):
+            n_steps = len(_floats(raw_breaks)) - 1
+    for key, steps, shift in (("grid.nodes", 1, 0), (time_key, n_steps, 0),
+                              ("study.levels", n_steps, halvings)):
+        # past 64 halvings every run breaks the budget; the cap keeps a
+        # huge study.levels from building a huge integer
+        if ((max(steps, 0) << min(shift, 64)) + 1) * n_nodes > _STATE_BUDGET:
+            states = f"{steps}*2^{shift} + 1" if shift else steps + 1
+            raise ConfigError(key, f"{states} states of {n_nodes} nodes "
+                              f"exceed the limit of 2^27 = {_STATE_BUDGET} "
+                              "doubles per trajectory")
+
+
 def _build_grid(cfg):
     dim = _get(cfg, "grid", "dim", int, required=True)
-    with _blame("grid.nodes"):
-        nodes = [int(x) for x in _get(cfg, "grid", "nodes", required=True)
-                 .replace(",", " ").split()]
+    nodes = _node_counts(cfg)
     with _blame("grid.lengths"):
         lengths = _floats(_get(cfg, "grid", "lengths", required=True))
     with _blame("grid"):
@@ -377,26 +414,13 @@ def _write_fields(out_dir, grid, prefix, fields, first=0):
         write_field(os.path.join(out_dir, f"{prefix}_{j:04d}.field"), grid, y)
 
 
-def _study_value(cfg, key, kind, default, ok=None, need=None):
-    """A [study] value.  Every float must be finite, and a value is
-    rejected unless ``ok(value)``; ``need`` says what ``ok`` asks for."""
-    value = _get(cfg, "study", key, kind, default=default)
-    if kind is float and not np.isfinite(value):
-        raise ConfigError(f"study.{key}", f"needs a finite value, got {value}")
-    if ok is not None and not ok(value):
-        raise ConfigError(f"study.{key}", f"needs {need}, got {value}")
-    return value
-
-
-def _study_perturbation_pairs(cfg, grid, y0, forcing, seed):
-    count = _study_value(cfg, "pairs", int, 5, lambda v: v >= 1, "at least 1")
-    scale = _study_value(cfg, "perturbation_scale", float, 0.1,
-                         lambda v: v > 0, "a positive value")
+def _study_perturbation_pairs(grid, y0, forcing, seed):
+    """c08's data: five seeded perturbations of (y0, forcing) at scale 0.1."""
     rng = np.random.default_rng(seed)
     pairs = []
-    for _ in range(count):
-        dy0 = scale * rng.uniform(-1.0, 1.0, grid.n_nodes)
-        du = scale * rng.uniform(-1.0, 1.0, forcing.shape)
+    for _ in range(5):
+        dy0 = 0.1 * rng.uniform(-1.0, 1.0, grid.n_nodes)
+        du = 0.1 * rng.uniform(-1.0, 1.0, forcing.shape)
         pairs.append(((y0, forcing), (y0 + dy0, forcing + du)))
     return pairs
 
@@ -409,6 +433,16 @@ def run(command, config_path, overrides=(), out_dir=None, seed=None):
         return 1
     try:
         cfg = load_config(config_path, overrides)
+        halvings = 0
+        if command in _STUDY_KINDS:
+            minimum = studies.MIN_LEVELS[_STUDY_KINDS[command]]
+            levels = _get(cfg, "study", "levels", int, default=4)
+            if levels < minimum:
+                raise ConfigError("study.levels", f"needs at least {minimum} "
+                                  f"ladder levels, got {levels}")
+            # study-tau's reference is one halving past its last level
+            halvings = levels if command == "study-tau" else levels - 1
+        _check_size(cfg, halvings)
         grid = _build_grid(cfg)
         partition = _build_partition(cfg)
         aniso = _build_anisotropy(cfg, grid.dim)
@@ -439,11 +473,6 @@ def run(command, config_path, overrides=(), out_dir=None, seed=None):
             raise ConfigError(
                 "time", f"tau_max = {partition.tau_max:g} exceeds the "
                 f"stability-study bound 1/(1+2c) = {bounds['lipschitz']:g}")
-        if command in _STUDY_KINDS:
-            minimum = studies.MIN_LEVELS[_STUDY_KINDS[command]]
-            levels = _study_value(cfg, "levels", int, 4,
-                                  lambda v: v >= minimum,
-                                  f"at least {minimum} ladder levels")
         if command == "verify-energy":
             forcing_spec = _get(cfg, "control", "forcing", default="zero")
             if forcing_spec.strip().lower() != "zero":
@@ -460,31 +489,17 @@ def run(command, config_path, overrides=(), out_dir=None, seed=None):
             forcing = _load_forcing(cfg, grid, partition)
         # each study bound to all its inputs, run after the manifest
         final_time, base_n = partition.final_time, partition.n_steps
-        if command == "study-tau":
-            rate_max = _study_value(cfg, "rate_max", float, 1.2)
-            rate_min = _study_value(cfg, "rate_min", float, 0.8,
-                                    lambda v: v <= rate_max,
-                                    f"at most study.rate_max = {rate_max:g}")
+        if command in ("study-tau", "study-bounds"):
             study = functools.partial(
-                studies.tau_convergence_study, grid, aniso, pot, y0,
-                final_time, base_n, levels, control=forcing,
-                config=step_config, rate_window=(rate_min, rate_max))
-        elif command == "study-bounds":
-            study = functools.partial(
-                studies.uniform_bound_study, grid, aniso, pot, y0,
-                final_time, base_n, levels, control=forcing,
-                config=step_config, ratio_window=_study_value(
-                    cfg, "ratio_window", float, 1.5, lambda v: v >= 1,
-                    "at least 1"),
-                growth_tol=_study_value(cfg, "growth_tol", float, 1.05,
-                                        lambda v: v >= 1, "at least 1"))
+                studies.tau_convergence_study if command == "study-tau"
+                else studies.uniform_bound_study,
+                grid, aniso, pot, y0, final_time, base_n, levels,
+                control=forcing, config=step_config)
         elif command == "study-lipschitz":
             study = functools.partial(
                 studies.lipschitz_study, grid, aniso, pot,
-                _study_perturbation_pairs(cfg, grid, y0, forcing, seed),
-                final_time, base_n, levels, config=step_config,
-                growth=_study_value(cfg, "ratio_growth", float, 1.5,
-                                    lambda v: v >= 1, "at least 1"))
+                _study_perturbation_pairs(grid, y0, forcing, seed),
+                final_time, base_n, levels, config=step_config)
         elif command == "study-control":
             study = functools.partial(
                 studies.control_convergence_study, problem, levels,

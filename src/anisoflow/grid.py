@@ -459,22 +459,22 @@ def norms(grid, values):
     return FieldNorms(l2, h1_semi)
 
 
-def dual_norm(grid, values, rtol=1e-6):
+def dual_norm(grid, values):
     """Discrete dual norm of a field viewed as a functional on H1.
 
     Solves the Riesz problem (grad z, grad phi) + (z, phi) = (f, phi) for
     all nodal phi (the grid's :meth:`Grid.solver`, relative residual <=
-    rtol: exact in one step on 1D grids, multigrid-preconditioned CG in 2D)
+    1e-6: exact in one step on 1D grids, multigrid-preconditioned CG in 2D)
     and returns sqrt((f, z)).  (f, z) is the energy of the Riesz problem at
-    its solution, so its error is quadratic in the CG residual: at the
-    default rtol = 1e-6 it is within 1e-13 relative of a 1e-14 solve, in 10
-    V-cycles where 1e-10 took 16, on 33^2 and 129^2 grids.  For f constant
-    the representative is z = f, so the value is |f| sqrt(volume); for any
-    f it is bounded by the lumped L2 norm.
+    its solution, so its error is quadratic in the CG residual: at rtol =
+    1e-6 it is within 1e-13 relative of a 1e-14 solve, in 10 V-cycles where
+    1e-10 took 16, on 33^2 and 129^2 grids.  For f constant the
+    representative is z = f, so the value is |f| sqrt(volume); for any f it
+    is bounded by the lumped L2 norm.
     """
     values = np.asarray(values, dtype=float)
     rhs = grid.weights * values
-    z = grid._riesz_solver()(rhs, rtol=rtol)
+    z = grid._riesz_solver()(rhs, rtol=1e-6)
     return float(np.sqrt(max(rhs @ z, 0.0)))
 
 

@@ -86,9 +86,19 @@ def _ladder(final_time, base_n, levels):
 # errors at or below this are solver noise, too small to fit a rate to
 _NOISE_FLOOR = 1e-12
 
+# the pass rules, which are the acceptance criteria: a fitted rate in
+# _RATE_WINDOW (c06); level ratios of each bound within _RATIO_WINDOW, and no
+# bound growing by _GROWTH_TOL or more at every level without slowing
+# (c07); no stability ratio above _LIPSCHITZ_GROWTH times the coarsest
+# level's (c08)
+_RATE_WINDOW = (0.8, 1.2)
+_RATIO_WINDOW = 1.5
+_GROWTH_TOL = 1.05
+_LIPSCHITZ_GROWTH = 1.5
+
 
 def tau_convergence_study(grid, aniso, pot, y0, final_time, base_n, levels,
-                          control=None, config=None, rate_window=(0.8, 1.2)):
+                          control=None, config=None):
     """Self-convergence of the states under dyadic step refinement.
 
     Runs partitions of base_n * 2^k steps for k < levels plus a reference
@@ -100,7 +110,7 @@ def tau_convergence_study(grid, aniso, pot, y0, final_time, base_n, levels,
     both the level and the reference carry an error of leading order
     C tau, so their difference goes as C (tau_k - tau_ref).  Passes when
     the errors decrease strictly and the fitted rate lies in
-    ``rate_window``; the rate gate is only recorded, not enforced, for the
+    ``_RATE_WINDOW``; the rate gate is only recorded, not enforced, for the
     semismooth penalty potential, whose order is not established.
     """
     _check_levels("tau_convergence", levels)
@@ -113,7 +123,7 @@ def tau_convergence_study(grid, aniso, pot, y0, final_time, base_n, levels,
                            inject_time(control, ref_factor), ref_part, config)
 
     report = StudyReport("tau_convergence",
-                         thresholds={"rate_window": tuple(rate_window)})
+                         thresholds={"rate_window": _RATE_WINDOW})
     errors = []
     for row, part, factor in ladder:
         traj = solve_trajectory(grid, aniso, pot, y0,
@@ -137,34 +147,33 @@ def tau_convergence_study(grid, aniso, pot, y0, final_time, base_n, levels,
     decreasing = all(errors[k + 1] < errors[k] for k in range(len(errors) - 1))
     if not decreasing:
         report.notes.append("errors are not strictly decreasing")
-    rate_ok = rate_window[0] <= report.rate <= rate_window[1]
+    rate_ok = _RATE_WINDOW[0] <= report.rate <= _RATE_WINDOW[1]
     if getattr(pot, "smoothness", "c2") == "semismooth":
         report.notes.append(
             f"semismooth potential: rate {report.rate:.3f} recorded, not gated")
         rate_ok = True
     elif not rate_ok:
         report.notes.append(
-            f"rate {report.rate:.3f} outside window {tuple(rate_window)}")
+            f"rate {report.rate:.3f} outside window {_RATE_WINDOW}")
     report.passed = decreasing and rate_ok
     return report
 
 
 def uniform_bound_study(grid, aniso, pot, y0, final_time, base_n, levels,
-                        control=None, config=None, ratio_window=1.5,
-                        growth_tol=1.05):
+                        control=None, config=None):
     """Step-size independence of the a-priori state bounds.
 
     For a fixed forcing (injected down the ladder, so its space-time norm is
     identical at every level) the three recorded bounds must neither jump by
-    more than ``ratio_window`` between adjacent levels nor grow monotonically
-    by more than ``growth_tol`` at every refinement.
+    more than ``_RATIO_WINDOW`` between adjacent levels nor grow monotonically
+    by ``_GROWTH_TOL`` or more at every refinement.
     """
     _check_levels("uniform_bounds", levels)
     if control is None:
         control = np.zeros((base_n, grid.n_nodes))
     report = StudyReport("uniform_bounds",
-                         thresholds={"ratio_window": ratio_window,
-                                     "growth_tol": growth_tol})
+                         thresholds={"ratio_window": _RATIO_WINDOW,
+                                     "growth_tol": _GROWTH_TOL})
     for row, part, factor in _ladder(final_time, base_n, levels):
         traj = solve_trajectory(grid, aniso, pot, y0,
                                 inject_time(control, factor), part, config)
@@ -176,13 +185,14 @@ def uniform_bound_study(grid, aniso, pot, y0, final_time, base_n, levels,
         if np.all(vals <= 1e-14):
             continue  # identically-zero metric (stationary data)
         ratios = vals[1:] / np.maximum(vals[:-1], 1e-300)
-        if np.any(ratios > ratio_window) or np.any(ratios < 1.0 / ratio_window):
+        if (np.any(ratios > _RATIO_WINDOW)
+                or np.any(ratios < 1.0 / _RATIO_WINDOW)):
             report.notes.append(f"{key}: level ratio outside "
-                                f"[1/{ratio_window}, {ratio_window}]")
+                                f"[1/{_RATIO_WINDOW}, {_RATIO_WINDOW}]")
             report.passed = False
         # metrics may climb toward their limit from below; blow-up means the
         # growth never slows: every ratio above tolerance and none shrinking
-        if (len(ratios) > 1 and np.all(ratios >= growth_tol)
+        if (len(ratios) > 1 and np.all(ratios >= _GROWTH_TOL)
                 and np.all(np.diff(ratios) >= -1e-12)):
             report.notes.append(f"{key}: non-decelerating growth at every level")
             report.passed = False
@@ -212,14 +222,14 @@ def perturbation_ratio(grid, partition, delta_states, delta_controls):
 
 
 def lipschitz_study(grid, aniso, pot, pairs, final_time, base_n, levels,
-                    config=None, growth=1.5):
+                    config=None):
     """Uniform stability of the data-to-state map down a step-size ladder.
 
     ``pairs`` is a list of ((y0_a, u_a), (y0_b, u_b)) with the controls on
     the coarsest partition.  The coarsest step must satisfy
     tau <= 1/(1+2c); this is checked before any solve.  Each level records
     the largest perturbation ratio over the pairs; the study passes when no
-    level exceeds ``growth`` times the coarsest level's value.
+    level exceeds ``_LIPSCHITZ_GROWTH`` times the coarsest level's value.
     """
     _check_levels("lipschitz", levels)
     tau0 = final_time / base_n
@@ -229,7 +239,8 @@ def lipschitz_study(grid, aniso, pot, pairs, final_time, base_n, levels,
             f"coarsest tau = {tau0:g} exceeds the stability regime bound "
             f"1/(1+2c) = {bounds['lipschitz']:g}")
 
-    report = StudyReport("lipschitz", thresholds={"growth": growth})
+    report = StudyReport("lipschitz",
+                         thresholds={"growth": _LIPSCHITZ_GROWTH})
     for row, part, factor in _ladder(final_time, base_n, levels):
         ratios = []
         for k, ((y0_a, u_a), (y0_b, u_b)) in enumerate(pairs):
@@ -253,10 +264,10 @@ def lipschitz_study(grid, aniso, pot, pairs, final_time, base_n, levels,
         report.passed = False
         return report
     worst = max(row["max_ratio"] for row in report.rows)
-    report.passed = worst <= growth * base
+    report.passed = worst <= _LIPSCHITZ_GROWTH * base
     if not report.passed:
-        report.notes.append(
-            f"ratio grew to {worst:.3f} vs {growth} x coarsest ({base:.3f})")
+        report.notes.append(f"ratio grew to {worst:.3f} vs "
+                            f"{_LIPSCHITZ_GROWTH} x coarsest ({base:.3f})")
     return report
 
 

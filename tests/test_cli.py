@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from anisoflow import (DoubleWell, IsotropicAnisotropy,
                        StepConfig, TimePartition, TruncatedPotential,
                        ZeroPotential, build_grid, load_field,
                        solve_trajectory, write_field)
+from anisoflow import stepper
 from anisoflow.cli import (_SCHEMA, _from_section, _section_fields,
                            builtin_initializer, constant_field, load_config,
                            main, random_uniform_field, run, tanh_circle_field)
@@ -357,6 +359,23 @@ def test_study_tau_cli(tmp_path, capsys):
     assert "PASS" in (out / "study_tau_summary.txt").read_text()
 
 
+def test_study_tau_cli_failure_exits_2(tmp_path, capsys):
+    # from a rough start the fitted rate is 1.207, outside (0.8, 1.2)
+    cfg = BASE_CONFIG.replace("N = 10", "N = 2").replace(
+        "constant(1.0)", "random_uniform(-1, 1, 3)")
+    cfg += "\n[study]\nlevels = 3\n"
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning, match="Lipschitz-regime"):
+        assert run("study-tau", write_config(tmp_path, cfg),
+                   out_dir=str(out)) == 2
+    summary = (out / "study_tau_summary.txt").read_text()
+    assert capsys.readouterr().out == summary
+    assert summary.splitlines()[1:] == [
+        "result: FAIL", "fitted rate: 1.2074",
+        "thresholds: {'rate_window': (0.8, 1.2)}",
+        "note: rate 1.207 outside window (0.8, 1.2)"]
+
+
 def test_study_lipschitz_cli_step_guard(tmp_path, capsys):
     # tau = 0.5 > 1/3: rejected before solving
     cfg = BASE_CONFIG.replace("N = 10", "N = 2")
@@ -466,6 +485,34 @@ REJECTED_INPUTS = [
     ("optimize", ["control.lambda=inf", "control.target=final_time",
                   "control.target_file={tmp}/target.field"], "control.lambda"),
     ("optimize", ["optimize.grad_tol=inf"], "optimize.grad_tol"),
+    # the pass rules are fixed; this window would pass any rate
+    ("study-tau", ["study.rate_min=-1e300", "study.rate_max=1e300"],
+     "study.rate_min"),
+    ("simulate", ["control.y0"], "control.y0"),
+    ("simulate", ["control.y0_file={tmp}/target.field"], "control.y0"),
+    ("optimize", ["control.lambda=1e-2", "control.target=bogus"],
+     "control.target"),
+]
+
+# runs whose finest trajectory holds more than 2^27 doubles, named by the
+# first key that breaks the budget; study-tau's reference is one level finer
+OVERSIZED_INPUTS = [
+    ("simulate", ["grid.nodes=100000000"], "grid.nodes"),
+    ("simulate", ["time.N=1000000000000"], "time.N"),
+    ("simulate", ["grid.nodes=10000000", "time.breakpoints="
+                  + " ".join(str(j / 20) for j in range(21))],
+     "time.breakpoints"),
+    ("study-tau", ["study.levels=70"], "study.levels"),
+    ("study-lipschitz", ["study.levels=70", "time.N=3"], "study.levels"),
+    ("study-bounds", ["study.levels=1000000000000"], "study.levels"),
+    ("study-control", ["study.levels=30", "control.lambda=1e-2",
+                       "control.target=final_time",
+                       "control.target_file={tmp}/target.field"],
+     "study.levels"),
+]
+REJECTED_INPUTS += OVERSIZED_INPUTS + [
+    # two counts below 1 make a large product, which is not a size error
+    ("simulate", ["grid.nodes=-100000000", "time.N=-5"], "grid"),
 ]
 
 
@@ -483,6 +530,25 @@ def test_config_errors_write_nothing(tmp_path, capsys, command, overrides,
     assert code == 1
     assert f"config error at '{key}'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,overrides,key", OVERSIZED_INPUTS)
+def test_oversized_runs_are_rejected_before_allocating(tmp_path, capsys,
+                                                       command, overrides,
+                                                       key):
+    write_field(tmp_path / "target.field", build_grid(1, [33], [1.0]),
+                np.ones(33))
+    path = write_config(tmp_path)
+    tracemalloc.start()
+    try:
+        code = run(command, path, [o.format(tmp=tmp_path) for o in overrides],
+                   out_dir=str(tmp_path / "out"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert f"config error at '{key}'" in capsys.readouterr().err
+    assert peak < 2**20  # bytes: nothing of the run's size was built
 
 
 @pytest.mark.parametrize("overrides,message", [
@@ -525,7 +591,7 @@ def test_study_lipschitz_at_the_bound_meets_it(tmp_path):
     cfg = BASE_CONFIG.replace("nodes = 33", "nodes = 17").replace(
         "N = 10", "N = 3").replace("constant(1.0)",
                                    "random_uniform(-0.5, 0.5, 2)")
-    cfg += "\n[study]\nlevels = 2\npairs = 1\n"
+    cfg += "\n[study]\nlevels = 2\n"
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -538,7 +604,7 @@ def test_study_lipschitz_at_the_bound_meets_it(tmp_path):
 def test_study_lipschitz_cli_runs(tmp_path):
     cfg = BASE_CONFIG.replace("N = 10", "N = 4")
     cfg = cfg.replace("constant(1.0)", "random_uniform(-0.5, 0.5, 2)")
-    cfg += "\n[study]\nlevels = 3\npairs = 2\n"
+    cfg += "\n[study]\nlevels = 3\n"
     path = write_config(tmp_path, cfg)
     out = tmp_path / "out"
     assert run("study-lipschitz", path, out_dir=str(out)) == 0
@@ -643,6 +709,21 @@ def test_solver_failure_exits_2_with_partial_diagnostics(tmp_path, capsys):
     assert len(diag) == 2  # header + the initial state row
 
 
+def test_stalled_line_search_exits_2_with_partial_diagnostics(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(stepper, "_ARMIJO_SLOPE", 2.0)
+    cfg = BASE_CONFIG.replace("constant(1.0)", "random_uniform(-1, 1, 4)")
+    out = tmp_path / "out"
+    assert run("simulate", write_config(tmp_path, cfg),
+               out_dir=str(out)) == 2
+    assert capsys.readouterr().err.startswith(
+        "failure at step 1: line search stalled below 1e-12")
+    diag = (out / "diagnostics.csv").read_text().strip().splitlines()
+    assert diag[0].startswith("j,")
+    assert len(diag) == 2 and diag[1].startswith("0,")
+    assert not (out / "state_0000.field").exists()
+
+
 def test_verify_energy_failure_writes_partial_diagnostics(tmp_path, capsys):
     cfg = BASE_CONFIG.replace("constant(1.0)", "random_uniform(-1, 1, 4)")
     out = tmp_path / "out"
@@ -699,6 +780,20 @@ def test_simulate_builds_each_model_kind(tmp_path, kind):
                             None, TimePartition.uniform(1.0, 10))
     assert np.array_equal(load_field(out / "state_0010.field", g),
                           traj.states[-1])
+
+
+def test_simulate_with_constant_forcing(tmp_path):
+    out = tmp_path / "out"
+    assert run("simulate", write_config(tmp_path),
+               ["control.forcing=constant(0.5)"], out_dir=str(out)) == 0
+    g = build_grid(1, [33], [1.0])
+    traj = solve_trajectory(g, IsotropicAnisotropy(), DoubleWell(),
+                            np.ones(33), np.full((10, 33), 0.5),
+                            TimePartition.uniform(1.0, 10))
+    assert np.array_equal(load_field(out / "state_0010.field", g),
+                          traj.states[-1])
+    # the forcing moves the state off the stationary y = 1
+    assert np.all(traj.states[-1] > 1.0)
 
 
 def test_simulate_unregularized_single_matrix_family(tmp_path, capsys):

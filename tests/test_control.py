@@ -180,6 +180,38 @@ def test_gradient_matches_fd_directional(distributed):
         assert abs(control_inner(prob, g, v) - fd) <= 1e-5 * max(abs(fd), 1e-10)
 
 
+# a tilted family and a stretched one: A'' has off-diagonal entries
+ANISO_2D = MatrixFamilyAnisotropy(
+    [[[1.0, 0.3], [0.3, 0.2]], np.diag([0.04, 1.0])], delta=1e-2)
+
+
+def make_2d_problem(nodes, distributed, seed=12):
+    g = build_grid(2, nodes, [1.0, 1.0])
+    rng = np.random.default_rng(seed)
+    if distributed:
+        target = DistributedTarget(rng.uniform(-1, 1, (4, g.n_nodes)))
+    else:
+        target = FinalTimeTarget(rng.uniform(-1, 1, g.n_nodes))
+    return ControlProblem(g, TimePartition.uniform(0.2, 4),
+                          tanh_circle_field(g, [0.5, 0.5], 0.25, 0.1),
+                          target, 1e-2, ANISO_2D, DW), rng
+
+
+@pytest.mark.parametrize("distributed", [False, True])
+@pytest.mark.parametrize("nodes", [[9, 9], [17, 12]])
+def test_2d_gradient_matches_fd_directional(nodes, distributed):
+    prob, rng = make_2d_problem(nodes, distributed)
+    u = rng.uniform(-1, 1, (4, prob.grid.n_nodes))
+    g, _ = reduced_gradient(prob, u)
+    eps = 1e-5
+    for _ in range(3):
+        v = rng.uniform(-1, 1, u.shape)
+        jp = cost(prob, solve_state(prob, u + eps * v), u + eps * v)
+        jm = cost(prob, solve_state(prob, u - eps * v), u - eps * v)
+        fd = (jp - jm) / (2 * eps)
+        assert abs(control_inner(prob, g, v) - fd) <= 1e-5 * max(abs(fd), 1e-10)
+
+
 def test_fd_gradient_matches_adjoint_componentwise():
     prob, rng = make_problem(n_nodes=7, n_steps=3, seed=8)
     u = rng.uniform(-1, 1, (3, prob.grid.n_nodes))
@@ -226,6 +258,17 @@ def test_optimize_decreases_cost(use_lbfgs):
     u, traj, report = optimize(prob, u_init, opts)
     assert report.j_values[-1] <= report.j_values[0]
     assert all(np.diff(report.j_values) <= 0)
+
+
+def test_2d_optimize_converges_monotonically():
+    prob, _ = make_2d_problem([9, 9], distributed=False)
+    u, traj, report = optimize(prob, prob.zero_control(),
+                               OptimizeOptions(max_iters=50, grad_tol=1e-6,
+                                               use_lbfgs=True))
+    assert report.converged, report.message
+    assert all(np.diff(report.j_values) <= 0)
+    assert report.grad_norms[-1] <= 1e-6
+    assert report.j_values[-1] == cost(prob, traj, u)
 
 
 def test_minimizer_beats_zero_control_bound():

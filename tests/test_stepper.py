@@ -468,6 +468,26 @@ def test_trajectory_attaches_partial_trajectory(tmp_path):
     assert len(path.read_text().splitlines()) == 2
 
 
+def test_stalled_line_search_raises_with_the_best_state(monkeypatch):
+    # a sufficient decrease of twice the slope is out of reach, so every
+    # trial is cut back below the smallest step
+    monkeypatch.setattr(stepper, "_ARMIJO_SLOPE", 2.0)
+    g = build_grid(1, [33], [1.0])
+    y0 = np.random.default_rng(4).uniform(-1, 1, g.n_nodes)
+    part = TimePartition.uniform(1.0, 10)
+    with pytest.raises(NonConvergence, match="line search stalled below "
+                       "1e-12") as err:
+        solve_trajectory(g, ISO, DW, y0, None, part)
+    exc = err.value
+    assert (exc.step_index, exc.iterations) == (1, 1)
+    # no trial was accepted: the best state is the step's start
+    assert np.array_equal(exc.best_state, y0)
+    start_res = step_residual(g, ISO, DW, y0, y0, np.zeros(g.n_nodes), 0.1)
+    assert exc.residual_inf == np.max(np.abs(start_res))
+    assert np.array_equal(exc.partial_trajectory.states, y0[None])
+    assert len(exc.partial_trajectory.diagnostics) == 1
+
+
 class CountingPasses:
     """Mixin that counts the anisotropy passes of a density."""
 

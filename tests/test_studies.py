@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import anisoflow.control
+import anisoflow.studies
 from anisoflow import (ControlProblem, DistributedTarget, DoubleWell,
-                       FinalTimeTarget, IsotropicAnisotropy, NonConvergence,
-                       OptimizeOptions, TimePartition, ZeroPotential,
+                       FinalTimeTarget, IsotropicAnisotropy, MoreauYosida,
+                       NonConvergence, OptimizeOptions, StepConfig,
+                       TimePartition, ZeroPotential,
                        build_grid, control_convergence_study, cost, fit_rate,
                        inject_time, lipschitz_study, optimize,
                        perturbation_ratio, solve_state,
@@ -80,6 +82,34 @@ def test_tau_convergence_rate_is_fitted_against_the_reference_distance():
     assert 0.9 <= report.rate <= 1.1
 
 
+def test_tau_convergence_flags_errors_that_stop_decreasing():
+    # a nearly stationary start whose steps stop at newton_tol = 1e-6: the
+    # solver error is as large as the discretization error, and the finest
+    # level's error is above the one before it
+    g = build_grid(1, [33], [1.0])
+    y0 = 1.0 + 1e-3 * np.random.default_rng(1).uniform(-1, 1, g.n_nodes)
+    report = tau_convergence_study(g, ISO, DW, y0, 1.0, base_n=4, levels=3,
+                                   config=StepConfig(newton_tol=1e-6))
+    errors = [row["error"] for row in report.rows]
+    assert errors[2] > errors[1]
+    assert "errors are not strictly decreasing" in report.notes
+    assert not report.passed
+
+
+def test_tau_convergence_semismooth_rate_is_recorded_not_gated():
+    # the penalty potential's rate on this rough start is outside the window
+    # that fails the double well on the same data (tests/test_cli.py)
+    g = build_grid(1, [33], [1.0])
+    y0 = np.random.default_rng(3).uniform(-1, 1, g.n_nodes)
+    with pytest.warns(RuntimeWarning, match="Lipschitz-regime"):
+        report = tau_convergence_study(g, ISO, MoreauYosida(50.0), y0, 1.0,
+                                       base_n=2, levels=3)
+    assert not 0.8 <= report.rate <= 1.2
+    assert report.notes == [f"semismooth potential: rate {report.rate:.3f} "
+                            "recorded, not gated"]
+    assert report.passed
+
+
 def test_tau_convergence_needs_three_levels():
     g = build_grid(1, [9], [1.0])
     with pytest.raises(ValueError):
@@ -124,6 +154,22 @@ def test_uniform_bounds_random_data():
             assert np.isfinite(row[key])
 
 
+@pytest.mark.parametrize("seed,note", [
+    (1, "reaction_l2: level ratio outside [1/1.5, 1.5]"),
+    (0, "time_derivative_l2: non-decelerating growth at every level"),
+])
+def test_uniform_bounds_fail_on_rough_data(seed, note):
+    # from a random start with tau = 0.5, the reaction term jumps by more
+    # than the window between the first levels (seed 1), and the norm of the
+    # time derivative grows at every level without slowing (seed 0)
+    g = build_grid(1, [33], [1.0])
+    y0 = np.random.default_rng(seed).uniform(-1, 1, g.n_nodes)
+    with pytest.warns(RuntimeWarning, match="Lipschitz-regime"):
+        report = uniform_bound_study(g, ISO, DW, y0, 2.0, base_n=4, levels=4)
+    assert report.notes == [note]
+    assert not report.passed
+
+
 # -- stability ratios ----------------------------------------------------------------
 
 def test_perturbation_ratio_is_scale_invariant():
@@ -165,6 +211,25 @@ def test_lipschitz_random_pairs_bounded():
         pairs.append(((y0, u), (y0 + dy, u + du)))
     report = lipschitz_study(g, ISO, DW, pairs, 1.0, base_n=4, levels=3)
     assert report.passed
+
+
+def test_lipschitz_flags_a_ratio_that_grew(monkeypatch):
+    # the first random pair above passes at the 1.5 bound; a bound of half
+    # the coarsest ratio fails already at the coarsest level
+    g = build_grid(1, [17], [1.0])
+    rng = np.random.default_rng(3)
+    y0 = rng.uniform(-1, 1, g.n_nodes)
+    u = np.zeros((4, g.n_nodes))
+    pairs = [((y0, u), (y0 + 0.1 * rng.uniform(-1, 1, g.n_nodes),
+                        u + 0.1 * rng.uniform(-1, 1, u.shape)))]
+    monkeypatch.setattr(anisoflow.studies, "_LIPSCHITZ_GROWTH", 0.5)
+    report = lipschitz_study(g, ISO, DW, pairs, 1.0, base_n=4, levels=3)
+    assert not report.passed
+    worst = max(row["max_ratio"] for row in report.rows)
+    base = report.rows[0]["max_ratio"]
+    assert report.notes == [f"ratio grew to {worst:.3f} vs 0.5 x coarsest "
+                            f"({base:.3f})"]
+    assert report.thresholds == {"growth": 0.5}
 
 
 def test_lipschitz_identical_pair_is_flagged():
