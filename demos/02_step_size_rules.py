@@ -19,6 +19,7 @@ import numpy as np
 from anisoflow import (DoubleWell, IsotropicAnisotropy, NonConvergence,
                        StepConfig, TimePartition, UniquenessViolation,
                        build_grid, solve_trajectory, step)
+from anisoflow.stepper import step_regimes
 
 grid = build_grid(1, [65], [1.0])
 aniso = IsotropicAnisotropy()
@@ -71,7 +72,8 @@ for n_steps in (40, 5, 2):
         continue
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        traj = solve_trajectory(grid, aniso, pot, y_prev, None, part)
-    print(f"tau = {part.tau_max:5.2f}: regimes {traj.regimes}")
+        solve_trajectory(grid, aniso, pot, y_prev, None, part)
+    print(f"tau = {part.tau_max:5.2f}: regimes "
+          f"{step_regimes(c, part.tau_max)[1]}")
     for w in caught:
         print(f"           warning: {w.message}")

@@ -42,8 +42,7 @@ j0 = cost(problem, traj0, u0)
 print(f"\ncost without forcing: {j0:.6f}")
 
 u_star, traj, report = optimize(
-    problem, u0, OptimizeOptions(max_iters=80, grad_tol=1e-7,
-                                 use_lbfgs=True))
+    problem, u0, OptimizeOptions(max_iters=80, grad_tol=1e-7))
 
 print(f"optimizer: {report.message} after {report.iterations} iterations")
 print("  iter        J        |gradient|")

@@ -58,5 +58,4 @@ target = solve_state(ref, u_ref).states[-1]
 problem = ControlProblem(small, TimePartition.uniform(0.5, 8), y0s,
                          FinalTimeTarget(target), 1e-3, aniso, pot)
 show(control_convergence_study(
-    problem, 3, options=OptimizeOptions(max_iters=200, grad_tol=1e-8,
-                                        use_lbfgs=True)))
+    problem, 3, options=OptimizeOptions(max_iters=200, grad_tol=1e-8)))

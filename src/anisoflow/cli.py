@@ -223,20 +223,29 @@ def _node_counts(cfg):
                 .replace(",", " ").split()]
 
 
-# the most doubles the states of one trajectory may take: (N_f + 1) * n_nodes
-# for the N_f steps of the finest partition a command solves, 1 GiB.  A
-# 4-level study-tau at 257^2 nodes and N = 40 takes 4.2e7.
+# the most doubles the states of one trajectory and the grid may take,
+# (N_f + 1 + G) * n_nodes for the N_f steps of the finest partition a
+# command solves and G below, 1 GiB.  A 4-level study-tau at 257^2 nodes and
+# N = 40 takes 5.4e7.
 _STATE_BUDGET = 2**27
+# G, the doubles per node the grid holds by dimension: build_grid, the
+# sparsity pattern and (2D) the multigrid hierarchy peaked at 30.0 per node
+# in 1D (2e5 nodes) and 173.1 in 2D (257^2) under tracemalloc, rounded up
+_GRID_DOUBLES = {1: 32, 2: 176}
 
 
 def _check_size(cfg, halvings):
-    """Reject a run whose finest partition, of N * 2^halvings steps, has
-    states of more than ``_STATE_BUDGET`` doubles.  Read from the raw values
-    before anything is allocated; names the first of grid.nodes, the time
-    key and study.levels that breaks it with the later keys at their least.
+    """Reject a run whose grid and the states of its finest partition, of
+    N * 2^halvings steps, take more than ``_STATE_BUDGET`` doubles.  Read
+    from the raw values before anything is allocated; names the first of
+    grid.nodes, the time key and study.levels that breaks it with the later
+    keys at their least.
     """
-    # a count below 1 is left for the builders to reject by name
-    n_nodes = math.prod(max(n, 0) for n in _node_counts(cfg))
+    counts = _node_counts(cfg)
+    # a count below 1 is left for the builders to reject by name, and so
+    # is a count of axes other than 1 or 2
+    n_nodes = math.prod(max(n, 0) for n in counts)
+    per_node = _GRID_DOUBLES.get(len(counts), _GRID_DOUBLES[2])
     raw_breaks = _get(cfg, "time", "breakpoints")
     if raw_breaks is None:
         time_key, n_steps = "time.N", _get(cfg, "time", "N", int,
@@ -249,11 +258,13 @@ def _check_size(cfg, halvings):
                               ("study.levels", n_steps, halvings)):
         # past 64 halvings every run breaks the budget; the cap keeps a
         # huge study.levels from building a huge integer
-        if ((max(steps, 0) << min(shift, 64)) + 1) * n_nodes > _STATE_BUDGET:
+        if (((max(steps, 0) << min(shift, 64)) + 1 + per_node) * n_nodes
+                > _STATE_BUDGET):
             states = f"{steps}*2^{shift} + 1" if shift else steps + 1
-            raise ConfigError(key, f"{states} states of {n_nodes} nodes "
-                              f"exceed the limit of 2^27 = {_STATE_BUDGET} "
-                              "doubles per trajectory")
+            raise ConfigError(key, f"{states} states and the grid's "
+                              f"{per_node} doubles per node, for {n_nodes} "
+                              f"nodes, exceed the limit of 2^27 = "
+                              f"{_STATE_BUDGET} doubles")
 
 
 def _build_grid(cfg):
@@ -265,19 +276,32 @@ def _build_grid(cfg):
         return build_grid(dim, nodes, lengths)
 
 
+def _reject_ignored(cfg, section, keys, why):
+    """Reject the first of ``keys`` that ``section`` gives: the run would
+    ignore it ``why``."""
+    for key in keys:
+        if key.lower() in cfg.get(section, {}):
+            raise ConfigError(f"{section}.{key}", f"would be ignored {why}")
+
+
 def _build_partition(cfg):
     raw_breaks = _get(cfg, "time", "breakpoints")
-    with _blame("time" if raw_breaks is None else "time.breakpoints"):
-        if raw_breaks is not None:
-            return TimePartition(_floats(raw_breaks))
-        return TimePartition.uniform(
-            _get(cfg, "time", "T", float, required=True),
-            _get(cfg, "time", "N", int, required=True))
+    if raw_breaks is None:
+        with _blame("time"):
+            return TimePartition.uniform(
+                _get(cfg, "time", "T", float, required=True),
+                _get(cfg, "time", "N", int, required=True))
+    with _blame("time.breakpoints"):
+        partition = TimePartition(_floats(raw_breaks))
+    _reject_ignored(cfg, "time", ("T", "N"), "alongside time.breakpoints")
+    return partition
 
 
 def _build_anisotropy(cfg, dim):
     kind = _get(cfg, "anisotropy", "kind", default="isotropic").strip().lower()
     if kind == "isotropic":
+        _reject_ignored(cfg, "anisotropy", ("delta", "matrices"),
+                        "by kind isotropic")
         return IsotropicAnisotropy()
     if kind == "matrix_family":
         raw = _get(cfg, "anisotropy", "matrices", required=True)
@@ -303,17 +327,22 @@ def _build_anisotropy(cfg, dim):
 
 def _build_potential(cfg):
     kind = _get(cfg, "potential", "kind", default="double_well").strip().lower()
+    why = f"by kind {kind}"
     if kind == "double_well":
+        _reject_ignored(cfg, "potential", ("cutoff", "penalty"), why)
         return DoubleWell()
     if kind == "moreau_yosida":
+        _reject_ignored(cfg, "potential", ("cutoff",), why)
         penalty = _get(cfg, "potential", "penalty", float, required=True)
         with _blame("potential.penalty"):
             return MoreauYosida(penalty)
     if kind == "truncated":
+        _reject_ignored(cfg, "potential", ("penalty",), why)
         cutoff = _get(cfg, "potential", "cutoff", float, required=True)
         with _blame("potential.cutoff"):
             return TruncatedPotential(DoubleWell(), cutoff)
     if kind == "zero":
+        _reject_ignored(cfg, "potential", ("cutoff", "penalty"), why)
         return ZeroPotential()
     raise ConfigError("potential.kind", f"unknown kind '{kind}'")
 
@@ -355,6 +384,8 @@ def _load_forcing(cfg, grid, partition):
     spec = _get(cfg, "control", "forcing", default="zero")
     n_steps = partition.n_steps
     if directory is not None:
+        _reject_ignored(cfg, "control", ("forcing",),
+                        "alongside control.forcing_dir")
         return _load_per_interval("control.forcing_dir", directory, "control",
                                   grid, n_steps)
     if spec.strip().lower() == "zero":
@@ -365,9 +396,13 @@ def _load_forcing(cfg, grid, partition):
 def _control_problem(cfg, grid, partition, y0, aniso, pot):
     kind = _get(cfg, "control", "target", required=True).strip().lower()
     if kind == "final_time":
+        _reject_ignored(cfg, "control", ("target_dir",),
+                        "by target final_time")
         path = _get(cfg, "control", "target_file", required=True)
         target = FinalTimeTarget(_load_file("control.target_file", path, grid))
     elif kind == "distributed":
+        _reject_ignored(cfg, "control", ("target_file",),
+                        "by target distributed")
         directory = _get(cfg, "control", "target_dir", required=True)
         target = DistributedTarget(_load_per_interval(
             "control.target_dir", directory, "target", grid, partition.n_steps))

@@ -174,10 +174,12 @@ class OptimizeOptions:
     """Optimizer settings.  The Armijo line search is fixed: slope
     ``_ARMIJO_SLOPE`` = 1e-4, backtrack factor ``_BACKTRACK`` = 0.5, and it
     stalls below step ``_MIN_STEP`` = 1e-14; L-BFGS keeps the last
-    ``_LBFGS_MEMORY`` = 20 pairs."""
+    ``_LBFGS_MEMORY`` = 20 pairs.  ``use_lbfgs=False`` stores no pairs, so
+    every direction is -g (steepest descent with a unit first step); the
+    field stays only because the benchmark worker passes it."""
     max_iters: int = 100
     grad_tol: float = 1e-8
-    use_lbfgs: bool = False
+    use_lbfgs: bool = True
 
     def __post_init__(self):
         if self.max_iters < 0:
@@ -222,16 +224,17 @@ def _two_loop(gradient, pairs, inner):
 
 
 def optimize(problem, u_init, options=None, config=None):
-    """Descent on the reduced cost from ``u_init``.
+    """L-BFGS with Armijo backtracking on the reduced cost from ``u_init``.
 
-    Steepest descent with Armijo backtracking by default; two-loop L-BFGS
-    (same line search, the last ``_LBFGS_MEMORY`` pairs) behind
-    ``options.use_lbfgs``.  Accepted iterates have non-increasing cost by
-    construction.  A trial control whose forward
-    solve raises NonConvergence is rejected like one that fails the Armijo
-    test: the step backtracks, the trial counts as a line-search evaluation
-    and in ``report.failed_trials``.  Returns (control, trajectory, report);
-    a stalled line search returns the best iterate with ``converged=False``.
+    Each direction is the two-loop recursion over the last ``_LBFGS_MEMORY``
+    (s, y) pairs, which is -g while none is stored (always, with
+    ``options.use_lbfgs`` off), and each line search starts at step 1.
+    Accepted iterates have non-increasing cost by construction.  A trial
+    control whose forward solve raises NonConvergence is rejected like one
+    that fails the Armijo test: the step backtracks, the trial counts as a
+    line-search evaluation and in ``report.failed_trials``.  Returns
+    (control, trajectory, report); a stalled line search returns the best
+    iterate with ``converged=False``.
     """
     opts = options or OptimizeOptions()
     config = config or StepConfig()
@@ -254,20 +257,14 @@ def optimize(problem, u_init, options=None, config=None):
         return u, traj, report
 
     pairs = []
-    alpha_prev = 1.0
     for _ in range(opts.max_iters):
-        if opts.use_lbfgs and pairs:
-            direction = _two_loop(g, pairs, inner)
-            alpha0 = 1.0
-        else:
-            direction = -g
-            alpha0 = alpha_prev if not opts.use_lbfgs else 1.0
+        direction = _two_loop(g, pairs, inner)
         slope = inner(g, direction)
         if slope >= 0.0:
             direction = -g
             slope = -inner(g, g)
 
-        alpha = alpha0
+        alpha = 1.0
         evals = 0
         accepted = False
         while alpha >= _MIN_STEP:
@@ -300,7 +297,6 @@ def optimize(problem, u_init, options=None, config=None):
                     pairs.pop(0)
         u, traj, g, j_val = u_trial, traj_trial, g_new, j_trial
         g_norm = control_norm(problem, g)
-        alpha_prev = min(alpha * 2.0, 1e8)
 
         report.j_values.append(j_val)
         report.grad_norms.append(g_norm)

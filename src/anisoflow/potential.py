@@ -103,10 +103,12 @@ class TruncatedPotential:
                 f"truncation needs a C2 base potential, got {base!r}")
         self.base = base
         self.cutoff = float(cutoff)
-        # dense-grid minimization of psi'' on the window; outside the window
-        # the continuation's psi'' equals the window-edge values
-        ys = np.linspace(-self.cutoff, self.cutoff, 100001)
-        self._semiconvexity = max(0.0, -float(np.min(base.second(ys))))
+        # psi'' outside the window repeats its edge values, so its least
+        # value is the least on the window.  Every base here (double well,
+        # zero, a truncated double well) has its least psi'' at y = 0, inside
+        # every window, so the base's constant is exact; for any other base
+        # it is an upper bound, which only makes the step-size rules stricter
+        self._semiconvexity = base.semiconvexity()
 
     # the base and its Taylor terms at y clamped to the window; the step
     # t from there to y is zero inside, so the base is reproduced exactly

@@ -33,7 +33,7 @@ checks a posteriori.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -168,14 +168,12 @@ class StepDiagnostics:
 
 @dataclass
 class Trajectory:
-    """States y_0..y_N, per-step solver diagnostics and the flags of
-    :func:`step_regimes` (rounding slack included) at tau_max."""
+    """States y_0..y_N and per-step solver diagnostics."""
     grid: object
     partition: TimePartition
     states: np.ndarray                  # (N+1, n_nodes)
     diagnostics: list
     config: StepConfig
-    regimes: dict = field(default_factory=dict)
 
 
 def energy(grid, aniso, pot, values):
@@ -355,9 +353,8 @@ def solve_trajectory(grid, aniso, pot, y0, control, partition, config=None):
 
     Raises the per-step errors with the failing index j (``step_index``)
     and the trajectory of the states y_0..y_{j-1} (``partial_trajectory``)
-    attached.  Records solver diagnostics and the regime flags of
-    :func:`step_regimes`, which owns their rounding slack, and warns when
-    tau_max is outside the Lipschitz rule.  :func:`trajectory_bounds`
+    attached.  Records solver diagnostics and warns when tau_max is outside
+    the Lipschitz rule of :func:`step_regimes`.  :func:`trajectory_bounds`
     computes the space-time bounds for the callers that read them.
     """
     config = config or StepConfig()
@@ -390,12 +387,12 @@ def solve_trajectory(grid, aniso, pot, y0, control, partition, config=None):
         except (UniquenessViolation, NonConvergence) as exc:
             exc.step_index = j
             exc.partial_trajectory = Trajectory(grid, partition, states[:j],
-                                                diags, config, regimes)
+                                                diags, config)
             raise
         states[j] = y
         diags.append(diag)
 
-    return Trajectory(grid, partition, states, diags, config, regimes)
+    return Trajectory(grid, partition, states, diags, config)
 
 
 # values of the stored states that trajectory_bounds reads at a time

@@ -394,6 +394,19 @@ def test_studies_reject_nonuniform_breakpoints(tmp_path, capsys, command):
     assert "time.breakpoints" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["study-tau", "study-bounds",
+                                     "study-lipschitz"])
+def test_studies_reject_a_nonuniform_partition(tmp_path, capsys, command):
+    # the breakpoints as the only [time] key, so no other check fires first
+    cfg = BASE_CONFIG.replace("T = 1.0\nN = 10", "breakpoints = 0 .05 .3 .4")
+    out = tmp_path / "out"
+    assert run(command, write_config(tmp_path, cfg), out_dir=str(out)) == 1
+    assert capsys.readouterr().err == (
+        f"config error at 'time.breakpoints': {command} refines uniform "
+        "partitions only; give time.T and time.N instead\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,levels", [("study-tau", 2),
                                             ("study-bounds", 1),
                                             ("study-bounds", 0),
@@ -499,8 +512,8 @@ REJECTED_INPUTS = [
 OVERSIZED_INPUTS = [
     ("simulate", ["grid.nodes=100000000"], "grid.nodes"),
     ("simulate", ["time.N=1000000000000"], "time.N"),
-    ("simulate", ["grid.nodes=10000000", "time.breakpoints="
-                  + " ".join(str(j / 20) for j in range(21))],
+    ("simulate", ["grid.nodes=1000000", "time.breakpoints="
+                  + " ".join(str(j / 200) for j in range(201))],
      "time.breakpoints"),
     ("study-tau", ["study.levels=70"], "study.levels"),
     ("study-lipschitz", ["study.levels=70", "time.N=3"], "study.levels"),
@@ -514,6 +527,35 @@ REJECTED_INPUTS += OVERSIZED_INPUTS + [
     # two counts below 1 make a large product, which is not a size error
     ("simulate", ["grid.nodes=-100000000", "time.N=-5"], "grid"),
 ]
+# two states of these nodes fit the limit; the grid's own doubles do not
+OVERSIZED_INPUTS.append(("simulate", ["grid.nodes=60000000", "time.N=1"],
+                         "grid.nodes"))
+REJECTED_INPUTS += [
+    OVERSIZED_INPUTS[-1],
+    ("simulate", ["control.y0=tanh_circle(0.5, 0.3)"], "control.y0"),
+    ("simulate", ["control.y0=random_uniform(-1, 1)"], "control.y0"),
+    # a key the run would ignore, because another key gives the same input
+    # or the kind does not read it; each of these runs would otherwise pass
+    ("simulate", ["control.forcing=constant(0.1)",
+                  "control.forcing_dir={tmp}/fields"], "control.forcing"),
+    ("simulate", ["time.breakpoints=0,0.1,0.2"], "time.T"),
+    ("optimize", ["control.lambda=1e-2", "control.target=final_time",
+                  "control.target_file={tmp}/target.field",
+                  "control.target_dir={tmp}/fields"], "control.target_dir"),
+    ("optimize", ["control.lambda=1e-2", "control.target=distributed",
+                  "control.target_dir={tmp}/fields",
+                  "control.target_file={tmp}/target.field"],
+     "control.target_file"),
+    ("simulate", ["anisotropy.delta=0.1"], "anisotropy.delta"),
+    ("simulate", ["anisotropy.matrices=1"], "anisotropy.matrices"),
+    ("simulate", ["potential.cutoff=2"], "potential.cutoff"),
+    ("simulate", ["potential.kind=zero", "potential.penalty=10"],
+     "potential.penalty"),
+    ("simulate", ["potential.kind=moreau_yosida", "potential.penalty=10",
+                  "potential.cutoff=2"], "potential.cutoff"),
+    ("simulate", ["potential.kind=truncated", "potential.cutoff=2",
+                  "potential.penalty=10"], "potential.penalty"),
+]
 
 
 @pytest.mark.parametrize("command,overrides,key", REJECTED_INPUTS)
@@ -523,6 +565,12 @@ def test_config_errors_write_nothing(tmp_path, capsys, command, overrides,
                 np.ones(33))
     write_field(tmp_path / "coarse.field", build_grid(1, [17], [1.0]),
                 np.ones(17))
+    # one field per interval of the config's 10, under both prefixes
+    fields, grid = tmp_path / "fields", build_grid(1, [33], [1.0])
+    fields.mkdir()
+    for prefix in ("control", "target"):
+        for j in range(1, 11):
+            write_field(fields / f"{prefix}_{j:04d}.field", grid, np.ones(33))
     path = write_config(tmp_path)
     out = tmp_path / "out"
     code = run(command, path, [o.format(tmp=tmp_path) for o in overrides],
@@ -641,6 +689,26 @@ def test_optimize_distributed_target(tmp_path):
     assert run("optimize", path, overrides=["optimize.max_iters=3"],
                out_dir=str(out)) == 0
     assert (out / "history.csv").exists()
+
+
+def test_optimize_converges_with_default_settings(tmp_path):
+    # level 0 of the c09 control study, with no [optimize] section: the
+    # target is the final state of a 128-step run driven by 2 sin(pi x)
+    g = build_grid(1, [65], [1.0])
+    y0 = tanh_circle_field(g, [0.5], 0.25, 0.05)
+    drive = np.tile(2.0 * np.sin(np.pi * g.nodes[:, 0]), (128, 1))
+    target = solve_trajectory(g, IsotropicAnisotropy(), DoubleWell(), y0,
+                              drive, TimePartition.uniform(0.5, 128))
+    write_field(tmp_path / "target.field", g, target.states[-1])
+    cfg = BASE_CONFIG.replace("nodes = 33", "nodes = 65").replace(
+        "T = 1.0", "T = 0.5").replace("N = 10", "N = 8").replace(
+        "y0 = constant(1.0)",
+        "y0 = tanh_circle(0.5, 0.25, 0.05)\nlambda = 1e-3\n"
+        f"target = final_time\ntarget_file = {tmp_path / 'target.field'}")
+    out = tmp_path / "out"
+    assert run("optimize", write_config(tmp_path, cfg), out_dir=str(out)) == 0
+    summary = (out / "optimize_summary.txt").read_text()
+    assert summary.startswith("converged=True\n"), summary
 
 
 def test_study_bounds_cli(tmp_path):

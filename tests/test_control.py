@@ -260,6 +260,29 @@ def test_optimize_decreases_cost(use_lbfgs):
     assert all(np.diff(report.j_values) <= 0)
 
 
+def test_optimize_defaults_to_lbfgs():
+    prob, rng = make_problem(seed=10, lam=1e-2)
+    u_init = rng.uniform(-1, 1, (4, prob.grid.n_nodes))
+    opts = dict(max_iters=25, grad_tol=1e-12)
+    default = optimize(prob, u_init, OptimizeOptions(**opts))
+    lbfgs = optimize(prob, u_init, OptimizeOptions(**opts, use_lbfgs=True))
+    assert np.array_equal(default[0], lbfgs[0])
+    assert np.array_equal(default[1].states, lbfgs[1].states)
+    assert default[2] == lbfgs[2]
+
+
+def test_optimize_without_pairs_takes_unit_first_steps():
+    # no stored pairs: every direction is -g and every line search starts
+    # at step 1, so no accepted step is longer
+    prob, rng = make_problem(seed=10, lam=1e-2)
+    u_init = rng.uniform(-1, 1, (4, prob.grid.n_nodes))
+    _, _, report = optimize(prob, u_init, OptimizeOptions(
+        max_iters=25, grad_tol=1e-12, use_lbfgs=False))
+    assert report.iterations > 0
+    assert max(report.step_lengths) <= 1.0
+    assert all(np.diff(report.j_values) <= 0)
+
+
 def test_2d_optimize_converges_monotonically():
     prob, _ = make_2d_problem([9, 9], distributed=False)
     u, traj, report = optimize(prob, prob.zero_control(),

@@ -349,6 +349,14 @@ def test_field_header_checked(tmp_path):
         load_field(bad, g)
 
 
+def test_field_header_without_node_counts_is_malformed(tmp_path):
+    g = build_grid(1, [3], [1.0])
+    path = tmp_path / "field.txt"
+    path.write_text("# anisoflow-field v1 dim=1 L=1\n0.5\n1\n0.25\n")
+    with pytest.raises(ValueError, match="malformed snapshot header"):
+        load_field(path, g)
+
+
 def test_write_rejects_bad_fields(tmp_path):
     g = build_grid(1, [5], [1.0])
     with pytest.raises(ValueError):

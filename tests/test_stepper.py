@@ -422,7 +422,8 @@ def test_trajectory_energy_monotone():
     traj = solve_trajectory(g, ISO, DW, y0, None, part)
     energies = np.array([d.energy for d in traj.diagnostics])
     assert np.all(np.diff(energies) <= 1e-9)
-    assert traj.regimes["uniqueness"] and traj.regimes["energy_decay"]
+    _, regimes = step_regimes(DW.semiconvexity(), traj.partition.tau_max)
+    assert regimes["uniqueness"] and regimes["energy_decay"]
 
 
 def test_trajectory_records_bounds():
@@ -687,6 +688,19 @@ def test_energy_check_flags_corruption():
     report = check_energy_stability(traj, ISO, DW)
     assert not report.passed
     assert report.violations[0][0] == 1
+
+
+def test_energy_report_lists_each_increase():
+    g = build_grid(1, [17], [1.0])
+    rng = np.random.default_rng(10)
+    traj = solve_trajectory(g, ISO, DW, rng.uniform(-1, 1, g.n_nodes), None,
+                            TimePartition.uniform(1.0, 10))
+    traj.states[1] = traj.states[1] + 10.0
+    report = check_energy_stability(traj, ISO, DW)
+    lines = str(report).splitlines()
+    assert lines[0].startswith("energy decay check: FAIL")
+    assert lines[1:] == [f"  step {j}: energy increased by {inc:.3e}"
+                         for j, inc in report.violations]
 
 
 # -- diagnostics file -----------------------------------------------------------------------

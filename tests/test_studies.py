@@ -232,6 +232,33 @@ def test_lipschitz_flags_a_ratio_that_grew(monkeypatch):
     assert report.thresholds == {"growth": 0.5}
 
 
+def test_control_study_flags_a_rising_history_and_growing_differences(
+        monkeypatch):
+    # each level returns a constant control 0.1 k^2 (Cauchy differences
+    # 0.1 and 0.3 times the same norm) with a cost history that rose
+    g = build_grid(1, [9], [1.0])
+    prob = ControlProblem(g, TimePartition.uniform(0.5, 2), np.zeros(9),
+                          FinalTimeTarget(np.zeros(9)), 1e-2, ISO, DW)
+
+    def rising(problem, u_init, options, config):
+        k = int(np.log2(problem.partition.n_steps // 2))
+        u = np.full_like(u_init, 0.1 * k**2)
+        report = anisoflow.control.OptimizeReport(
+            j_values=[1.0, 2.0], grad_norms=[0.0, 0.0],
+            step_lengths=[0.0, 1.0], linesearch_evals=[0, 1], converged=True)
+        return u, solve_state(problem, u), report
+
+    monkeypatch.setattr(anisoflow.studies, "optimize", rising)
+    report = control_convergence_study(prob, 3)
+    diffs = [row["cauchy_diff"] for row in report.rows[1:]]
+    assert not report.passed
+    assert report.notes == (
+        [f"level {k}: cost history not monotone" for k in range(3)]
+        + [f"Cauchy differences not strictly decreasing: "
+           f"{[f'{d:.3e}' for d in diffs]}"])
+    assert diffs[1] == pytest.approx(3 * diffs[0], rel=1e-12)
+
+
 def test_lipschitz_identical_pair_is_flagged():
     g = build_grid(1, [9], [1.0])
     y0 = np.zeros(g.n_nodes)
