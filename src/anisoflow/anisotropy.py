@@ -1,13 +1,16 @@
 """Gradient-energy densities for the quasilinear flux term.
 
-Two families are provided.  The isotropic density is A(p) = |p|^2 / 2 with
-A' = id.  The matrix-family density is
+The matrix-family density is
 
     A(p) = gamma(p)^2 / 2,    gamma(p) = sum_l sqrt(p' G_l p + delta),
 
 with symmetric positive definite matrices G_l and regularization
-delta >= 0.  For delta = 0 the density is absolutely 2-homogeneous and A'
-is not differentiable at p = 0 (A'(0) = 0 still holds and is used).  Its
+delta >= 0.  With one matrix G it is the quadratic density
+A(p) = (p' G p + delta) / 2, with A' = G p and the constant A'' = G for
+every delta, and the isotropic density A(p) = |p|^2 / 2 is its case G = I,
+in any dimension.  One kernel evaluates every quadratic density.  With two
+or more matrices and delta = 0 the density is absolutely 2-homogeneous and
+A' is not differentiable at p = 0 (A'(0) = 0 still holds and is used).  Its
 A'' is 0-homogeneous, so A''(e_1) at p = 0 lies in Clarke's generalized
 Jacobian of A', which is all a semismooth Newton step needs (Qi & Sun,
 Math. Program. 58, 1993).  delta > 0 trades the homogeneity for C2
@@ -16,9 +19,11 @@ smoothness, which the adjoint needs.
 Evaluation is vectorized over leading axes: ``p`` may be a single vector
 (d,) or a batch (..., d), e.g. one gradient per element.  Each density has
 one entry point, ``derivatives(p, order)``, which returns A, A' and A''
-up to ``order`` from one pass.
+up to ``order`` from one pass, and reports its constant Hessian,
+``constant_hessian(dim)``: G for a quadratic density and None otherwise.
 """
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -29,10 +34,37 @@ def _check_order(order):
         raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
 
 
-class IsotropicAnisotropy:
-    """A(p) = |p|^2 / 2; the flux A' is the identity."""
+@functools.lru_cache(maxsize=None)
+def _identity(dim):
+    """The read-only (dim, dim) identity, built once per dimension."""
+    eye = np.eye(dim)
+    eye.flags.writeable = False
+    return eye
 
-    kind = "isotropic"
+
+def _quadratic(G, delta, p, order):
+    """(A, A', A'') of A(p) = (p'Gp + delta) / 2 for a symmetric G, at the
+    float array p of shape batch + (d,), cut after ``order``: A' = Gp, and
+    A'' = G at every point of the batch."""
+    gp = p @ G
+    # p'Gp one component at a time: np.sum over the short last axis costs
+    # several times more, on large batches and small ones
+    quad = p[..., 0] * gp[..., 0]
+    for i in range(1, p.shape[-1]):
+        quad += p[..., i] * gp[..., i]
+    quad += delta
+    out = (0.5 * quad,)
+    if order >= 1:
+        out += (gp,)
+    if order == 2:
+        out += (np.broadcast_to(G, p.shape[:-1] + G.shape).copy(),)
+    return out
+
+
+class IsotropicAnisotropy:
+    """A(p) = |p|^2 / 2 in any dimension: the quadratic density with G = I,
+    so the flux A' is the identity."""
+
     twice_differentiable = True
 
     def derivatives(self, p, order=1):
@@ -40,13 +72,11 @@ class IsotropicAnisotropy:
         :meth:`MatrixFamilyAnisotropy.derivatives`."""
         _check_order(order)
         p = np.asarray(p, dtype=float)
-        out = (0.5 * np.sum(p * p, axis=-1),)
-        if order >= 1:
-            out += (p.copy(),)
-        if order == 2:
-            d = p.shape[-1]
-            out += (np.broadcast_to(np.eye(d), p.shape + (d,)).copy(),)
-        return out
+        return _quadratic(_identity(p.shape[-1]), 0.0, p, order)
+
+    def constant_hessian(self, dim):
+        """A'' = I, the same at every point."""
+        return _identity(dim)
 
     def __repr__(self):
         return "IsotropicAnisotropy()"
@@ -60,11 +90,10 @@ class MatrixFamilyAnisotropy:
     matrices : array-like, (L, d, d)
         Symmetric positive definite matrices.
     delta : float
-        Finite, nonnegative regularization; delta > 0 makes A twice
-        differentiable, which the adjoint checks (``twice_differentiable``).
+        Finite, nonnegative regularization.  A is twice differentiable,
+        which the adjoint checks (``twice_differentiable``), when delta > 0
+        or when there is one matrix: then A is quadratic.
     """
-
-    kind = "matrix_family"
 
     def __init__(self, matrices, delta=0.0):
         mats = np.asarray(matrices, dtype=float)
@@ -84,7 +113,8 @@ class MatrixFamilyAnisotropy:
                     f"matrix {k} not positive definite (min eigenvalue {lam_min:.2e})")
         if not 0 <= delta < np.inf:
             raise ValueError(f"delta must be nonnegative and finite, got {delta}")
-        # the exactly symmetric part, whose upper triangle derivatives() reads
+        # the exactly symmetric part: derivatives() reads its upper triangle,
+        # and Gp as p @ G
         self.matrices = 0.5 * (mats + np.swapaxes(mats, 1, 2))
         self.delta = float(delta)
 
@@ -94,14 +124,23 @@ class MatrixFamilyAnisotropy:
 
     @property
     def twice_differentiable(self):
-        return self.delta > 0.0
+        return self.delta > 0.0 or len(self.matrices) == 1
+
+    def constant_hessian(self, dim):
+        """A'' = G of a one-matrix family, the same at every point; None
+        for two or more matrices, whose A'' varies with p."""
+        if dim != self.dim:
+            raise ValueError(f"expected dimension {self.dim}, got {dim}")
+        return self.matrices[0] if len(self.matrices) == 1 else None
 
     def derivatives(self, p, order=1):
         """A and its derivatives up to ``order`` at p, from one pass.
 
         Returns (A,), (A, A') or (A, A', A'') for ``order`` 0, 1 or 2,
         shaped batch, batch + (d,) and batch + (d, d) for p of shape
-        batch + (d,).  The pass holds the components of p as contiguous
+        batch + (d,).  One matrix G gives the quadratic density:
+        A = (p'Gp + delta) / 2, A' = Gp and A'' = G.  For two or more
+        matrices the pass holds the components of p as contiguous
         vectors over the batch and sums over l as it goes: with
         s_l = sqrt(p'G_l p + delta), gamma = sum_l s_l,
         gamma' = sum_l G_l p / s_l and
@@ -117,6 +156,8 @@ class MatrixFamilyAnisotropy:
         batch, d = p.shape[:-1], self.dim
         if p.shape[-1:] != (d,):
             raise ValueError(f"expected points of dimension {d}, got shape {p.shape}")
+        if len(self.matrices) == 1:
+            return _quadratic(self.matrices[0], self.delta, p, order)
         x = np.ascontiguousarray(np.moveaxis(p, -1, 0).reshape(d, -1))
         m = x.shape[1]
         origin = None

@@ -356,7 +356,9 @@ def _load_file(key, path, grid):
 
 
 def _initializer(key, spec, grid):
-    with _blame(key):
+    # numpy raises OverflowError for a random_uniform range past the largest
+    # double, such as (-1e308, 1e308)
+    with _blame(key, (ValueError, OverflowError)):
         return grid.check_field(builtin_initializer(spec, grid))
 
 

@@ -27,7 +27,8 @@ from .stepper import (NonConvergence, StepConfig, newton_matrix,
 
 
 class AdjointUnavailable(RuntimeError):
-    """The linearized flux needs A'', which the gradient energy lacks."""
+    """The linearized flux needs A'', which the gradient energy lacks: a
+    family of two or more matrices with delta = 0 is not C2 at p = 0."""
 
 
 @dataclass(frozen=True)
@@ -120,7 +121,7 @@ def adjoint_solve(problem, trajectory, linear_rtol=1e-12):
     if not problem.aniso.twice_differentiable:
         raise AdjointUnavailable(
             "flux linearization needs a twice-differentiable gradient energy "
-            "(regularize the matrix family)")
+            "(use delta > 0 or a single matrix)")
     w = grid.weights
     taus = part.tau_steps
     n_steps = part.n_steps

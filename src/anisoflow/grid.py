@@ -136,7 +136,8 @@ class Grid:
         self.D.eliminate_zeros()
         self.Dt = self.D.T.tocsr()
         self._pattern = self._scatter = self._template = None
-        self._identity_data = None
+        self._eye = np.eye(dim)
+        self._constant_data = {}
         self._prolongations = None
         self._riesz_solve = None
 
@@ -246,20 +247,23 @@ class Grid:
         into the grid's :meth:`sparsity_pattern`, as a CSR matrix.
 
         ``tensors`` is an (n_elements, dim, dim) array of per-element
-        matrices M_e, or None for the identity (plain stiffness);
-        ``diagonal`` an optional (n_nodes,) vector.  The element blocks
-        of each shape are one product of the (n, dim^2) entries of its
-        tensors with the shape's element map (:attr:`element_maps`).
-        The identity's values are filled once per grid and copied on each
+        matrices M_e, one (dim, dim) matrix M_e = M for every element, or
+        None for the identity (plain stiffness); ``diagonal`` an optional
+        (n_nodes,) vector.  The element blocks of each shape are one
+        product of the (n, dim^2) entries of its tensors with the shape's
+        element map (:attr:`element_maps`).  The values of a constant M
+        are filled once per grid and per distinct M, and copied on each
         call, so every matrix, :meth:`stiffness_matrix` too, owns its
         ``data``.
         """
         diagonal_at = self.sparsity_pattern()[3]
-        if tensors is None:
-            if self._identity_data is None:
-                self._identity_data = self._fill(np.broadcast_to(
-                    np.eye(self.dim), (self.n_elements, self.dim, self.dim)))
-            data = self._identity_data.copy()
+        tensors = self._eye if tensors is None else np.asarray(tensors, float)
+        if tensors.ndim == 2:
+            key = tensors.tobytes()
+            if key not in self._constant_data:
+                self._constant_data[key] = self._fill(np.broadcast_to(
+                    tensors, (self.n_elements, self.dim, self.dim)))
+            data = self._constant_data[key].copy()
         else:
             data = self._fill(tensors)
         if diagonal is not None:

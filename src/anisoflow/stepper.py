@@ -16,9 +16,9 @@ solution and Newton's method on the residual, globalized by an Armijo line
 search on Phi, converges from any warm start.  Every step runs this one
 algorithm, with directions from an SPD matrix:
 
-* for unregularized matrix families A' is only semismooth, and the
-  density's generalized Hessian makes the iteration a semismooth Newton
-  method (Qi & Sun, Math. Program. 58, 1993);
+* for unregularized families of two or more matrices A' is only
+  semismooth, and the density's generalized Hessian makes the iteration a
+  semismooth Newton method (Qi & Sun, Math. Program. 58, 1993);
 * for tau >= 1/c (reachable only with ``enforce_uniqueness`` off) the
   Hessian may be indefinite, and the directions come from its convex
   majorant, see :func:`newton_matrix`.
@@ -224,16 +224,19 @@ def step_residual(grid, aniso, pot, y, y_prev, u, tau):
 def newton_matrix(grid, aniso, pot, y, tau, majorant=False):
     """Sparse W/tau + K_{A''(grad y)} + diag(W psi''(y)); SPD for tau < 1/c.
 
-    A'' is the density's (generalized, for delta = 0) Hessian.  With
-    ``majorant`` psi'' is cut at 0 from below, which gives the convex
-    majorant W/tau + K_{A''} + diag(W max(psi'', 0)): SPD for every tau,
-    and the step's matrix above 1/c.  The adjoint uses the exact matrix.
-    The isotropic A'' is the identity, so that matrix needs no pass over
-    the gradients of y.
+    A'' is the density's Hessian, generalized for two or more matrices at
+    delta = 0.  With ``majorant`` psi'' is cut at 0 from below, which gives
+    the convex majorant W/tau + K_{A''} + diag(W max(psi'', 0)): SPD for
+    every tau, and the step's matrix above 1/c.  The adjoint uses the exact
+    matrix.
+    A constant A'' = G (``aniso.constant_hessian``: the isotropic G = I,
+    or a one-matrix family) needs no pass over the gradients of y; the
+    grid fills its stiffness once and copies it.
     """
     w = grid.weights
-    hess = (None if aniso.kind == "isotropic"
-            else aniso.derivatives(element_gradients(grid, y), 2)[2])
+    hess = aniso.constant_hessian(grid.dim)
+    if hess is None:
+        hess = aniso.derivatives(element_gradients(grid, y), 2)[2]
     second = pot.second(y)
     if majorant:
         second = np.maximum(second, 0.0)

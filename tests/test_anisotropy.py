@@ -51,6 +51,39 @@ def test_single_identity_matrix_reduces_to_isotropic():
     assert np.allclose(fam.derivatives(p, 1)[1], p, atol=1e-12)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("batch", [(), (7,), (3, 5)])
+def test_single_identity_matrix_is_isotropic_bit_for_bit(dim, batch):
+    # one quadratic kernel evaluates both: the isotropic density is G = I
+    fam = MatrixFamilyAnisotropy([np.eye(dim)], delta=0.0)
+    iso = IsotropicAnisotropy()
+    p = np.random.default_rng(13).normal(size=batch + (dim,))
+    for got, want in zip(fam.derivatives(p, 2), iso.derivatives(p, 2)):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+    assert np.array_equal(fam.constant_hessian(dim),
+                          iso.constant_hessian(dim))
+    assert fam.twice_differentiable
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-2])
+def test_single_matrix_is_quadratic_with_constant_hessian(delta):
+    G = np.array([[1.0, 0.3], [0.3, 0.2]])
+    fam = MatrixFamilyAnisotropy([G], delta=delta)
+    pts = np.vstack([np.zeros(2), np.random.default_rng(14).normal(size=(9, 2))])
+    value, flux, hess = fam.derivatives(pts, 2)
+    assert np.allclose(value, 0.5 * (np.einsum("ki,ij,kj->k", pts, G, pts)
+                                     + delta), rtol=1e-15, atol=0.0)
+    assert np.allclose(flux, pts @ G, rtol=1e-15, atol=0.0)
+    assert np.array_equal(hess, np.broadcast_to(G, (10, 2, 2)))
+    # A'' = G at every point, p = 0 too: twice differentiable for every delta
+    assert np.array_equal(fam.constant_hessian(2), G)
+    assert fam.twice_differentiable
+    with pytest.raises(ValueError):
+        fam.constant_hessian(1)
+    assert ANISO_2D.constant_hessian(2) is None
+
+
 def test_two_identity_matrices():
     fam = MatrixFamilyAnisotropy([np.eye(2), np.eye(2)], delta=0.0)
     # gamma(p) = 2|p|, so the density quadruples the isotropic one

@@ -1,4 +1,5 @@
 import dataclasses
+import pathlib
 import tracemalloc
 import warnings
 
@@ -555,6 +556,11 @@ REJECTED_INPUTS += [
                   "potential.cutoff=2"], "potential.cutoff"),
     ("simulate", ["potential.kind=truncated", "potential.cutoff=2",
                   "potential.penalty=10"], "potential.penalty"),
+    # a range past the largest double, which numpy cannot draw from
+    ("simulate", ["control.y0=random_uniform(-1e308, 1e308, 3)"],
+     "control.y0"),
+    ("simulate", ["control.forcing=random_uniform(-1e308, 1e308, 3)"],
+     "control.forcing"),
 ]
 
 
@@ -707,6 +713,22 @@ def test_optimize_converges_with_default_settings(tmp_path):
         f"target = final_time\ntarget_file = {tmp_path / 'target.field'}")
     out = tmp_path / "out"
     assert run("optimize", write_config(tmp_path, cfg), out_dir=str(out)) == 0
+    summary = (out / "optimize_summary.txt").read_text()
+    assert summary.startswith("converged=True\n"), summary
+
+
+def test_optimize_single_matrix_without_regularization(tmp_path):
+    # configs/steering.ini at 9^2 under one stretched matrix with delta = 0:
+    # A = p'Gp / 2 is quadratic, so the adjoint has the A'' it needs
+    config = str(pathlib.Path(__file__).parents[1] / "configs" / "steering.ini")
+    quadratic = ["grid.nodes=9,9", "anisotropy.matrices=1 0 0 0.04",
+                 "anisotropy.delta=0"]
+    sim, out = tmp_path / "sim", tmp_path / "out"
+    assert run("simulate", config, quadratic + [
+        "control.y0=tanh_circle(0.5, 0.5, 0.3, 0.08)"], out_dir=str(sim)) == 0
+    assert run("optimize", config, quadratic + [
+        f"control.target_file={sim / 'state_0008.field'}"],
+        out_dir=str(out)) == 0
     summary = (out / "optimize_summary.txt").read_text()
     assert summary.startswith("converged=True\n"), summary
 

@@ -112,8 +112,10 @@ def test_adjoint_single_step_dense_oracle():
 
 
 def test_adjoint_needs_flux_hessian():
-    fam = MatrixFamilyAnisotropy([[[1.0]]], delta=0.0)
-    prob, _ = make_problem(aniso=fam, seed=5)
+    # two matrices at delta = 0: A is not C2 at p = 0 (one matrix would be)
+    fam = MatrixFamilyAnisotropy(
+        [np.diag([1.0, 0.04]), np.diag([0.04, 1.0])], delta=0.0)
+    prob, _ = make_2d_problem([9, 9], distributed=False, aniso=fam)
     traj = solve_state(prob, prob.zero_control())
     with pytest.raises(AdjointUnavailable):
         adjoint_solve(prob, traj)
@@ -183,9 +185,11 @@ def test_gradient_matches_fd_directional(distributed):
 # a tilted family and a stretched one: A'' has off-diagonal entries
 ANISO_2D = MatrixFamilyAnisotropy(
     [[[1.0, 0.3], [0.3, 0.2]], np.diag([0.04, 1.0])], delta=1e-2)
+# the tilted matrix alone, unregularized: the quadratic A = p'Gp / 2
+QUADRATIC_2D = MatrixFamilyAnisotropy([[[1.0, 0.3], [0.3, 0.2]]], delta=0.0)
 
 
-def make_2d_problem(nodes, distributed, seed=12):
+def make_2d_problem(nodes, distributed, seed=12, aniso=ANISO_2D):
     g = build_grid(2, nodes, [1.0, 1.0])
     rng = np.random.default_rng(seed)
     if distributed:
@@ -194,13 +198,18 @@ def make_2d_problem(nodes, distributed, seed=12):
         target = FinalTimeTarget(rng.uniform(-1, 1, g.n_nodes))
     return ControlProblem(g, TimePartition.uniform(0.2, 4),
                           tanh_circle_field(g, [0.5, 0.5], 0.25, 0.1),
-                          target, 1e-2, ANISO_2D, DW), rng
+                          target, 1e-2, aniso, DW), rng
 
 
 @pytest.mark.parametrize("distributed", [False, True])
-@pytest.mark.parametrize("nodes", [[9, 9], [17, 12]])
-def test_2d_gradient_matches_fd_directional(nodes, distributed):
-    prob, rng = make_2d_problem(nodes, distributed)
+@pytest.mark.parametrize("nodes,aniso", [
+    pytest.param([9, 9], ANISO_2D, id="nodes0"),
+    pytest.param([17, 12], ANISO_2D, id="nodes1"),
+    pytest.param([9, 9], QUADRATIC_2D, id="quadratic-nodes0"),
+    pytest.param([17, 12], QUADRATIC_2D, id="quadratic-nodes1"),
+])
+def test_2d_gradient_matches_fd_directional(nodes, aniso, distributed):
+    prob, rng = make_2d_problem(nodes, distributed, aniso=aniso)
     u = rng.uniform(-1, 1, (4, prob.grid.n_nodes))
     g, _ = reduced_gradient(prob, u)
     eps = 1e-5
@@ -210,6 +219,53 @@ def test_2d_gradient_matches_fd_directional(nodes, distributed):
         jm = cost(prob, solve_state(prob, u - eps * v), u - eps * v)
         fd = (jp - jm) / (2 * eps)
         assert abs(control_inner(prob, g, v) - fd) <= 1e-5 * max(abs(fd), 1e-10)
+
+
+# node maps of the 17^2 grid onto itself; each is its own inverse
+ROTATION = np.arange(17 * 17)[::-1]
+TRANSPOSITION = np.arange(17 * 17).reshape(17, 17).T.ravel()
+README_PAIR = MatrixFamilyAnisotropy(
+    [np.diag([1.0, 0.04]), np.diag([0.04, 1.0])], delta=1e-2)
+
+
+def mapped_mismatch(aniso, nodes):
+    """Largest relative differences of the states and of the reduced
+    gradients of a seeded 17^2, N = 4 problem from those of its image under
+    the node map ``nodes``, mapped back."""
+    g = build_grid(2, [17, 17], [1.0, 1.0])
+    rng = np.random.default_rng(16)
+    y0 = rng.uniform(-0.8, 0.8, g.n_nodes)
+    target = rng.uniform(-1.0, 1.0, g.n_nodes)
+    u = rng.uniform(-1.0, 1.0, (4, g.n_nodes))
+    runs = []
+    for k in (np.arange(g.n_nodes), nodes):
+        prob = ControlProblem(g, TimePartition.uniform(0.2, 4), y0[k],
+                              FinalTimeTarget(target[k]), 1e-2, aniso, DW)
+        grad, traj = reduced_gradient(prob, u[:, k])
+        runs.append((traj.states, grad))
+    (states, grad), (states_mapped, grad_mapped) = runs
+    return tuple(float(np.max(np.abs(a[:, nodes] - b)) / np.max(np.abs(a)))
+                 for a, b in ((states, states_mapped), (grad, grad_mapped)))
+
+
+@pytest.mark.parametrize("aniso", [
+    ISO, README_PAIR, QUADRATIC_2D,
+    MatrixFamilyAnisotropy([[[1.0, 0.3], [0.3, 0.2]]], delta=1e-2)],
+    ids=["isotropic", "readme-pair", "tilted-delta0", "tilted-delta1e-2"])
+def test_2d_solve_commutes_with_rotation(aniso):
+    # the 180 degree rotation maps the mesh onto itself, swapping its two
+    # triangle shapes, and sends every gradient p to -p, where every
+    # density takes the same A: assembly, V-cycle, stepper and adjoint
+    # must all commute with it
+    assert max(mapped_mismatch(aniso, ROTATION)) <= 1e-12
+
+
+def test_2d_solve_commutes_with_transposition():
+    # transposition maps the mesh onto itself and swaps the README pair
+    assert max(mapped_mismatch(README_PAIR, TRANSPOSITION)) <= 1e-12
+    # one stretched matrix is not symmetric under it, and the check sees it
+    stretched = MatrixFamilyAnisotropy([np.diag([1.0, 0.04])], delta=0.0)
+    assert min(mapped_mismatch(stretched, TRANSPOSITION)) > 0.1
 
 
 def test_fd_gradient_matches_adjoint_componentwise():

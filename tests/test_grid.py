@@ -200,6 +200,29 @@ def test_isotropic_matrices_from_the_cached_identity_values(dim, nodes):
                           first.data)
 
 
+@pytest.mark.parametrize("dim,nodes", [(1, [9]), (2, [5, 4])])
+def test_constant_tensor_fills_once_per_value(dim, nodes):
+    g = build_grid(dim, nodes, [1.0, 0.7][:dim])
+    diagonal = np.random.default_rng(6).uniform(0.5, 2.0, g.n_nodes)
+    tilted = np.array([[1.0, 0.3], [0.3, 0.2]])[:dim, :dim]
+    stretched = np.diag([0.04, 1.0])[:dim, :dim]
+    # one grid, two constants in turn: each call gives its own matrix
+    for tensor in (tilted, stretched, tilted, stretched):
+        per_element = np.broadcast_to(tensor, (g.n_elements, dim, dim)).copy()
+        got = g.assemble_weighted_stiffness(tensor, diagonal)
+        # the same arithmetic as the tensor given per element
+        assert np.array_equal(
+            got.data, g.assemble_weighted_stiffness(per_element, diagonal).data)
+        expected = oracle_weighted_stiffness(g, per_element) + np.diag(diagonal)
+        assert np.max(np.abs(got.toarray() - expected)) <= (
+            1e-12 * np.max(np.abs(expected)))
+        # editing a matrix in place leaves the stored values alone
+        got.data[:] = np.nan
+    assert not np.array_equal(
+        g.assemble_weighted_stiffness(tilted).data,
+        g.assemble_weighted_stiffness(stretched).data)
+
+
 def test_stiffness_matrix_is_owned_by_the_caller():
     g = build_grid(1, [5], [1.0])
     g.stiffness_matrix().data[:] = 0.0

@@ -542,6 +542,21 @@ def test_trajectory_takes_one_pass_per_point_and_newton_matrix():
                                       for d in steps)
 
 
+def test_single_matrix_newton_matrix_takes_no_pass():
+    # one matrix gives the constant A'' = G, which the Newton matrix
+    # assembles without evaluating the density; delta = 0 changes nothing
+    g = build_grid(2, [9, 9], [1.0, 1.0])
+    counting = CountingFamily([[[1.0, 0.3], [0.3, 0.2]]], delta=0.0)
+    u = np.zeros((4, g.n_nodes))
+    u[1:] = 60.0 * np.sin(np.pi * g.nodes[:, 0]) * np.sin(np.pi * g.nodes[:, 1])
+    traj = solve_trajectory(g, counting, DW, np.ones(g.n_nodes), u,
+                            TimePartition.uniform(0.8, 4))
+    steps = traj.diagnostics[1:]
+    assert sum(d.iterations for d in steps) > 0
+    # one pass for y_0 and one per trial
+    assert counting.passes == 1 + sum(d.linesearch_trials for d in steps)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_trajectory_equals_a_chain_of_steps(dim):
     # the trajectory starts each step from the terms of the previous
