@@ -55,17 +55,45 @@ def _section_fields(cls):
     return {_INI_KEYS.get(f.name, f.name): f for f in dataclasses.fields(cls)}
 
 
-# accepted sections and keys (lowercase; configparser lowercases on read)
+_REQUIRED = object()   # the default of a key that a run reading it needs
+
+
+@dataclasses.dataclass(frozen=True)
+class _Key:
+    convert: type = str          # str, int, float or bool
+    default: object = _REQUIRED  # the value of a key not given
+    kinds: dict = None           # of a kind key: kind -> keys only it reads
+    replaced_by: str = None      # a key beside which this one is not read
+    refused_by: tuple = None     # (command, why): it takes only the default
+
+
+_ZERO_FORCING = ("verify-energy", "the energy check requires zero forcing")
+# every config key, under the name a message gives it (configparser
+# lowercases the names on read)
 _SCHEMA = {
-    "grid": {"dim", "nodes", "lengths"},
-    "time": {"t", "n", "breakpoints"},
-    "anisotropy": {"kind", "delta", "matrices"},
-    "potential": {"kind", "penalty", "cutoff"},
-    "control": {"lambda", "target", "target_file", "target_dir",
-                "y0", "y0_file", "forcing", "forcing_dir"},
-    "study": {"levels"},
-    "output": {"directory", "seed"},
-    **{section: set(_section_fields(cls))
+    "grid": {"dim": _Key(int), "nodes": _Key(), "lengths": _Key()},
+    "time": {"T": _Key(float, replaced_by="time.breakpoints"),
+             "N": _Key(int, replaced_by="time.breakpoints"),
+             "breakpoints": _Key(default=None)},
+    "anisotropy": {"kind": _Key(str, "isotropic", {
+        "isotropic": (), "matrix_family": ("delta", "matrices")}),
+        "delta": _Key(float, 0.0), "matrices": _Key()},
+    "potential": {"kind": _Key(str, "double_well", {
+        "double_well": (), "truncated": ("cutoff",),
+        "moreau_yosida": ("penalty",), "zero": ()}),
+        "penalty": _Key(float), "cutoff": _Key(float)},
+    "control": {
+        "lambda": _Key(float), "target": _Key(kinds={
+            "final_time": ("target_file",), "distributed": ("target_dir",)}),
+        "target_file": _Key(), "target_dir": _Key(),
+        "y0": _Key(default=None), "y0_file": _Key(default=None),
+        "forcing": _Key(str, "zero", replaced_by="control.forcing_dir",
+                        refused_by=_ZERO_FORCING),
+        "forcing_dir": _Key(default=None, refused_by=_ZERO_FORCING)},
+    "study": {"levels": _Key(int, 4)},
+    "output": {"directory": _Key(str, "out"), "seed": _Key(int, 0)},
+    **{section: {key: _Key(f.type, f.default)
+                 for key, f in _section_fields(cls).items()}
        for section, cls in _SETTINGS.items()},
 }
 
@@ -73,7 +101,6 @@ _SCHEMA = {
 class ConfigError(Exception):
     def __init__(self, key, message):
         super().__init__(f"config error at '{key}': {message}")
-        self.key = key
 
 
 @contextlib.contextmanager
@@ -170,7 +197,7 @@ def load_config(path, overrides=()):
         if section not in _SCHEMA:
             raise ConfigError(section, "unknown section")
         for key in keys:
-            if key not in _SCHEMA[section]:
+            if key not in map(str.lower, _SCHEMA[section]):
                 raise ConfigError(f"{section}.{key}", "unknown key")
     return cfg
 
@@ -178,35 +205,61 @@ def load_config(path, overrides=()):
 _KIND_NAMES = {float: "a number", int: "an integer", bool: "a boolean"}
 
 
-def _get(cfg, section, key, kind=str, default=None, required=False):
-    """Read one value and convert it to ``kind`` (str, float, int or bool)."""
-    raw = cfg.get(section, {}).get(key.lower())
+def _get(cfg, key):
+    """The value of ``key`` ('section.name') by its table entry."""
+    section, _, name = key.partition(".")
+    spec, raw = _SCHEMA[section][name], cfg.get(section, {}).get(name.lower())
     if raw is None:
-        if required:
-            raise ConfigError(f"{section}.{key}", "required key is missing")
-        return default
+        if spec.default is _REQUIRED:
+            raise ConfigError(key, "required key is missing")
+        return spec.default
+    text = raw.strip().lower()
+    if spec.kinds:
+        if text not in spec.kinds:
+            what = "kind" if name == "kind" else f"{name} kind"
+            raise ConfigError(key, f"unknown {what} '{text}'")
+        return text
     try:
-        if kind is bool:
-            return configparser.ConfigParser.BOOLEAN_STATES[
-                raw.strip().lower()]
-        return kind(raw)
+        if spec.convert is bool:
+            return configparser.ConfigParser.BOOLEAN_STATES[text]
+        return spec.convert(raw)
     except (KeyError, ValueError):
-        raise ConfigError(f"{section}.{key}",
-                          f"not {_KIND_NAMES[kind]}: '{raw}'")
+        raise ConfigError(key, f"not {_KIND_NAMES[spec.convert]}: '{raw}'")
+
+
+def _check_read(cfg, command):
+    """Reject the first given key, in table order, that ``command`` would
+    not read or takes only at its default."""
+    for section, keys in _SCHEMA.items():
+        given = cfg.get(section, {})
+        for name, spec in keys.items():
+            # a control.target not given (outside the control commands)
+            # reads no target key
+            if spec.kinds and (name in given or spec.default is not _REQUIRED):
+                kind = _get(cfg, f"{section}.{name}")
+                for other in (k for ks in spec.kinds.values() for k in ks):
+                    if other in given and other not in spec.kinds[kind]:
+                        raise ConfigError(f"{section}.{other}", f"would be "
+                                          f"ignored by {name} {kind}")
+            raw = given.get(name.lower())
+            if raw is None:
+                continue
+            if spec.replaced_by and _get(cfg, spec.replaced_by) is not None:
+                raise ConfigError(f"{section}.{name}", f"would be ignored "
+                                  f"alongside {spec.replaced_by}")
+            if (spec.refused_by and command == spec.refused_by[0]
+                    and raw.strip().lower() != spec.default):
+                raise ConfigError(f"{section}.{name}", spec.refused_by[1])
 
 
 def _from_section(cfg, section):
-    """Build the settings dataclass of one section from the keys it gives.
-
-    Field types come from the dataclass and its ``__post_init__``
-    validates the values; unset fields keep the dataclass defaults.
-    """
+    """Build the settings dataclass of one section.  The table takes each
+    field's type and default from the dataclass, whose ``__post_init__``
+    validates the values."""
     cls = _SETTINGS[section]
-    fields = _section_fields(cls)
-    kwargs = {fields[key].name: _get(cfg, section, key, fields[key].type)
-              for key in cfg.get(section, {})}
     try:
-        return cls(**kwargs)
+        return cls(**{f.name: _get(cfg, f"{section}.{key}")
+                      for key, f in _section_fields(cls).items()})
     except ValueError as exc:
         # validation messages start with the offending field's name
         name = str(exc).split()[0]
@@ -219,7 +272,7 @@ def _floats(raw):
 
 def _node_counts(cfg):
     with _blame("grid.nodes"):
-        return [int(x) for x in _get(cfg, "grid", "nodes", required=True)
+        return [int(x) for x in _get(cfg, "grid.nodes")
                 .replace(",", " ").split()]
 
 
@@ -246,10 +299,9 @@ def _check_size(cfg, halvings):
     # is a count of axes other than 1 or 2
     n_nodes = math.prod(max(n, 0) for n in counts)
     per_node = _GRID_DOUBLES.get(len(counts), _GRID_DOUBLES[2])
-    raw_breaks = _get(cfg, "time", "breakpoints")
+    raw_breaks = _get(cfg, "time.breakpoints")
     if raw_breaks is None:
-        time_key, n_steps = "time.N", _get(cfg, "time", "N", int,
-                                           required=True)
+        time_key, n_steps = "time.N", _get(cfg, "time.N")
     else:
         time_key = "time.breakpoints"
         with _blame(time_key):
@@ -268,83 +320,57 @@ def _check_size(cfg, halvings):
 
 
 def _build_grid(cfg):
-    dim = _get(cfg, "grid", "dim", int, required=True)
+    dim = _get(cfg, "grid.dim")
     nodes = _node_counts(cfg)
     with _blame("grid.lengths"):
-        lengths = _floats(_get(cfg, "grid", "lengths", required=True))
+        lengths = _floats(_get(cfg, "grid.lengths"))
     with _blame("grid"):
         return build_grid(dim, nodes, lengths)
 
 
-def _reject_ignored(cfg, section, keys, why):
-    """Reject the first of ``keys`` that ``section`` gives: the run would
-    ignore it ``why``."""
-    for key in keys:
-        if key.lower() in cfg.get(section, {}):
-            raise ConfigError(f"{section}.{key}", f"would be ignored {why}")
-
-
 def _build_partition(cfg):
-    raw_breaks = _get(cfg, "time", "breakpoints")
+    raw_breaks = _get(cfg, "time.breakpoints")
     if raw_breaks is None:
         with _blame("time"):
-            return TimePartition.uniform(
-                _get(cfg, "time", "T", float, required=True),
-                _get(cfg, "time", "N", int, required=True))
+            return TimePartition.uniform(_get(cfg, "time.T"),
+                                         _get(cfg, "time.N"))
     with _blame("time.breakpoints"):
-        partition = TimePartition(_floats(raw_breaks))
-    _reject_ignored(cfg, "time", ("T", "N"), "alongside time.breakpoints")
-    return partition
+        return TimePartition(_floats(raw_breaks))
 
 
 def _build_anisotropy(cfg, dim):
-    kind = _get(cfg, "anisotropy", "kind", default="isotropic").strip().lower()
-    if kind == "isotropic":
-        _reject_ignored(cfg, "anisotropy", ("delta", "matrices"),
-                        "by kind isotropic")
+    if _get(cfg, "anisotropy.kind") == "isotropic":
         return IsotropicAnisotropy()
-    if kind == "matrix_family":
-        raw = _get(cfg, "anisotropy", "matrices", required=True)
-        delta = _get(cfg, "anisotropy", "delta", float, default=0.0)
-        mats = []
-        for chunk in raw.split(";"):
-            with _blame("anisotropy.matrices"):
-                vals = _floats(chunk)
-            if len(vals) != dim * dim:
-                raise ConfigError("anisotropy.matrices",
-                                  f"each matrix needs {dim * dim} row-major "
-                                  f"entries, got {len(vals)}")
-            mats.append(np.array(vals).reshape(dim, dim))
-        try:
-            return MatrixFamilyAnisotropy(mats, delta)
-        except ValueError as exc:
-            # the delta check's message starts with its name; every other
-            # check is on the matrices
-            name = "delta" if str(exc).startswith("delta") else "matrices"
-            raise ConfigError(f"anisotropy.{name}", str(exc))
-    raise ConfigError("anisotropy.kind", f"unknown kind '{kind}'")
+    raw = _get(cfg, "anisotropy.matrices")
+    delta = _get(cfg, "anisotropy.delta")
+    mats = []
+    for chunk in raw.split(";"):
+        with _blame("anisotropy.matrices"):
+            vals = _floats(chunk)
+        if len(vals) != dim * dim:
+            raise ConfigError("anisotropy.matrices",
+                              f"each matrix needs {dim * dim} row-major "
+                              f"entries, got {len(vals)}")
+        mats.append(np.array(vals).reshape(dim, dim))
+    try:
+        return MatrixFamilyAnisotropy(mats, delta)
+    except ValueError as exc:
+        # the delta check's message starts with its name; every other
+        # check is on the matrices
+        name = "delta" if str(exc).startswith("delta") else "matrices"
+        raise ConfigError(f"anisotropy.{name}", str(exc))
 
 
 def _build_potential(cfg):
-    kind = _get(cfg, "potential", "kind", default="double_well").strip().lower()
-    why = f"by kind {kind}"
-    if kind == "double_well":
-        _reject_ignored(cfg, "potential", ("cutoff", "penalty"), why)
-        return DoubleWell()
+    kind = _get(cfg, "potential.kind")
     if kind == "moreau_yosida":
-        _reject_ignored(cfg, "potential", ("cutoff",), why)
-        penalty = _get(cfg, "potential", "penalty", float, required=True)
         with _blame("potential.penalty"):
-            return MoreauYosida(penalty)
+            return MoreauYosida(_get(cfg, "potential.penalty"))
     if kind == "truncated":
-        _reject_ignored(cfg, "potential", ("penalty",), why)
-        cutoff = _get(cfg, "potential", "cutoff", float, required=True)
         with _blame("potential.cutoff"):
-            return TruncatedPotential(DoubleWell(), cutoff)
-    if kind == "zero":
-        _reject_ignored(cfg, "potential", ("cutoff", "penalty"), why)
-        return ZeroPotential()
-    raise ConfigError("potential.kind", f"unknown kind '{kind}'")
+            return TruncatedPotential(DoubleWell(),
+                                      _get(cfg, "potential.cutoff"))
+    return DoubleWell() if kind == "double_well" else ZeroPotential()
 
 
 def _load_file(key, path, grid):
@@ -363,8 +389,8 @@ def _initializer(key, spec, grid):
 
 
 def _load_y0(cfg, grid):
-    spec = _get(cfg, "control", "y0")
-    path = _get(cfg, "control", "y0_file")
+    spec = _get(cfg, "control.y0")
+    path = _get(cfg, "control.y0_file")
     if (spec is None) == (path is None):
         raise ConfigError("control.y0",
                           "give exactly one of control.y0, control.y0_file")
@@ -382,12 +408,9 @@ def _load_per_interval(key, directory, prefix, grid, n_steps):
 
 def _load_forcing(cfg, grid, partition):
     """Forcing fields for simulate/study runs; zero by default."""
-    directory = _get(cfg, "control", "forcing_dir")
-    spec = _get(cfg, "control", "forcing", default="zero")
-    n_steps = partition.n_steps
+    directory = _get(cfg, "control.forcing_dir")
+    spec, n_steps = _get(cfg, "control.forcing"), partition.n_steps
     if directory is not None:
-        _reject_ignored(cfg, "control", ("forcing",),
-                        "alongside control.forcing_dir")
         return _load_per_interval("control.forcing_dir", directory, "control",
                                   grid, n_steps)
     if spec.strip().lower() == "zero":
@@ -396,32 +419,23 @@ def _load_forcing(cfg, grid, partition):
 
 
 def _control_problem(cfg, grid, partition, y0, aniso, pot):
-    kind = _get(cfg, "control", "target", required=True).strip().lower()
-    if kind == "final_time":
-        _reject_ignored(cfg, "control", ("target_dir",),
-                        "by target final_time")
-        path = _get(cfg, "control", "target_file", required=True)
-        target = FinalTimeTarget(_load_file("control.target_file", path, grid))
-    elif kind == "distributed":
-        _reject_ignored(cfg, "control", ("target_file",),
-                        "by target distributed")
-        directory = _get(cfg, "control", "target_dir", required=True)
-        target = DistributedTarget(_load_per_interval(
-            "control.target_dir", directory, "target", grid, partition.n_steps))
+    if _get(cfg, "control.target") == "final_time":
+        target = FinalTimeTarget(_load_file(
+            "control.target_file", _get(cfg, "control.target_file"), grid))
     else:
-        raise ConfigError("control.target", f"unknown target kind '{kind}'")
-    lam = _get(cfg, "control", "lambda", float, required=True)
+        target = DistributedTarget(_load_per_interval(
+            "control.target_dir", _get(cfg, "control.target_dir"), "target",
+            grid, partition.n_steps))
     # the fields are checked above, so only lambda is left to reject
     with _blame("control.lambda"):
-        return ControlProblem(grid, partition, y0, target, lam, aniso, pot)
+        return ControlProblem(grid, partition, y0, target,
+                              _get(cfg, "control.lambda"), aniso, pot)
 
 
 def _config_hash(cfg):
-    canon = []
-    for section in sorted(cfg):
-        for key in sorted(cfg[section]):
-            canon.append(f"{section}.{key}={cfg[section][key]}")
-    return hashlib.sha256("\n".join(canon).encode()).hexdigest()
+    canon = "\n".join(f"{section}.{key}={cfg[section][key]}"
+                      for section in sorted(cfg) for key in sorted(cfg[section]))
+    return hashlib.sha256(canon.encode()).hexdigest()
 
 
 def _write_manifest(out_dir, command, cfg, grid, partition, aniso, c_psi,
@@ -454,12 +468,11 @@ def _write_fields(out_dir, grid, prefix, fields, first=0):
 def _study_perturbation_pairs(grid, y0, forcing, seed):
     """c08's data: five seeded perturbations of (y0, forcing) at scale 0.1."""
     rng = np.random.default_rng(seed)
-    pairs = []
-    for _ in range(5):
-        dy0 = 0.1 * rng.uniform(-1.0, 1.0, grid.n_nodes)
-        du = 0.1 * rng.uniform(-1.0, 1.0, forcing.shape)
-        pairs.append(((y0, forcing), (y0 + dy0, forcing + du)))
-    return pairs
+    # y0's perturbation is drawn before the forcing's
+    return [((y0, forcing),
+             (y0 + 0.1 * rng.uniform(-1.0, 1.0, grid.n_nodes),
+              forcing + 0.1 * rng.uniform(-1.0, 1.0, forcing.shape)))
+            for _ in range(5)]
 
 
 def run(command, config_path, overrides=(), out_dir=None, seed=None):
@@ -473,7 +486,7 @@ def run(command, config_path, overrides=(), out_dir=None, seed=None):
         halvings = 0
         if command in _STUDY_KINDS:
             minimum = studies.MIN_LEVELS[_STUDY_KINDS[command]]
-            levels = _get(cfg, "study", "levels", int, default=4)
+            levels = _get(cfg, "study.levels")
             if levels < minimum:
                 raise ConfigError("study.levels", f"needs at least {minimum} "
                                   f"ladder levels, got {levels}")
@@ -495,10 +508,9 @@ def run(command, config_path, overrides=(), out_dir=None, seed=None):
                 "guaranteed unique for tau < 1/c (c = semiconvexity "
                 "constant); refine time.N or disable solver.enforce_uniqueness")
         if out_dir is None:
-            out_dir = _get(cfg, "output", "directory", default="out")
-        seed_key = "--seed" if seed is not None else "output.seed"
-        if seed is None:
-            seed = _get(cfg, "output", "seed", int, default=0)
+            out_dir = _get(cfg, "output.directory")
+        seed_key, seed = (("output.seed", _get(cfg, "output.seed"))
+                          if seed is None else ("--seed", seed))
         if seed < 0:
             raise ConfigError(seed_key, f"must be non-negative, got {seed}")
         if (command in ("study-tau", "study-bounds", "study-lipschitz")
@@ -510,20 +522,14 @@ def run(command, config_path, overrides=(), out_dir=None, seed=None):
             raise ConfigError(
                 "time", f"tau_max = {partition.tau_max:g} exceeds the "
                 f"stability-study bound 1/(1+2c) = {bounds['lipschitz']:g}")
-        if command == "verify-energy":
-            forcing_spec = _get(cfg, "control", "forcing", default="zero")
-            if forcing_spec.strip().lower() != "zero":
-                raise ConfigError("control.forcing",
-                                  "the energy check requires zero forcing")
-            if _get(cfg, "control", "forcing_dir") is not None:
-                raise ConfigError("control.forcing_dir",
-                                  "the energy check requires zero forcing")
 
         y0 = _load_y0(cfg, grid)
         if command in ("optimize", "study-control"):
             problem = _control_problem(cfg, grid, partition, y0, aniso, pot)
         elif command != "verify-energy":
             forcing = _load_forcing(cfg, grid, partition)
+        # each input is built, so a key its builder checks names itself first
+        _check_read(cfg, command)
         # each study bound to all its inputs, run after the manifest
         final_time, base_n = partition.final_time, partition.n_steps
         if command in ("study-tau", "study-bounds"):

@@ -31,7 +31,8 @@ import numpy as np
 
 
 class LinearSolveError(RuntimeError):
-    """CG failed to reach the requested residual within 10 n iterations."""
+    """CG failed to reach the requested residual within 10 n iterations, or
+    the right-hand side's norm is not finite."""
 
 
 def tridiagonal_ldlt(values, diagonal_at):
@@ -192,6 +193,12 @@ def conjugate_gradient(apply_a, b, rtol=1e-12, precondition=None):
     -------
     ndarray
         The solution.
+
+    Raises
+    ------
+    LinearSolveError
+        When ``||b||`` is not finite (overflow or NaN), at a breakdown, or
+        when the residual is not reached.
     """
     if not callable(apply_a):
         mat = apply_a
@@ -202,9 +209,13 @@ def conjugate_gradient(apply_a, b, rtol=1e-12, precondition=None):
 
     x = np.zeros_like(b)
     r = b.copy()
-    bnorm = np.sqrt(b @ b)
+    # vdot, unlike @, warns of no overflow: a norm past the largest double
+    # (or a NaN) is a failed solve, not a zero solution after inf <= inf
+    bnorm = np.sqrt(np.vdot(b, b))
     if bnorm == 0.0:
         return x
+    if not bnorm < np.inf:
+        raise LinearSolveError(f"CG right-hand side norm is {bnorm}")
     tol = rtol * bnorm
 
     # rz = r'M^{-1}r is the CG scalar and rr = r'r only the stopping test;

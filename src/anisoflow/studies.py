@@ -111,7 +111,8 @@ def tau_convergence_study(grid, aniso, pot, y0, final_time, base_n, levels,
     C tau, so their difference goes as C (tau_k - tau_ref).  Passes when
     the errors decrease strictly and the fitted rate lies in
     ``_RATE_WINDOW``; the rate gate is only recorded, not enforced, for the
-    semismooth penalty potential, whose order is not established.
+    semismooth penalty potential, whose order is not established.  Errors
+    all at ``_NOISE_FLOOR`` pass unfitted; some at it fail unfitted.
     """
     _check_levels("tau_convergence", levels)
     if control is None:
@@ -142,11 +143,20 @@ def tau_convergence_study(grid, aniso, pot, y0, final_time, base_n, levels,
         report.passed = True
         return report
 
-    report.rate = fit_rate([row["tau"] - ref_row["tau"] for row in report.rows],
-                           errors)
     decreasing = all(errors[k + 1] < errors[k] for k in range(len(errors) - 1))
     if not decreasing:
         report.notes.append("errors are not strictly decreasing")
+    # a log-log fit needs every error above the noise (log 0 is -inf)
+    at_noise = [row["level"] for row in report.rows
+                if row["error"] <= _NOISE_FLOOR]
+    if at_noise:
+        report.notes.append(
+            f"errors of levels {at_noise} at solver noise "
+            f"(<= {_NOISE_FLOOR:g}); rate not fitted")
+        report.passed = False
+        return report
+    report.rate = fit_rate([row["tau"] - ref_row["tau"] for row in report.rows],
+                           errors)
     rate_ok = _RATE_WINDOW[0] <= report.rate <= _RATE_WINDOW[1]
     if getattr(pot, "smoothness", "c2") == "semismooth":
         report.notes.append(

@@ -1,5 +1,6 @@
 import dataclasses
 import pathlib
+import re
 import tracemalloc
 import warnings
 
@@ -12,9 +13,10 @@ from anisoflow import (DoubleWell, IsotropicAnisotropy,
                        ZeroPotential, build_grid, load_field,
                        solve_trajectory, write_field)
 from anisoflow import stepper
-from anisoflow.cli import (_SCHEMA, _from_section, _section_fields,
-                           builtin_initializer, constant_field, load_config,
-                           main, random_uniform_field, run, tanh_circle_field)
+from anisoflow.cli import (_REQUIRED, _SCHEMA, _from_section,
+                           _section_fields, builtin_initializer,
+                           constant_field, load_config, main,
+                           random_uniform_field, run, tanh_circle_field)
 
 BASE_CONFIG = """\
 [grid]
@@ -896,3 +898,202 @@ def test_simulate_unregularized_single_matrix_family(tmp_path, capsys):
                out_dir=str(out)) == 0, capsys.readouterr().err
     rows = (out / "diagnostics.csv").read_text().strip().splitlines()
     assert len(rows) == 12  # header + 11 states
+
+
+# -- the config-key table ------------------------------------------------------
+
+CONFIGS = pathlib.Path(__file__).parents[1] / "configs"
+# relaxation.ini and steering.ini at 9^2 with tau = 0.1 and 0.25
+RELAXATION = ["grid.nodes=9,9", "time.N=4", "time.T=0.4"]
+STEERING = ["grid.nodes=9,9", "time.N=4", "time.T=1", "optimize.max_iters=5"]
+TABLE_KEYS = [f"{section}.{name}" for section, keys in _SCHEMA.items()
+              for name in keys]
+
+
+def _spec(key):
+    section, _, name = key.partition(".")
+    return _SCHEMA[section][name]
+
+
+@pytest.fixture(scope="module")
+def steering_target(tmp_path_factory):
+    """The final state of a radius-0.3 circle under STEERING, which the
+    steering runs below track."""
+    out = tmp_path_factory.mktemp("target")
+    assert run("simulate", str(CONFIGS / "steering.ini"), STEERING + [
+        "control.y0=tanh_circle(0.5, 0.5, 0.3, 0.08)"], out_dir=str(out)) == 0
+    return f"control.target_file={out / 'state_0004.field'}"
+
+
+def _table_run(command, overrides, steering_target):
+    """``command`` on the 9^2 steering config (optimize) or relaxation
+    config (every other command), written to ``output.directory`` under
+    the working directory."""
+    if command == "optimize":
+        return run(command, str(CONFIGS / "steering.ini"),
+                   STEERING + [steering_target] + overrides)
+    return run(command, str(CONFIGS / "relaxation.ini"),
+               RELAXATION + overrides)
+
+
+# the values each key gets in turn
+MISUSE_VALUES = ["nan", "inf", "-inf", "-1", "0", "", "abc", "1e400", "1e20",
+                 "1,2,3", "0.5", "2", "1e-300", "true"]
+
+
+def _cheapest_reader(key):
+    if key.startswith(("control.lambda", "control.target", "optimize.")):
+        return "optimize"
+    return "study-tau" if key == "study.levels" else "simulate"
+
+
+@pytest.mark.parametrize("key", TABLE_KEYS)
+def test_every_key_rejects_or_runs_every_value(tmp_path, monkeypatch, capsys,
+                                               steering_target, key):
+    # each value under the cheapest command that reads the key, in a fresh
+    # working directory: it exits 1 naming its key and writing nothing, or
+    # the run ends in 0 or 2; any exception, or any warning but the
+    # Lipschitz-regime one, fails here
+    for i, value in enumerate(MISUSE_VALUES):
+        case = tmp_path / str(i)
+        case.mkdir()
+        monkeypatch.chdir(case)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "tau_max = .* exceeds the "
+                                    "Lipschitz-regime bound", RuntimeWarning)
+            code = _table_run(_cheapest_reader(key), [f"{key}={value}"],
+                              steering_target)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (value, err)
+        if code == 1:
+            assert not any(case.iterdir()), value
+            blamed, message = re.fullmatch(
+                r"config error at '(.*?)': (.*)\n", err).groups()
+            # a rule on several keys names the section (grid, time), and a
+            # key that another given key refuses names the key it gave way to
+            assert (blamed in (key, key.partition(".")[0])
+                    or key in message), (value, err)
+
+
+# a value of each key that some kind needs; {tmp} holds a target on the
+# 33-node grid of BASE_CONFIG and ten target fields
+KIND_NEEDS = {"anisotropy.matrices": "1", "potential.penalty": "10",
+              "potential.cutoff": "2",
+              "control.target_file": "{tmp}/target.field",
+              "control.target_dir": "{tmp}/fields"}
+
+
+# (kind key, kind, a key of the section that only other kinds read)
+UNREAD_UNDER_KIND = [
+    (key, kind, f"{key.partition('.')[0]}.{other}")
+    for key in TABLE_KEYS if _spec(key).kinds
+    for other in dict.fromkeys(k for keys in _spec(key).kinds.values()
+                               for k in keys)
+    for kind, reads in _spec(key).kinds.items() if other not in reads]
+
+
+@pytest.mark.parametrize("gate,kind,key", UNREAD_UNDER_KIND)
+def test_a_key_under_another_kind_is_named(tmp_path, capsys, gate, kind,
+                                           key):
+    # BASE_CONFIG under a kind that does not read the key, with the keys
+    # that kind needs: the run exits 1 naming the key
+    grid = build_grid(1, [33], [1.0])
+    write_field(tmp_path / "target.field", grid, np.ones(33))
+    (tmp_path / "fields").mkdir()
+    for j in range(1, 11):
+        write_field(tmp_path / "fields" / f"target_{j:04d}.field", grid,
+                    np.ones(33))
+    section = gate.partition(".")[0]
+    command, overrides = "simulate", [f"{gate}={kind}"]
+    if gate == "control.target":
+        command = "optimize"
+        overrides += ["control.lambda=1e-2", "optimize.max_iters=0"]
+    overrides += [f"{section}.{k}={KIND_NEEDS[f'{section}.{k}']}"
+                  for k in _spec(gate).kinds[kind]
+                  if _spec(f"{section}.{k}").default is _REQUIRED]
+    overrides.append(f"{key}={KIND_NEEDS.get(key, '1')}")
+    out = tmp_path / "out"
+    assert run(command, write_config(tmp_path),
+               [o.format(tmp=tmp_path) for o in overrides],
+               out_dir=str(out)) == 1
+    assert capsys.readouterr().err == (
+        f"config error at '{key}': would be ignored by "
+        f"{gate.partition('.')[2]} {kind}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", [k for k in TABLE_KEYS
+                                 if _spec(k).replaced_by])
+def test_a_replaced_key_is_named(tmp_path, capsys, key):
+    # relaxation.ini at 9^2 on four breakpoints, without time.T and time.N,
+    # with one zero forcing field per interval: the run exits 0, and exits
+    # 1 naming the key once it is given too
+    config = tmp_path / "run.ini"
+    config.write_text((CONFIGS / "relaxation.ini").read_text().replace(
+        "T = 2.0\nN = 20\n", ""))
+    grid = build_grid(2, [9, 9], [1.0, 1.0])
+    for j in range(1, 5):
+        write_field(tmp_path / f"control_{j:04d}.field", grid, np.zeros(81))
+    overrides = ["grid.nodes=9,9", "time.breakpoints=0 .1 .2 .3 .4",
+                 f"control.forcing_dir={tmp_path}"]
+    assert run("simulate", str(config), overrides,
+               out_dir=str(tmp_path / "ok")) == 0
+    out = tmp_path / "out"
+    assert run("simulate", str(config), overrides + [f"{key}=1"],
+               out_dir=str(out)) == 1
+    assert capsys.readouterr().err == (
+        f"config error at '{key}': would be ignored alongside "
+        f"{_spec(key).replaced_by}\n")
+    assert not out.exists()
+
+
+def test_readme_config_table_names_every_key():
+    # one row per section, whose keys column names exactly its keys
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `\[(\w+)\]` \| ([^|]*) \|", readme, re.M)
+    assert {section: sorted(re.findall(r"`(\w+)`", keys))
+            for section, keys in rows} == {
+        section: sorted(keys) for section, keys in _SCHEMA.items()}
+
+
+def test_optimize_whose_right_hand_side_overflows_exits_2(tmp_path, capsys,
+                                                         steering_target):
+    # at T = 1e-300 the norm of a CG right-hand side overflows; CG returned
+    # zero after an overflow warning, and optimize wrote converged=True
+    out = tmp_path / "out"
+    assert run("optimize", str(CONFIGS / "steering.ini"), STEERING + [
+        steering_target, "time.T=1e-300"], out_dir=str(out)) == 2
+    assert capsys.readouterr().err == (
+        "failure: CG right-hand side norm is inf\n")
+    assert not (out / "optimize_summary.txt").exists()
+
+
+def test_study_tau_fits_no_rate_through_errors_at_noise(tmp_path, capsys):
+    # newton_tol = 0.5 leaves levels 1 and 2 and the reference at y0, so
+    # their errors are 0; the rate was fitted through log(0)
+    out = tmp_path / "out"
+    assert run("study-tau", str(CONFIGS / "relaxation.ini"), RELAXATION + [
+        "study.levels=3", "solver.newton_tol=0.5"], out_dir=str(out)) == 2
+    summary = (out / "study_tau_summary.txt").read_text()
+    assert capsys.readouterr().out == summary
+    assert summary.splitlines()[1:] == [
+        "result: FAIL", "thresholds: {'rate_window': (0.8, 1.2)}",
+        "note: errors are not strictly decreasing",
+        "note: errors of levels [1, 2] at solver noise (<= 1e-12); "
+        "rate not fitted"]
+
+
+@pytest.mark.parametrize("key", [k for k in TABLE_KEYS if _spec(k).refused_by])
+def test_a_refused_key_is_named(tmp_path, capsys, key):
+    # the command takes the key only at its default: given so it runs, and
+    # given otherwise it exits 1 naming the key and why
+    command, why = _spec(key).refused_by
+    if _spec(key).default is not None:
+        assert run(command, write_config(tmp_path),
+                   [f"{key}={_spec(key).default}"],
+                   out_dir=str(tmp_path / "ok")) == 0
+    out = tmp_path / "out"
+    assert run(command, write_config(tmp_path), [f"{key}=constant(1)"],
+               out_dir=str(out)) == 1
+    assert capsys.readouterr().err == f"config error at '{key}': {why}\n"
+    assert not out.exists()

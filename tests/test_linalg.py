@@ -324,6 +324,15 @@ def test_cg_breakdown_raises():
         conjugate_gradient(np.diag([1.0, -1.0]), np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("value", [1e200, np.nan])
+def test_cg_rejects_a_right_hand_side_whose_norm_is_not_finite(value):
+    # ||b||^2 of 1e200 entries overflows; the stopping test inf <= inf then
+    # returned zero at once, after an overflow warning
+    with pytest.raises(LinearSolveError,
+                       match="CG right-hand side norm is (inf|nan)"):
+        conjugate_gradient(np.eye(3), np.full(3, value))
+
+
 def test_cg_iteration_cap_raises():
     # CG needs a symmetric matrix; with this skew part it does not converge
     # in the 10 n iterations it is given

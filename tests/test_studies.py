@@ -418,3 +418,18 @@ def test_csv_files_round_trip(tmp_path, monkeypatch):
         tmp_path / "study.csv", ["level", "N", "tau"] + columns + ["rate"],
         [[row["level"], row["n_steps"], row["tau"]]
          + [row[c] for c in columns] + [""] for row in study.rows])
+
+
+def test_tau_convergence_fits_no_rate_through_errors_at_noise():
+    # at newton_tol = 2 the finest level and the reference take no Newton
+    # iteration, so their states agree exactly and log(0) made the rate nan
+    g = build_grid(1, [17], [1.0])
+    y0 = np.random.default_rng(1).uniform(-0.8, 0.8, g.n_nodes)
+    report = tau_convergence_study(g, ISO, DW, y0, 0.4, base_n=4, levels=3,
+                                   config=StepConfig(newton_tol=2.0))
+    errors = [row["error"] for row in report.rows]
+    assert errors[2] == 0.0 < errors[1] < errors[0]
+    assert report.rate is None
+    assert report.notes == ["errors of levels [2] at solver noise "
+                            "(<= 1e-12); rate not fitted"]
+    assert not report.passed
