@@ -434,7 +434,8 @@ def _control_problem(cfg, grid, partition, y0, aniso, pot):
 
 def _config_hash(cfg):
     canon = "\n".join(f"{section}.{key}={cfg[section][key]}"
-                      for section in sorted(cfg) for key in sorted(cfg[section]))
+                      for section in sorted(cfg)
+                      for key in sorted(cfg[section]))
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
