@@ -282,9 +282,10 @@ def _node_counts(cfg):
 # N = 40 takes 5.4e7.
 _STATE_BUDGET = 2**27
 # G, the doubles per node the grid holds by dimension: build_grid, the
-# sparsity pattern and (2D) the multigrid hierarchy peaked at 30.0 per node
-# in 1D (2e5 nodes) and 173.1 in 2D (257^2) under tracemalloc, rounded up
-_GRID_DOUBLES = {1: 32, 2: 176}
+# sparsity pattern and (2D, 3D) the multigrid hierarchy peaked at 30.0 per
+# node in 1D (2e5 nodes), 173.1 in 2D (257^2) and 511.1 in 3D (49^3, up
+# from 493.8 at 33^3) under tracemalloc, rounded up
+_GRID_DOUBLES = {1: 32, 2: 176, 3: 520}
 
 
 def _check_size(cfg, halvings):
@@ -296,9 +297,9 @@ def _check_size(cfg, halvings):
     """
     counts = _node_counts(cfg)
     # a count below 1 is left for the builders to reject by name, and so
-    # is a count of axes other than 1 or 2
+    # is a count of axes other than 1, 2 or 3
     n_nodes = math.prod(max(n, 0) for n in counts)
-    per_node = _GRID_DOUBLES.get(len(counts), _GRID_DOUBLES[2])
+    per_node = _GRID_DOUBLES.get(len(counts), _GRID_DOUBLES[3])
     raw_breaks = _get(cfg, "time.breakpoints")
     if raw_breaks is None:
         time_key, n_steps = "time.N", _get(cfg, "time.N")

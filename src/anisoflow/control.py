@@ -174,10 +174,11 @@ _LBFGS_MEMORY = 20
 class OptimizeOptions:
     """Optimizer settings.  The Armijo line search is fixed: slope
     ``_ARMIJO_SLOPE`` = 1e-4, backtrack factor ``_BACKTRACK`` = 0.5, and it
-    stalls below step ``_MIN_STEP`` = 1e-14; L-BFGS keeps the last
-    ``_LBFGS_MEMORY`` = 20 pairs.  ``use_lbfgs=False`` stores no pairs, so
-    every direction is -g (steepest descent with a unit first step); the
-    field stays only because the benchmark worker passes it."""
+    stalls below ``_MIN_STEP`` = 1e-14 times its first step; L-BFGS keeps
+    the last ``_LBFGS_MEMORY`` = 20 pairs.  ``use_lbfgs=False`` stores no
+    pairs, so every direction is -g (steepest descent with a first step of
+    min(1, 1/lambda)); the field stays only because the benchmark worker
+    passes it."""
     max_iters: int = 100
     grad_tol: float = 1e-8
     use_lbfgs: bool = True
@@ -227,15 +228,17 @@ def _two_loop(gradient, pairs, inner):
 def optimize(problem, u_init, options=None, config=None):
     """L-BFGS with Armijo backtracking on the reduced cost from ``u_init``.
 
-    Each direction is the two-loop recursion over the last ``_LBFGS_MEMORY``
-    (s, y) pairs, which is -g while none is stored (always, with
-    ``options.use_lbfgs`` off), and each line search starts at step 1.
-    Accepted iterates have non-increasing cost by construction.  A trial
-    control whose forward solve raises NonConvergence is rejected like one
-    that fails the Armijo test: the step backtracks, the trial counts as a
-    line-search evaluation and in ``report.failed_trials``.  Returns
-    (control, trajectory, report); a stalled line search returns the best
-    iterate with ``converged=False``.
+    Each direction is the two-loop recursion over the last
+    ``_LBFGS_MEMORY`` (s, y) pairs, which is -g while none is stored
+    (always, with ``options.use_lbfgs`` off).  A line search starts at
+    step 1, or at min(1, 1/lambda) while no pair is stored (a step along
+    -g = -(lambda u + p) passes the Armijo test only below about
+    1/lambda).  Accepted iterates have non-increasing cost by
+    construction.  A trial control whose forward solve raises
+    NonConvergence is rejected like one that fails the Armijo test: the
+    step backtracks, the trial counts as a line-search evaluation and in
+    ``report.failed_trials``.  Returns (control, trajectory, report); a
+    stalled line search returns the best iterate with ``converged=False``.
     """
     opts = options or OptimizeOptions()
     config = config or StepConfig()
@@ -265,10 +268,10 @@ def optimize(problem, u_init, options=None, config=None):
             direction = -g
             slope = -inner(g, g)
 
-        alpha = 1.0
+        alpha = first = 1.0 if pairs else min(1.0, 1.0 / problem.lam)
         evals = 0
         accepted = False
-        while alpha >= _MIN_STEP:
+        while alpha >= _MIN_STEP * first:
             u_trial = u + alpha * direction
             evals += 1
             try:

@@ -1,9 +1,10 @@
 """Uniform P1 finite element grids on boxes with lumped mass.
 
-The domain is a box (0,L1) or (0,L1)x(0,L2) meshed uniformly: intervals in
-1D, square cells split into two triangles in 2D.  Nodes are ordered
-lexicographically with the x-index running fastest.  All assembly is built
-on two facts that hold for P1 simplices:
+The domain is a box prod_k (0, L_k), d = 1, 2 or 3, meshed uniformly by
+the reflected Kuhn triangulation: each cell is cut into d! simplices that
+share its diagonal from corner e_0 (Bey, Numer. Math. 85, 2000).  Nodes
+are ordered lexicographically with the x-index running fastest.  All
+assembly is built on three facts that hold for P1 simplices:
 
 * gradients of nodal basis functions are constant per element, so the
   element gradients of a nodal field are one sparse product y -> D y, with
@@ -12,11 +13,11 @@ on two facts that hold for P1 simplices:
   is then D^T (|e| q), and every matrix (stiffness, Newton, adjoint, Riesz)
   is a diagonal plus the element blocks |e| G_e M_e G_e^T (G_e the basis
   gradients), summed into one CSR pattern built once per grid, all exact;
-* every element of a uniform grid is a translate of one of n_shapes
-  element shapes (1 in 1D, 2 in 2D), so G_e and |e| are those of its
-  shape, and the block is a fixed linear map of the dim^2 entries of M_e:
-  one (dim^2, (dim+1)^2) matrix per shape, built once per grid, turns all
-  tensors of a shape into their blocks in one product;
+* every element of a uniform grid is a translate of one of n_shapes = d!
+  element shapes, so G_e and |e| are those of its shape, and the block is
+  a fixed linear map of the dim^2 entries of M_e: one (dim^2, (dim+1)^2)
+  matrix per shape, built once per grid, turns all tensors of a shape into
+  their blocks in one product;
 * the row sum of the exact P1 element mass matrix is |e|/(d+1), so mass
   lumping reduces every L2 pairing to a diagonal weight vector.
 
@@ -27,18 +28,14 @@ alongside them in function signatures.
 import copy
 import csv
 import functools
+import itertools
+import math
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .linalg import conjugate_gradient, multigrid_vcycle, tridiagonal_ldlt
-
-# reference-simplex basis gradients, per dimension
-_REF_GRADS = {
-    1: np.array([[-1.0], [1.0]]),
-    2: np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]),
-}
 
 # largest level solved densely at the bottom of a V-cycle.  The dense
 # inverse is formed once per matrix: at 289 unknowns (a 17^2 level) it alone
@@ -47,14 +44,14 @@ _COARSEST_MAX = 100
 
 
 class Grid:
-    """Uniform simplicial P1 mesh of a 1D or 2D box.
+    """Uniform simplicial P1 mesh of a box in 1, 2 or 3 dimensions.
 
     Attributes
     ----------
     dim : int
-        Spatial dimension, 1 or 2.
+        Spatial dimension, 1, 2 or 3.
     shape : tuple of int
-        Nodes per axis (n1,) or (n1, n2).
+        Nodes per axis (n1, ..., nd).
     lengths : tuple of float
         Box side lengths; the domain is the product of (0, L_k).
     spacing : tuple of float
@@ -62,13 +59,12 @@ class Grid:
     nodes : ndarray, (n_nodes, dim)
         Node coordinates, lexicographic order, x fastest.
     elements : ndarray, (n_elements, dim+1)
-        Node indices per element.
+        Node indices per element, d! per cell (:meth:`_build_elements`).
     measures : ndarray, (n_elements,)
-        Element lengths/areas.
+        Element lengths/areas/volumes.
     n_shapes : int
-        Number of element shapes: 1 in 1D; 2 in 2D, where the lower-left
-        and upper-right triangles of the cells alternate.  Element e is a
-        translate of element e % n_shapes.
+        Number of element shapes, d!: element e is a translate of element
+        e % n_shapes.
     basis_gradients : ndarray, (n_shapes, dim+1, dim)
         Constant gradient of each local basis function on each shape.
     element_maps : ndarray, (n_shapes, dim*dim, (dim+1)**2)
@@ -91,8 +87,8 @@ class Grid:
     """
 
     def __init__(self, dim, nodes_per_axis, lengths):
-        if dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {dim}")
+        if dim not in (1, 2, 3):
+            raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
         counts = np.atleast_1d(nodes_per_axis).tolist()
         if not all(float(n).is_integer() for n in counts):
             raise ValueError(f"node counts must be integers, got {counts}")
@@ -150,33 +146,33 @@ class Grid:
         return self.elements.shape[0]
 
     def _build_nodes(self):
+        # a meshgrid over the reversed axes runs axis 0 fastest
         axes = [np.linspace(0.0, L, n) for L, n in zip(self.lengths, self.shape)]
-        if self.dim == 1:
-            return axes[0][:, None]
-        X, Y = np.meshgrid(axes[0], axes[1])  # X[i2, i1] = x-coordinate i1
-        return np.column_stack([X.ravel(), Y.ravel()])
+        mesh = np.meshgrid(*axes[::-1], indexing="ij")
+        return np.column_stack([x.ravel() for x in mesh[::-1]])
 
     def _build_elements(self):
-        if self.dim == 1:
-            n = self.shape[0]
-            left = np.arange(n - 1)
-            return np.column_stack([left, left + 1])
-        n1, n2 = self.shape
-        c1, c2 = np.meshgrid(np.arange(n1 - 1), np.arange(n2 - 1))
-        v00 = (c2 * n1 + c1).ravel()
-        v10, v01 = v00 + 1, v00 + n1
-        v11 = v01 + 1
-        # each cell -> lower-left and upper-right triangle, cell-major order
-        elems = np.empty((2 * v00.size, 3), dtype=np.int64)
-        elems[0::2] = np.column_stack([v00, v10, v01])
-        elems[1::2] = np.column_stack([v11, v01, v10])
-        return elems
+        # per permutation of the axes, the walk from corner e_0 stepping
+        # -e_0 or +e_k in that order; vertices in ascending node index, the
+        # first and last swapped where that order is negatively oriented
+        d = self.dim
+        stride = np.cumprod((1,) + self.shape[:-1])
+        steps = np.diag([-1] + [1] * (d - 1))
+        shapes = []
+        for order in itertools.permutations(range(d)):
+            walk = np.cumsum([-steps[0], *steps[list(order)]], axis=0)
+            walk = walk[np.argsort(walk @ stride)]
+            if np.linalg.det(walk[1:] - walk[0]) < 0:
+                walk[[0, -1]] = walk[[-1, 0]]
+            shapes.append(walk @ stride)
+        corners = stride @ np.indices(
+            [n - 1 for n in self.shape[::-1]]).reshape(d, -1)[::-1]
+        return (corners[:, None, None] + np.array(shapes)).reshape(-1, d + 1)
 
     def _build_element_geometry(self):
-        # every element is a translate of element e % n_shapes (in 2D the
-        # lower-left and upper-right triangles of the cells alternate), so
-        # the first n_shapes elements carry all the geometry
-        self.n_shapes = 1 if self.dim == 1 else 2
+        # every element is a translate of element e % n_shapes, so the
+        # first n_shapes elements carry all the geometry
+        self.n_shapes = math.factorial(self.dim)
         first = self.elements[:self.n_shapes]
         p0 = self.nodes[first[:, 0]]
         edges = np.stack(
@@ -185,10 +181,10 @@ class Grid:
         det = np.linalg.det(edges)
         if not np.all(det > 0):
             raise ValueError("degenerate element: nonpositive Jacobian determinant")
-        self.measures = np.tile(det / (1.0 if self.dim == 1 else 2.0),
+        self.measures = np.tile(det / self.n_shapes,
                                 self.n_elements // self.n_shapes)
-        # grad phi_l = J^{-T} gradref_l
-        ref = _REF_GRADS[self.dim]
+        # grad phi_l = J^{-T} gradref_l: gradref is (-1, ..., -1), e_1, .., e_d
+        ref = np.vstack([-np.ones(self.dim), np.eye(self.dim)])
         rhs = np.broadcast_to(ref.T, (self.n_shapes,) + ref.T.shape)
         self.basis_gradients = np.swapaxes(
             np.linalg.solve(np.swapaxes(edges, 1, 2), rhs), 1, 2)
@@ -294,13 +290,13 @@ class Grid:
 
         On 1D grids P1 matrices are tridiagonal, so this is the exact LDL^T
         solve (:func:`tridiagonal_ldlt`), read at the pattern positions of
-        the diagonal.  On 2D grids of every shape it is a multigrid V-cycle
-        over the grid's coarsening hierarchy (:func:`multigrid_vcycle`).
+        the diagonal.  On 2D and 3D grids of every shape it is a multigrid
+        V-cycle over the grid's coarsening hierarchy, :func:`multigrid_vcycle`.
         Both read the values by position, so ``mat`` must share the index
         arrays of the grid's :meth:`sparsity_pattern`, as every matrix from
         :meth:`assemble_weighted_stiffness` does; any other matrix raises
         ValueError.  It is None when the factorization meets a non-positive
-        pivot, when a row of a 2D matrix is zero, or when the coarsest
+        pivot, when a row of a 2D or 3D matrix is zero, or when the coarsest
         matrix is not positive definite; CG then runs plain.
         """
         self.sparsity_pattern()
@@ -312,8 +308,8 @@ class Grid:
         return multigrid_vcycle(mat, self.prolongations())
 
     def prolongations(self):
-        """The 2D coarsening hierarchy, finest first, as :class:`CoarseLevel`
-        records.  Built once; empty on 1D grids.
+        """The coarsening hierarchy, finest first, as :class:`CoarseLevel`
+        records.  Built once; the 2D and 3D V-cycle runs on it.
 
         Each level halves the axes whose spacing is within a factor 2 of
         the finest axis with more than one node, while the others wait
@@ -321,22 +317,22 @@ class Grid:
         ``_COARSEST_MAX`` nodes, which the V-cycle solves densely.  A
         halved axis keeps every other node and its last one; a 2-node axis
         merges into one node.  A fine node takes the mean of its two
-        parents, the coarse nodes at the ends of the coarse edge it lies on
-        (both are the node itself where it is a coarse node); cell centres
-        lie on the cell diagonal from v10 to v01.  Where both axes halve
-        from odd counts this is the exact P1 interpolation, so P^T K P is
-        the coarse grid's stiffness matrix; elsewhere P is still a valid
-        Galerkin prolongation.  To keep the hierarchy small, only the
-        coarse patterns are kept, no coarse grids, and the Galerkin maps
-        are int32: about 2.5 MB on a 129^2 grid.  ``np.bincount`` converts
-        them to intp on each call, which costs some 5% of a V-cycle build
-        at 33^2.
+        parents, the ends of the coarse edge it lies on, high on axis 0 and
+        low on the others and the reverse (both are the node itself where
+        it is a coarse node): cell centres lie on the diagonal from e_0.
+        Where every axis halves from an odd count this is the exact P1
+        interpolation, so P^T K P is the coarse grid's stiffness matrix;
+        elsewhere P is still a valid Galerkin prolongation.  To keep the
+        hierarchy small, only the coarse patterns are kept, no coarse
+        grids, and the Galerkin maps are int32: about 2.5 MB on a 129^2
+        grid.  ``np.bincount`` converts them to intp on each call, which
+        costs some 5% of a V-cycle build at 33^2.
         """
         if self._prolongations is None:
             shape, spacing = np.array(self.shape), np.array(self.spacing)
             self.sparsity_pattern()
             chain, template = [], self._template
-            while self.dim == 2 and shape.prod() > _COARSEST_MAX:
+            while shape.prod() > _COARSEST_MAX:
                 halve = (shape > 1) & (spacing <= 2 * spacing[shape > 1].min())
                 coarse = np.where(halve, shape // 2 + (shape > 2), shape)
                 chain.append(_coarse_level(shape, coarse, template))
@@ -354,14 +350,14 @@ class Grid:
 
 
 class CoarseLevel(NamedTuple):
-    """One level of the 2D coarsening hierarchy (:meth:`Grid.prolongations`).
+    """One level of the coarsening hierarchy (:meth:`Grid.prolongations`).
 
     ``p`` interpolates from this level to the finer one and ``pt`` is its
     transpose.  ``template`` is a CSR matrix with zero values on the
-    pattern of P^T A P, which is this level's P1 pattern where both axes
-    halved and both counts were odd.  ``galerkin`` is a (4, nnz) array
-    over the values of the finer pattern: row 2s + t sends value (i, j) to
-    the position of (parent_s(i), parent_t(j)) in ``template``
+    pattern of P^T A P, which is this level's P1 pattern where every axis
+    halved from an odd count.  ``galerkin`` is a (4, nnz) array over the
+    values of the finer pattern: row 2s + t sends value (i, j) to the
+    position of (parent_s(i), parent_t(j)) in ``template``
     (:func:`~anisoflow.linalg.galerkin_operator`).
     """
     p: object
@@ -382,20 +378,19 @@ def _csr_template(keys, n):
 
 
 def _coarse_level(shape, coarse, template):
-    """The :class:`CoarseLevel` from the 2D grid ``shape``, whose CSR
-    pattern is that of ``template``, to the grid ``coarse``."""
-    axes = []
-    for n, m in zip(shape, coarse):
+    """The :class:`CoarseLevel` from the grid ``shape``, whose CSR pattern
+    is that of ``template``, to the grid ``coarse``."""
+    # row s of parents: parent s of every fine node, axis 0 fastest
+    parents, m = np.zeros((2, 1), dtype=np.int64), 1
+    for k, (n, c) in enumerate(zip(shape, coarse)):
         # node i of a halved axis lies between coarse nodes i//2 and
         # (i+1)//2; its last node is coarse (node 0 where 2 nodes merge)
         i = np.arange(n)
-        low, high = (i, i) if m == n else (i // 2, np.minimum((i + 1) // 2, m - 1))
+        low, high = (i, i) if c == n else (i // 2, np.minimum((i + 1) // 2, c - 1))
         low[-1] = high[-1]
-        axes.append((low, high))
-    (low1, high1), (low2, high2) = axes
-    m1, m = int(coarse[0]), int(coarse.prod())
-    parents = np.stack([(low2[:, None] * m1 + high1).ravel(),
-                        (high2[:, None] * m1 + low1).ravel()])
+        axis = np.stack([high, low] if k == 0 else [low, high]) * m
+        parents = (axis[:, :, None] + parents[:, None, :]).reshape(2, -1)
+        m *= int(c)
     fine = parents.shape[1]
     # duplicate entries are summed, so a coarse node gets 0.5 + 0.5
     p = sp.csr_matrix(
@@ -416,7 +411,7 @@ def build_grid(dim, nodes_per_axis, lengths):
     Parameters
     ----------
     dim : int
-        1 or 2.
+        1, 2 or 3.
     nodes_per_axis : sequence of int
         Node counts n_k >= 2 per axis.
     lengths : sequence of float
@@ -468,13 +463,13 @@ def dual_norm(grid, values):
 
     Solves the Riesz problem (grad z, grad phi) + (z, phi) = (f, phi) for
     all nodal phi (the grid's :meth:`Grid.solver`, relative residual <=
-    1e-6: exact in one step on 1D grids, multigrid-preconditioned CG in 2D)
-    and returns sqrt((f, z)).  (f, z) is the energy of the Riesz problem at
-    its solution, so its error is quadratic in the CG residual: at rtol =
-    1e-6 it is within 1e-13 relative of a 1e-14 solve, in 10 V-cycles where
-    1e-10 took 16, on 33^2 and 129^2 grids.  For f constant the
-    representative is z = f, so the value is |f| sqrt(volume); for any f it
-    is bounded by the lumped L2 norm.
+    1e-6: exact in one step on 1D grids, multigrid-preconditioned CG
+    otherwise) and returns sqrt((f, z)).  (f, z) is the energy of the Riesz
+    problem at its solution, so its error is quadratic in the CG residual:
+    at rtol = 1e-6 it is within 1e-13 relative of a 1e-14 solve, in 10
+    V-cycles where 1e-10 took 16, on 33^2 and 129^2 grids.  For f constant
+    the representative is z = f, so the value is |f| sqrt(volume); for any
+    f it is bounded by the lumped L2 norm.
     """
     values = np.asarray(values, dtype=float)
     rhs = grid.weights * values
@@ -484,7 +479,7 @@ def dual_norm(grid, values):
 
 # -- field snapshot files ----------------------------------------------------
 #
-# Line 1:  # anisoflow-field v1 dim=<d> n=<n1[,n2]> L=<L1[,L2]>
+# Line 1:  # anisoflow-field v1 dim=<d> n=<n1[,n2[,n3]]> L=<L1[,L2[,L3]]>
 # then one nodal value per line in node order, 17 significant digits.
 
 _FIELD_MAGIC = "# anisoflow-field v1"

@@ -15,7 +15,7 @@ CSR values:
   overwrites the two diagonals with the pivots and factors of L D L^T,
   and the solve one forward and one backward pass; at these sizes the
   cost is the Python loop, not the arithmetic;
-* on 2D grids of every shape :func:`multigrid_vcycle` is a geometric
+* on 2D and 3D grids of every shape :func:`multigrid_vcycle` is a geometric
   multigrid V-cycle over the hierarchy the grid builds, whose CG
   iteration count does not grow as the mesh is refined.  Each Galerkin
   operator is summed from the finer level's values by fixed maps;

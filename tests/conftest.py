@@ -9,47 +9,33 @@ from anisoflow import cost, solve_state
 
 
 def oracle_mass_matrix(grid):
-    """Exact P1 mass matrix via the closed-form element matrices."""
-    n = grid.n_nodes
+    """Exact P1 mass matrix via the closed-form element matrices
+    |e| (1 + delta_ij) / ((d+1)(d+2)), whose rows sum to |e|/(d+1)."""
+    n, d = grid.n_nodes, grid.dim
     m = np.zeros((n, n))
-    if grid.dim == 1:
-        local = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
-    else:
-        local = np.array([[2.0, 1.0, 1.0],
-                          [1.0, 2.0, 1.0],
-                          [1.0, 1.0, 2.0]]) / 12.0
+    local = (1.0 + np.eye(d + 1)) / ((d + 1) * (d + 2))
     for conn, measure in zip(grid.elements, grid.measures):
         m[np.ix_(conn, conn)] += measure * local
     return m
 
 
 def oracle_stiffness_matrix(grid):
-    """P1 stiffness via the edge-vector formula (1D: 1/h laplacian stencil)."""
+    """P1 stiffness |e| G G^T by an element loop, with the basis gradients
+    G of :func:`_oracle_basis_gradients`."""
     n = grid.n_nodes
     k = np.zeros((n, n))
     for conn, measure in zip(grid.elements, grid.measures):
-        if grid.dim == 1:
-            local = np.array([[1.0, -1.0], [-1.0, 1.0]]) / measure
-        else:
-            p = grid.nodes[conn]
-            edges = np.array([p[2] - p[1], p[0] - p[2], p[1] - p[0]])
-            local = edges @ edges.T / (4.0 * measure)
-        k[np.ix_(conn, conn)] += local
+        g = _oracle_basis_gradients(grid, conn)
+        k[np.ix_(conn, conn)] += measure * g @ g.T
     return k
 
 
 def _oracle_basis_gradients(grid, conn):
     """Basis gradients of one element from its vertex coordinates alone:
-    +-1/h in 1D, the rotated opposite edge over 2|e| in 2D (counterclockwise
-    vertices)."""
+    the barycentric coordinates l of x solve sum_i l_i (1, p_i) = (1, x),
+    so the gradient of l_i is column i of inv([1 p]) below its first row."""
     p = grid.nodes[conn]
-    if grid.dim == 1:
-        h = p[1, 0] - p[0, 0]
-        return np.array([[-1.0 / h], [1.0 / h]])
-    area = 0.5 * ((p[1, 0] - p[0, 0]) * (p[2, 1] - p[0, 1])
-                  - (p[2, 0] - p[0, 0]) * (p[1, 1] - p[0, 1]))
-    edges = np.array([p[2] - p[1], p[0] - p[2], p[1] - p[0]])
-    return np.column_stack([-edges[:, 1], edges[:, 0]]) / (2.0 * area)
+    return np.linalg.inv(np.column_stack([np.ones(len(conn)), p]))[1:].T
 
 
 def oracle_element_gradients(grid, values):

@@ -1068,6 +1068,16 @@ def test_optimize_whose_right_hand_side_overflows_exits_2(tmp_path, capsys,
     assert not (out / "optimize_summary.txt").exists()
 
 
+def test_optimize_at_a_large_lambda_converges(tmp_path, steering_target):
+    # a step along -g passes the Armijo test only below about 1/lambda;
+    # from step 1 the line search stalled after 47 trials
+    out = tmp_path / "out"
+    assert run("optimize", str(CONFIGS / "steering.ini"), STEERING + [
+        steering_target, "control.lambda=1e20"], out_dir=str(out)) == 0
+    summary = (out / "optimize_summary.txt").read_text().splitlines()
+    assert "converged=True" in summary
+
+
 def test_study_tau_fits_no_rate_through_errors_at_noise(tmp_path, capsys):
     # newton_tol = 0.5 leaves levels 1 and 2 and the reference at y0, so
     # their errors are 0; the rate was fitted through log(0)

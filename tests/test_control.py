@@ -190,14 +190,14 @@ QUADRATIC_2D = MatrixFamilyAnisotropy([[[1.0, 0.3], [0.3, 0.2]]], delta=0.0)
 
 
 def make_2d_problem(nodes, distributed, seed=12, aniso=ANISO_2D):
-    g = build_grid(2, nodes, [1.0, 1.0])
+    g = build_grid(len(nodes), nodes, [1.0] * len(nodes))
     rng = np.random.default_rng(seed)
     if distributed:
         target = DistributedTarget(rng.uniform(-1, 1, (4, g.n_nodes)))
     else:
         target = FinalTimeTarget(rng.uniform(-1, 1, g.n_nodes))
     return ControlProblem(g, TimePartition.uniform(0.2, 4),
-                          tanh_circle_field(g, [0.5, 0.5], 0.25, 0.1),
+                          tanh_circle_field(g, [0.5] * g.dim, 0.25, 0.1),
                           target, 1e-2, aniso, DW), rng
 
 
@@ -221,6 +221,16 @@ def test_2d_gradient_matches_fd_directional(nodes, aniso, distributed):
         assert abs(control_inner(prob, g, v) - fd) <= 1e-5 * max(abs(fd), 1e-10)
 
 
+# the directional pair of the CI's 3D run: A'' has entries on every axis
+ANISO_3D = MatrixFamilyAnisotropy(
+    [np.diag([1.0, 0.04, 0.3]), np.diag([0.04, 1.0, 0.3])], delta=1e-2)
+
+
+@pytest.mark.parametrize("distributed", [False, True])
+def test_3d_gradient_matches_fd_directional(distributed):
+    test_2d_gradient_matches_fd_directional([9, 9, 9], ANISO_3D, distributed)
+
+
 # node maps of the 17^2 grid onto itself; each is its own inverse
 ROTATION = np.arange(17 * 17)[::-1]
 TRANSPOSITION = np.arange(17 * 17).reshape(17, 17).T.ravel()
@@ -228,11 +238,12 @@ README_PAIR = MatrixFamilyAnisotropy(
     [np.diag([1.0, 0.04]), np.diag([0.04, 1.0])], delta=1e-2)
 
 
-def mapped_mismatch(aniso, nodes):
+def mapped_mismatch(aniso, nodes, shape=(17, 17)):
     """Largest relative differences of the states and of the reduced
-    gradients of a seeded 17^2, N = 4 problem from those of its image under
-    the node map ``nodes``, mapped back."""
-    g = build_grid(2, [17, 17], [1.0, 1.0])
+    gradients of a seeded N = 4 problem on the unit box of ``shape`` (17^2
+    by default) from those of its image under the node map ``nodes``,
+    mapped back."""
+    g = build_grid(len(shape), list(shape), [1.0] * len(shape))
     rng = np.random.default_rng(16)
     y0 = rng.uniform(-0.8, 0.8, g.n_nodes)
     target = rng.uniform(-1.0, 1.0, g.n_nodes)
@@ -266,6 +277,34 @@ def test_2d_solve_commutes_with_transposition():
     # one stretched matrix is not symmetric under it, and the check sees it
     stretched = MatrixFamilyAnisotropy([np.diag([1.0, 0.04])], delta=0.0)
     assert min(mapped_mismatch(stretched, TRANSPOSITION)) > 0.1
+
+
+# node maps of the 9^3 grid onto itself, each its own inverse; the array
+# is indexed [i2, i1, i0]
+CUBE = np.arange(9**3).reshape(9, 9, 9)
+SWAP_01 = CUBE.transpose(0, 2, 1).ravel()
+# the cube's symmetries that keep the diagonal from e_0 to e_1 + e_2
+KEEP_MESH_3D = {"swap-12": CUBE.transpose(1, 0, 2).ravel(),
+                "point-reflection": CUBE[::-1, ::-1, ::-1].ravel(),
+                "swap-01-reflect-2": CUBE.transpose(0, 2, 1)[::-1].ravel()}
+
+
+@pytest.mark.parametrize("name,aniso", [
+    ("swap-12", MatrixFamilyAnisotropy(
+        [np.diag([1.0, 0.04, 0.3]), np.diag([1.0, 0.3, 0.04])], delta=1e-2)),
+    ("point-reflection", ANISO_3D),
+    ("point-reflection", MatrixFamilyAnisotropy(
+        [[[1.0, 0.3, 0.1], [0.3, 0.5, -0.2], [0.1, -0.2, 0.8]]], delta=0.0)),
+    ("swap-01-reflect-2", ANISO_3D)])
+def test_3d_solve_commutes_with_the_symmetries_of_the_mesh(name, aniso):
+    # each map keeps the 3D mesh, and the family is symmetric under it
+    nodes = KEEP_MESH_3D[name]
+    assert max(mapped_mismatch(aniso, nodes, (9, 9, 9))) <= 1e-12
+
+
+def test_3d_check_sees_a_map_that_moves_the_mesh():
+    # the swap of axes 0 and 1 keeps ANISO_3D but not the cell diagonals
+    assert min(mapped_mismatch(ANISO_3D, SWAP_01, (9, 9, 9))) > 1e-2
 
 
 def test_fd_gradient_matches_adjoint_componentwise():

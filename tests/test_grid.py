@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -33,7 +36,7 @@ def test_build_2d_counts():
 @pytest.mark.parametrize("args", [
     (1, [1], [1.0]),           # too few nodes
     (1, [5], [-1.0]),          # nonpositive length
-    (3, [3, 3, 3], [1.0] * 3), # unsupported dimension
+    (4, [3] * 4, [1.0] * 4),   # unsupported dimension
     (2, [3], [1.0, 1.0]),      # axis count mismatch
 ])
 def test_build_rejects_invalid(args):
@@ -49,6 +52,34 @@ def test_build_rejects_non_integer_node_counts(nodes):
     assert build_grid(1, [3.0], [1.0]).shape == (3,)
 
 
+def test_2d_elements_keep_their_vertex_order():
+    # the vertex order fixes the summation order of D and of the matrix
+    # fill: each cell's lower-left triangle (v00, v10, v01), then its
+    # upper-right one (v11, v01, v10)
+    g = build_grid(2, [3, 3], [1.0, 1.0])
+    assert g.elements.dtype == np.int64
+    assert g.elements.tolist() == [
+        [0, 1, 3], [4, 3, 1], [1, 2, 4], [5, 4, 2],
+        [3, 4, 6], [7, 6, 4], [4, 5, 7], [8, 7, 5]]
+
+
+def test_3d_mesh_is_kept_by_12_of_the_48_cube_symmetries():
+    # the 12 that keep the cell diagonal from e_0 to e_1 + e_2, among them
+    # the swap of axes 1 and 2, the point reflection, and the swap of axes
+    # 0 and 1 with axis 2 reflected
+    g = build_grid(3, [4, 4, 4], [1.0] * 3)
+    cube = np.arange(g.n_nodes).reshape(4, 4, 4)
+    simplices = {frozenset(e) for e in g.elements.tolist()}
+    kept = 0
+    for axes in itertools.permutations(range(3)):
+        for flips in itertools.product([1, -1], repeat=3):
+            nodes = cube.transpose(axes)[tuple(slice(None, None, f)
+                                               for f in flips)].ravel()
+            kept += {frozenset(nodes[e].tolist())
+                     for e in g.elements} == simplices
+    assert kept == 12
+
+
 def test_node_ordering_is_x_fastest():
     g = build_grid(2, [3, 2], [2.0, 1.0])
     # node 1 is the x-neighbor of node 0, node 3 starts the second row
@@ -60,6 +91,7 @@ def test_node_ordering_is_x_fastest():
     (1, [7], [1.3]),
     (2, [4, 5], [1.0, 2.0]),
     (2, [6, 3], [0.7, 0.3]),
+    (3, [3, 4, 5], [1.0, 0.7, 1.3]),
 ])
 def test_every_element_has_its_shapes_geometry(dim, nodes, lengths):
     g = build_grid(dim, nodes, lengths)
@@ -69,8 +101,7 @@ def test_every_element_has_its_shapes_geometry(dim, nodes, lengths):
         got = g.basis_gradients[e % g.n_shapes]
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
         area = abs(np.linalg.det(np.diff(g.nodes[conn], axis=0)[:, :dim]))
-        if dim == 2:
-            area /= 2.0
+        area /= math.factorial(dim)
         assert abs(g.measures[e] - area) <= 1e-12 * area
 
 
@@ -86,6 +117,7 @@ def test_lumped_mass_1d_five_nodes():
     (1, [17], [2.5]),
     (2, [3, 3], [1.0, 1.0]),
     (2, [5, 4], [2.0, 3.0]),
+    (3, [4, 3, 5], [1.0, 2.0, 0.5]),
 ])
 def test_lumped_mass_is_mass_row_sum(dim, nodes, lengths):
     g = build_grid(dim, nodes, lengths)
@@ -134,6 +166,7 @@ def test_flux_divergence_rows_sum_to_zero():
 @pytest.mark.parametrize("dim,nodes,lengths", [
     (1, [7], [1.0]),
     (2, [4, 5], [1.0, 2.0]),
+    (3, [4, 3, 5], [1.0, 2.0, 0.5]),
 ])
 def test_identity_flux_equals_stiffness_action(dim, nodes, lengths):
     g = build_grid(dim, nodes, lengths)
@@ -148,6 +181,7 @@ def test_identity_flux_equals_stiffness_action(dim, nodes, lengths):
 @pytest.mark.parametrize("dim,nodes,lengths", [
     (1, [7], [1.3]),
     (2, [4, 5], [1.0, 2.0]),
+    (3, [4, 3, 5], [1.0, 2.0, 0.5]),
 ])
 def test_weighted_stiffness_matches_element_loop(dim, nodes, lengths):
     g = build_grid(dim, nodes, lengths)
@@ -155,7 +189,7 @@ def test_weighted_stiffness_matches_element_loop(dim, nodes, lengths):
     # non-symmetric tensors: a transposed block would change K
     tensors = rng.standard_normal((g.n_elements, dim, dim))
     oracle = oracle_weighted_stiffness(g, tensors)
-    if dim == 2:
+    if dim > 1:
         assert np.max(np.abs(oracle - oracle.T)) > 1e-2 * np.max(np.abs(oracle))
     assembled = g.assemble_weighted_stiffness(tensors).toarray()
     assert np.max(np.abs(assembled - oracle)) <= 1e-12 * np.max(np.abs(oracle))
@@ -296,6 +330,7 @@ def test_l2_of_linear_profile_matches_integral():
 @pytest.mark.parametrize("dim,nodes,lengths", [
     (1, [33], [1.0]),
     (2, [7, 7], [1.0, 2.0]),
+    (3, [7, 7, 7], [1.0, 2.0, 1.5]),
 ])
 def test_dual_norm_of_constant(dim, nodes, lengths):
     g = build_grid(dim, nodes, lengths)

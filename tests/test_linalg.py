@@ -162,32 +162,40 @@ def dense_operator(apply, n):
     return np.column_stack([apply(e) for e in np.eye(n)])
 
 
-@pytest.mark.parametrize("n", [17, 33, 65])
-def test_prolongation_is_p1_interpolation(n):
-    g = build_grid(2, [n, n], [1.0, 2.0])
-    coarse = build_grid(2, [(n + 1) // 2] * 2, [1.0, 2.0])
+@pytest.mark.parametrize("n,dim", [
+    pytest.param(17, 2, id="17"), pytest.param(33, 2, id="33"),
+    pytest.param(65, 2, id="65"), pytest.param(9, 3, id="3d-9"),
+    pytest.param(17, 3, id="3d-17")])
+def test_prolongation_is_p1_interpolation(n, dim):
+    lengths = [1.0, 2.0, 1.5][:dim]
+    g = build_grid(dim, [n] * dim, lengths)
+    coarse = build_grid(dim, [(n + 1) // 2] * dim, lengths)
     p, pt = g.prolongations()[0][:2]
     assert (pt != p.T).nnz == 0
-    affine = lambda x: 0.3 - 1.7 * x[:, 0] + 2.9 * x[:, 1]
+    affine = lambda x: 0.3 + x @ np.array([-1.7, 2.9, -0.4][:dim])
     assert np.max(np.abs(p @ affine(coarse.nodes) - affine(g.nodes))) <= 1e-14
     assert np.max(np.abs((pt @ g.stiffness_matrix() @ p
                           - coarse.stiffness_matrix()).toarray())) <= 1e-12
     # the plain stiffness cannot tell the two cell diagonals apart; a tensor
     # with off-diagonal entries can
-    m = np.array([[1.0, 0.3], [0.3, 0.5]])
+    m = np.array([[1.0, 0.3, 0.1], [0.3, 0.5, -0.2], [0.1, -0.2, 0.8]])
+    m = m[:dim, :dim]
     fine_k, coarse_k = (grid.assemble_weighted_stiffness(
-        np.broadcast_to(m, (grid.n_elements, 2, 2))) for grid in (g, coarse))
+        np.broadcast_to(m, (grid.n_elements, dim, dim)))
+        for grid in (g, coarse))
     assert np.max(np.abs((pt @ fine_k @ p - coarse_k).toarray())) <= 1e-12
 
 
 @pytest.mark.parametrize("shape", [(9, 9), (17, 17), (33, 33), (129, 129),
-                                   (17, 33), (16, 12), (12, 33), (129, 5)])
+                                   (17, 33), (16, 12), (12, 33), (129, 5),
+                                   (9, 9, 9), (17, 17, 17), (9, 16, 5)])
 def test_galerkin_maps_match_sparse_products(shape):
-    g = build_grid(2, list(shape), [1.0, 2.0])
+    dim, lengths = len(shape), [1.0, 2.0, 1.5][:len(shape)]
+    g = build_grid(dim, list(shape), lengths)
     rng = np.random.default_rng(15)
     # symmetric element tensors with off-diagonal entries, and a diagonal
-    m = rng.uniform(-0.4, 0.4, (g.n_elements, 2, 2))
-    tensors = m + m.swapaxes(1, 2) + np.eye(2)
+    m = rng.uniform(-0.4, 0.4, (g.n_elements, dim, dim))
+    tensors = m + m.swapaxes(1, 2) + np.eye(dim)
     a = g.assemble_weighted_stiffness(tensors, rng.uniform(0.5, 1.5, g.n_nodes))
     levels = g.prolongations()
     # the hierarchy ends at its first level of at most 100 nodes
@@ -203,7 +211,8 @@ def test_galerkin_maps_match_sparse_products(shape):
         nested = nested and all(n % 2 for n in shape)
         shape = [(n + 1) // 2 for n in shape]
         if nested and level.p.shape[1] == np.prod(shape):
-            indptr, indices = build_grid(2, shape, [1.0, 2.0]).sparsity_pattern()[:2]
+            indptr, indices = build_grid(
+                dim, shape, lengths).sparsity_pattern()[:2]
             assert np.array_equal(coarse.indptr, indptr)
             assert np.array_equal(coarse.indices, indices)
         else:
@@ -245,6 +254,21 @@ def test_vcycle_is_symmetric_positive_definite():
 def test_vcycle_iterations_do_not_grow_with_the_grid(n):
     g, mat = relaxation_newton_matrix(n)
     b = np.random.default_rng(10).normal(size=g.n_nodes)
+    op = CountingOperator(mat)
+    x = conjugate_gradient(op, b, rtol=1e-12, precondition=g.preconditioner(mat))
+    assert op.calls <= 40
+    assert np.linalg.norm(b - mat @ x) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("n", [17, 33])
+def test_3d_vcycle_iterations_do_not_grow_with_the_grid(n):
+    # a Newton matrix of a directional 3D family at a rough state
+    g = build_grid(3, [n] * 3, [1.0] * 3)
+    aniso = MatrixFamilyAnisotropy(
+        [np.diag([1.0, 0.04, 0.3]), np.diag([0.04, 1.0, 0.3])], delta=1e-2)
+    rng = np.random.default_rng(9)
+    mat = newton_matrix(g, aniso, DW, rng.uniform(-0.8, 0.8, g.n_nodes), 0.1)
+    b = rng.normal(size=g.n_nodes)
     op = CountingOperator(mat)
     x = conjugate_gradient(op, b, rtol=1e-12, precondition=g.preconditioner(mat))
     assert op.calls <= 40
