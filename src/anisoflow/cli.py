@@ -36,13 +36,12 @@ from .potential import (DoubleWell, MoreauYosida, TruncatedPotential,
 from .stepper import (StepConfig, TimePartition, check_energy_stability,
                       solve_trajectory, step_regimes, write_diagnostics)
 
-COMMANDS = ("simulate", "optimize", "verify-energy", "study-tau",
-            "study-bounds", "study-lipschitz", "study-control")
 # the report kind of each study command, which keys its minimum ladder
 _STUDY_KINDS = {"study-tau": "tau_convergence",
                 "study-bounds": "uniform_bounds",
                 "study-lipschitz": "lipschitz",
                 "study-control": "control_convergence"}
+COMMANDS = ("simulate", "optimize", "verify-energy", *_STUDY_KINDS)
 
 # the settings dataclass each section builds, and the INI key of each field
 # named differently in the config
@@ -64,10 +63,8 @@ class _Key:
     default: object = _REQUIRED  # the value of a key not given
     kinds: dict = None           # of a kind key: kind -> keys only it reads
     replaced_by: str = None      # a key beside which this one is not read
-    refused_by: tuple = None     # (command, why): it takes only the default
 
 
-_ZERO_FORCING = ("verify-energy", "the energy check requires zero forcing")
 # every config key, under the name a message gives it (configparser
 # lowercases the names on read)
 _SCHEMA = {
@@ -82,14 +79,15 @@ _SCHEMA = {
         "double_well": (), "truncated": ("cutoff",),
         "moreau_yosida": ("penalty",), "zero": ()}),
         "penalty": _Key(float), "cutoff": _Key(float)},
+    # a target_dir target is distributed, a target_file one final-time
     "control": {
-        "lambda": _Key(float), "target": _Key(kinds={
-            "final_time": ("target_file",), "distributed": ("target_dir",)}),
-        "target_file": _Key(), "target_dir": _Key(),
-        "y0": _Key(default=None), "y0_file": _Key(default=None),
-        "forcing": _Key(str, "zero", replaced_by="control.forcing_dir",
-                        refused_by=_ZERO_FORCING),
-        "forcing_dir": _Key(default=None, refused_by=_ZERO_FORCING)},
+        "lambda": _Key(float),
+        "target_file": _Key(replaced_by="control.target_dir"),
+        "target_dir": _Key(default=None),
+        "y0": _Key(replaced_by="control.y0_file"),
+        "y0_file": _Key(default=None),
+        "forcing": _Key(str, "zero", replaced_by="control.forcing_dir"),
+        "forcing_dir": _Key(default=None)},
     "study": {"levels": _Key(int, 4)},
     "output": {"directory": _Key(str, "out"), "seed": _Key(int, 0)},
     **{section: {key: _Key(f.type, f.default)
@@ -145,7 +143,7 @@ def builtin_initializer(spec, grid):
     Accepted forms (argument counts for a d-dimensional grid):
       constant(c)
       random_uniform(low, high, seed)
-      tanh_circle(c1[, c2], radius, width)
+      tanh_circle(c1[, c2[, c3]], radius, width)
     """
     spec = spec.strip()
     if "(" not in spec or not spec.endswith(")"):
@@ -216,8 +214,7 @@ def _get(cfg, key):
     text = raw.strip().lower()
     if spec.kinds:
         if text not in spec.kinds:
-            what = "kind" if name == "kind" else f"{name} kind"
-            raise ConfigError(key, f"unknown {what} '{text}'")
+            raise ConfigError(key, f"unknown kind '{text}'")
         return text
     try:
         if spec.convert is bool:
@@ -227,29 +224,23 @@ def _get(cfg, key):
         raise ConfigError(key, f"not {_KIND_NAMES[spec.convert]}: '{raw}'")
 
 
-def _check_read(cfg, command):
-    """Reject the first given key, in table order, that ``command`` would
-    not read or takes only at its default."""
+def _check_read(cfg):
+    """Reject the first given key, in table order, that the run would not
+    read: a key of a kind other than the one given, or a key beside the
+    key that replaces it."""
     for section, keys in _SCHEMA.items():
         given = cfg.get(section, {})
         for name, spec in keys.items():
-            # a control.target not given (outside the control commands)
-            # reads no target key
-            if spec.kinds and (name in given or spec.default is not _REQUIRED):
+            if spec.kinds:
                 kind = _get(cfg, f"{section}.{name}")
                 for other in (k for ks in spec.kinds.values() for k in ks):
                     if other in given and other not in spec.kinds[kind]:
                         raise ConfigError(f"{section}.{other}", f"would be "
                                           f"ignored by {name} {kind}")
-            raw = given.get(name.lower())
-            if raw is None:
-                continue
-            if spec.replaced_by and _get(cfg, spec.replaced_by) is not None:
+            if (name.lower() in given and spec.replaced_by
+                    and _get(cfg, spec.replaced_by) is not None):
                 raise ConfigError(f"{section}.{name}", f"would be ignored "
                                   f"alongside {spec.replaced_by}")
-            if (spec.refused_by and command == spec.refused_by[0]
-                    and raw.strip().lower() != spec.default):
-                raise ConfigError(f"{section}.{name}", spec.refused_by[1])
 
 
 def _from_section(cfg, section):
@@ -390,14 +381,10 @@ def _initializer(key, spec, grid):
 
 
 def _load_y0(cfg, grid):
-    spec = _get(cfg, "control.y0")
     path = _get(cfg, "control.y0_file")
-    if (spec is None) == (path is None):
-        raise ConfigError("control.y0",
-                          "give exactly one of control.y0, control.y0_file")
     if path is not None:
         return _load_file("control.y0_file", path, grid)
-    return _initializer("control.y0", spec, grid)
+    return _initializer("control.y0", _get(cfg, "control.y0"), grid)
 
 
 def _load_per_interval(key, directory, prefix, grid, n_steps):
@@ -408,7 +395,7 @@ def _load_per_interval(key, directory, prefix, grid, n_steps):
 
 
 def _load_forcing(cfg, grid, partition):
-    """Forcing fields for simulate/study runs; zero by default."""
+    """Forcing fields of the commands without a target; zero by default."""
     directory = _get(cfg, "control.forcing_dir")
     spec, n_steps = _get(cfg, "control.forcing"), partition.n_steps
     if directory is not None:
@@ -420,13 +407,14 @@ def _load_forcing(cfg, grid, partition):
 
 
 def _control_problem(cfg, grid, partition, y0, aniso, pot):
-    if _get(cfg, "control.target") == "final_time":
+    directory = _get(cfg, "control.target_dir")
+    if directory is None:
         target = FinalTimeTarget(_load_file(
             "control.target_file", _get(cfg, "control.target_file"), grid))
     else:
         target = DistributedTarget(_load_per_interval(
-            "control.target_dir", _get(cfg, "control.target_dir"), "target",
-            grid, partition.n_steps))
+            "control.target_dir", directory, "target", grid,
+            partition.n_steps))
     # the fields are checked above, so only lambda is left to reject
     with _blame("control.lambda"):
         return ControlProblem(grid, partition, y0, target,
@@ -487,11 +475,9 @@ def run(command, config_path, overrides=(), out_dir=None, seed=None):
         cfg = load_config(config_path, overrides)
         halvings = 0
         if command in _STUDY_KINDS:
-            minimum = studies.MIN_LEVELS[_STUDY_KINDS[command]]
             levels = _get(cfg, "study.levels")
-            if levels < minimum:
-                raise ConfigError("study.levels", f"needs at least {minimum} "
-                                  f"ladder levels, got {levels}")
+            with _blame("study.levels"):
+                studies.check_levels(_STUDY_KINDS[command], levels)
             # study-tau's reference is one halving past its last level
             halvings = levels if command == "study-tau" else levels - 1
         _check_size(cfg, halvings)
@@ -528,10 +514,15 @@ def run(command, config_path, overrides=(), out_dir=None, seed=None):
         y0 = _load_y0(cfg, grid)
         if command in ("optimize", "study-control"):
             problem = _control_problem(cfg, grid, partition, y0, aniso, pot)
-        elif command != "verify-energy":
+        else:
             forcing = _load_forcing(cfg, grid, partition)
         # each input is built, so a key its builder checks names itself first
-        _check_read(cfg, command)
+        _check_read(cfg)
+        if command == "verify-energy" and np.any(forcing):
+            raise ConfigError(
+                "control.forcing" if _get(cfg, "control.forcing_dir") is None
+                else "control.forcing_dir",
+                "the energy check requires zero forcing")
         # each study bound to all its inputs, run after the manifest
         final_time, base_n = partition.final_time, partition.n_steps
         if command in ("study-tau", "study-bounds"):
@@ -564,17 +555,13 @@ def run(command, config_path, overrides=(), out_dir=None, seed=None):
     diagnostics_path = os.path.join(out_dir, "diagnostics.csv")
 
     try:
-        if command == "simulate":
+        if command in ("simulate", "verify-energy"):
             traj = solve_trajectory(grid, aniso, pot, y0, forcing, partition,
                                     step_config)
-            _write_fields(out_dir, grid, "state", traj.states)
             write_diagnostics(traj, diagnostics_path)
-            return 0
-
-        if command == "verify-energy":
-            traj = solve_trajectory(grid, aniso, pot, y0, None, partition,
-                                    step_config)
-            write_diagnostics(traj, diagnostics_path)
+            if command == "simulate":
+                _write_fields(out_dir, grid, "state", traj.states)
+                return 0
             report = check_energy_stability(traj, aniso, pot)
             with open(os.path.join(out_dir, "energy_report.txt"), "w") as f:
                 f.write(str(report) + "\n")

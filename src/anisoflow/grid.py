@@ -35,7 +35,9 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import conjugate_gradient, multigrid_vcycle, tridiagonal_ldlt
+# LinearSolveError is for the stepper, which imports nothing from linalg
+from .linalg import (LinearSolveError, conjugate_gradient, multigrid_vcycle,
+                     tridiagonal_ldlt)
 
 # largest level solved densely at the bottom of a V-cycle.  The dense
 # inverse is formed once per matrix: at 289 unknowns (a 17^2 level) it alone

@@ -31,8 +31,8 @@ import numpy as np
 
 
 class LinearSolveError(RuntimeError):
-    """CG failed to reach the requested residual within 10 n iterations, or
-    the right-hand side's norm is not finite."""
+    """CG failed to reach the requested residual within 10 n iterations,
+    broke down, or the right-hand side's norm is not finite."""
 
 
 def tridiagonal_ldlt(values, diagonal_at):
@@ -181,9 +181,12 @@ def conjugate_gradient(apply_a, b, rtol=1e-12, precondition=None):
     b : ndarray
         Right-hand side.
     rtol : float
-        Convergence on ``||b - A x|| <= rtol * ||b||`` within ``10 * len(b)``
+        Convergence on ``||r|| <= rtol * ||b||`` within ``10 * len(b)``
         iterations (CG terminates in n steps exactly, the slack absorbs
-        floating-point drift).
+        floating-point drift).  ``r`` is the recurrence residual, not
+        ``b - A x``, which drifts from it by rounding and can exceed
+        ``rtol * ||b||``: 1.2e-11 relative at rtol 1e-12 for 1e-3 W + K_G,
+        G = diag(1, .5, .3), on a 33^3 grid.
     precondition : callable, optional
         ``r -> M^{-1} r`` for an SPD approximation M of A (preconditioned
         CG).  With M = A exactly, one operator application solves the
@@ -197,8 +200,9 @@ def conjugate_gradient(apply_a, b, rtol=1e-12, precondition=None):
     Raises
     ------
     LinearSolveError
-        When ``||b||`` is not finite (overflow or NaN), at a breakdown, or
-        when the residual is not reached.
+        When ``||b||`` is not finite (overflow or NaN), at a breakdown
+        (d'Ad zero, or not finite, which every later iterate would carry
+        to the iteration cap), or when the residual is not reached.
     """
     if not callable(apply_a):
         mat = apply_a
@@ -228,8 +232,8 @@ def conjugate_gradient(apply_a, b, rtol=1e-12, precondition=None):
     for _ in range(max_iters):
         ad = apply_a(d)
         dad = d @ ad
-        if dad == 0.0:
-            raise LinearSolveError("CG breakdown: d'Ad = 0")
+        if not 0.0 < abs(dad) < np.inf:
+            raise LinearSolveError(f"CG breakdown: d'Ad = {dad}")
         alpha = rz / dad
         x += alpha * d
         r -= alpha * ad

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (assemble_flux_divergence, element_gradients, norms,
-                   write_csv)
+from .grid import (LinearSolveError, assemble_flux_divergence,
+                   element_gradients, norms, write_csv)
 
 
 class UniquenessViolation(ValueError):
@@ -266,6 +266,7 @@ def _solve_step(grid, aniso, pot, y_prev, u, tau, config, y_start, c_psi,
     directions; once Newton converges fast, the ratio, and with it the
     tolerance, drops to ``linear_rtol``.  Above the uniqueness bound the
     directions come from the convex majorant of :func:`newton_matrix`.
+    A failed direction solve raises NonConvergence with the best iterate.
     """
     w = grid.weights
     _, regimes = step_regimes(c_psi, tau)
@@ -284,13 +285,17 @@ def _solve_step(grid, aniso, pot, y_prev, u, tau, config, y_start, c_psi,
 
     majorant = not regimes["uniqueness"]
     best_y, best_res = y.copy(), res_inf
-    res_sq, forcing = float(res @ res), _FORCING_CAP
+    # vdot, unlike @, warns of no overflow; CG then fails on the inf norm
+    res_sq, forcing = float(np.vdot(res, res)), _FORCING_CAP
 
     for it in range(1, config.max_newton_iters + 1):
         grad_phi = res / tau
         h_mat = newton_matrix(grid, aniso, pot, y, tau, majorant)
-        direction = grid.solver(h_mat)(
-            -grad_phi, rtol=max(config.linear_rtol, forcing))
+        try:
+            direction = grid.solver(h_mat)(
+                -grad_phi, rtol=max(config.linear_rtol, forcing))
+        except LinearSolveError as exc:
+            raise NonConvergence(str(exc), best_y, best_res, it) from exc
         slope = float(grad_phi @ direction)
         if slope >= 0.0:  # cannot happen for exact solves; guard roundoff
             direction = -grad_phi / w
@@ -318,7 +323,7 @@ def _solve_step(grid, aniso, pot, y_prev, u, tau, config, y_start, c_psi,
 
         y, terms = y_trial, trial_terms
         phi, res, res_inf, e = trial
-        prev_sq, res_sq = res_sq, float(res @ res)
+        prev_sq, res_sq = res_sq, float(np.vdot(res, res))
         forcing = min(_FORCING_CAP, 0.9 * res_sq / prev_sq)
         if res_inf < best_res:
             best_y, best_res = y.copy(), res_inf

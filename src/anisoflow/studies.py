@@ -67,7 +67,8 @@ MIN_LEVELS = {"tau_convergence": 3, "uniform_bounds": 2, "lipschitz": 2,
               "control_convergence": 2}
 
 
-def _check_levels(kind, levels):
+def check_levels(kind, levels):
+    """Reject a ladder of fewer ``levels`` than the ``kind`` study judges."""
     if levels < MIN_LEVELS[kind]:
         raise ValueError(f"{kind} study needs at least {MIN_LEVELS[kind]} "
                          f"ladder levels, got {levels}")
@@ -114,7 +115,7 @@ def tau_convergence_study(grid, aniso, pot, y0, final_time, base_n, levels,
     semismooth penalty potential, whose order is not established.  Errors
     all at ``_NOISE_FLOOR`` pass unfitted; some at it fail unfitted.
     """
-    _check_levels("tau_convergence", levels)
+    check_levels("tau_convergence", levels)
     if control is None:
         control = np.zeros((base_n, grid.n_nodes))
     # the reference is one level past the last
@@ -178,7 +179,7 @@ def uniform_bound_study(grid, aniso, pot, y0, final_time, base_n, levels,
     more than ``_RATIO_WINDOW`` between adjacent levels nor grow monotonically
     by ``_GROWTH_TOL`` or more at every refinement.
     """
-    _check_levels("uniform_bounds", levels)
+    check_levels("uniform_bounds", levels)
     if control is None:
         control = np.zeros((base_n, grid.n_nodes))
     report = StudyReport("uniform_bounds",
@@ -241,7 +242,7 @@ def lipschitz_study(grid, aniso, pot, pairs, final_time, base_n, levels,
     the largest perturbation ratio over the pairs; the study passes when no
     level exceeds ``_LIPSCHITZ_GROWTH`` times the coarsest level's value.
     """
-    _check_levels("lipschitz", levels)
+    check_levels("lipschitz", levels)
     tau0 = final_time / base_n
     bounds, regimes = step_regimes(pot.semiconvexity(), tau0)
     if not regimes["lipschitz"]:
@@ -292,7 +293,7 @@ def control_convergence_study(problem, levels, options=None, config=None):
     ||u*_k (injected) - u*_{k+1}|| decrease strictly down the ladder;
     optimizer non-convergence flags the level in the notes.
     """
-    _check_levels("control_convergence", levels)
+    check_levels("control_convergence", levels)
     options = options or OptimizeOptions()
     base_part = problem.partition
     report = StudyReport("control_convergence", thresholds={})
@@ -327,7 +328,7 @@ def control_convergence_study(problem, levels, options=None, config=None):
         d = control_norm(problems[k + 1], diff)
         report.rows[k + 1]["cauchy_diff"] = d
         diffs.append(d)
-    if max(diffs) <= 1e-12:
+    if max(diffs) <= _NOISE_FLOOR:
         report.notes.append("Cauchy differences at solver noise")
         report.passed = True
     else:

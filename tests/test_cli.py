@@ -248,7 +248,7 @@ def test_optimize_settings_out_of_range_exit_1(tmp_path, capsys, override):
     write_field(tmp_path / "target.field", g, np.zeros(g.n_nodes))
     cfg = BASE_CONFIG.replace(
         "y0 = constant(1.0)",
-        "y0 = constant(1.0)\nlambda = 1e-2\ntarget = final_time\n"
+        "y0 = constant(1.0)\nlambda = 1e-2\n"
         f"target_file = {tmp_path / 'target.field'}")
     path = write_config(tmp_path, cfg)
     out = tmp_path / "out"
@@ -319,8 +319,12 @@ def test_verify_energy_requires_zero_forcing(tmp_path, capsys):
 
 def test_verify_energy_rejects_forcing_dir(tmp_path, capsys):
     path = write_config(tmp_path)
+    grid = build_grid(1, [33], [1.0])
+    for j in range(1, 11):
+        write_field(tmp_path / f"control_{j:04d}.field", grid,
+                    np.full(33, 0.5 if j == 10 else 0.0))
     code = run("verify-energy", path,
-               overrides=[f"control.forcing_dir={tmp_path / 'nonexistent'}"],
+               overrides=[f"control.forcing_dir={tmp_path}"],
                out_dir=str(tmp_path / "out"))
     assert code == 1
     assert "control.forcing_dir" in capsys.readouterr().err
@@ -335,7 +339,7 @@ def test_optimize_trivial_target(tmp_path):
     assert run("simulate", base, out_dir=str(sim_out)) == 0
     cfg = BASE_CONFIG.replace(
         "y0 = constant(1.0)",
-        "y0 = constant(1.0)\nlambda = 1e-2\ntarget = final_time\n"
+        "y0 = constant(1.0)\nlambda = 1e-2\n"
         f"target_file = {sim_out / 'state_0010.field'}")
     path = write_config(tmp_path, cfg, name="opt.ini")
     out = tmp_path / "opt"
@@ -434,10 +438,11 @@ REJECTED_INPUTS = [
     ("simulate", ["control.forcing_dir={tmp}/nonexistent"],
      "control.forcing_dir"),
     ("verify-energy", ["control.forcing=constant(1)"], "control.forcing"),
-    ("optimize", ["control.lambda=1e-2"], "control.target"),
-    ("optimize", ["control.lambda=-1", "control.target=final_time",
+    # neither target key: the required one is named
+    ("optimize", ["control.lambda=1e-2"], "control.target_file"),
+    ("optimize", ["control.lambda=-1",
                   "control.target_file={tmp}/target.field"], "control.lambda"),
-    ("optimize", ["control.lambda=1e-2", "control.target=final_time",
+    ("optimize", ["control.lambda=1e-2",
                   "control.target_file={tmp}/coarse.field"],
      "control.target_file"),
     ("study-lipschitz", ["study.pairs=abc"], "study.pairs"),
@@ -463,7 +468,7 @@ REJECTED_INPUTS = [
     ("simulate", ["potential.kind=truncated", "potential.cutoff=nan"],
      "potential.cutoff"),
     ("simulate", ["time.breakpoints=0 nan 1"], "time.breakpoints"),
-    ("optimize", ["control.lambda=nan", "control.target=final_time",
+    ("optimize", ["control.lambda=nan",
                   "control.target_file={tmp}/target.field"], "control.lambda"),
     ("study-bounds", ["study.growth_tol=nan"], "study.growth_tol"),
     ("study-bounds", ["study.growth_tol=-5"], "study.growth_tol"),
@@ -498,7 +503,7 @@ REJECTED_INPUTS = [
     ("study-lipschitz", ["study.ratio_growth=inf"], "study.ratio_growth"),
     ("study-tau", ["study.rate_min=-inf"], "study.rate_min"),
     ("study-tau", ["study.rate_max=-inf"], "study.rate_max"),
-    ("optimize", ["control.lambda=inf", "control.target=final_time",
+    ("optimize", ["control.lambda=inf",
                   "control.target_file={tmp}/target.field"], "control.lambda"),
     ("optimize", ["optimize.grad_tol=inf"], "optimize.grad_tol"),
     # the pass rules are fixed; this window would pass any rate
@@ -506,6 +511,7 @@ REJECTED_INPUTS = [
      "study.rate_min"),
     ("simulate", ["control.y0"], "control.y0"),
     ("simulate", ["control.y0_file={tmp}/target.field"], "control.y0"),
+    # the target key given picks the target kind; control.target is no key
     ("optimize", ["control.lambda=1e-2", "control.target=bogus"],
      "control.target"),
 ]
@@ -522,7 +528,6 @@ OVERSIZED_INPUTS = [
     ("study-lipschitz", ["study.levels=70", "time.N=3"], "study.levels"),
     ("study-bounds", ["study.levels=1000000000000"], "study.levels"),
     ("study-control", ["study.levels=30", "control.lambda=1e-2",
-                       "control.target=final_time",
                        "control.target_file={tmp}/target.field"],
      "study.levels"),
 ]
@@ -542,11 +547,11 @@ REJECTED_INPUTS += [
     ("simulate", ["control.forcing=constant(0.1)",
                   "control.forcing_dir={tmp}/fields"], "control.forcing"),
     ("simulate", ["time.breakpoints=0,0.1,0.2"], "time.T"),
-    ("optimize", ["control.lambda=1e-2", "control.target=final_time",
-                  "control.target_file={tmp}/target.field",
+    # (not an ignored key: a distributed target without the field of its
+    # 11th interval)
+    ("optimize", ["control.lambda=1e-2", "time.N=11",
                   "control.target_dir={tmp}/fields"], "control.target_dir"),
-    ("optimize", ["control.lambda=1e-2", "control.target=distributed",
-                  "control.target_dir={tmp}/fields",
+    ("optimize", ["control.lambda=1e-2", "control.target_dir={tmp}/fields",
                   "control.target_file={tmp}/target.field"],
      "control.target_file"),
     ("simulate", ["anisotropy.delta=0.1"], "anisotropy.delta"),
@@ -690,7 +695,7 @@ def test_optimize_distributed_target(tmp_path):
                     rng.uniform(-0.5, 0.5, g.n_nodes))
     cfg = BASE_CONFIG.replace(
         "y0 = constant(1.0)",
-        "y0 = constant(0.0)\nlambda = 1e-2\ntarget = distributed\n"
+        "y0 = constant(0.0)\nlambda = 1e-2\n"
         f"target_dir = {tdir}")
     path = write_config(tmp_path, cfg, name="dist.ini")
     out = tmp_path / "out"
@@ -712,7 +717,7 @@ def test_optimize_converges_with_default_settings(tmp_path):
         "T = 1.0", "T = 0.5").replace("N = 10", "N = 8").replace(
         "y0 = constant(1.0)",
         "y0 = tanh_circle(0.5, 0.25, 0.05)\nlambda = 1e-3\n"
-        f"target = final_time\ntarget_file = {tmp_path / 'target.field'}")
+        f"target_file = {tmp_path / 'target.field'}")
     out = tmp_path / "out"
     assert run("optimize", write_config(tmp_path, cfg), out_dir=str(out)) == 0
     summary = (out / "optimize_summary.txt").read_text()
@@ -752,7 +757,7 @@ def test_study_control_cli(tmp_path):
     assert run("simulate", base, out_dir=str(sim_out)) == 0
     cfg = BASE_CONFIG.replace("N = 10", "N = 4").replace(
         "y0 = constant(1.0)",
-        "y0 = constant(1.0)\nlambda = 1e-2\ntarget = final_time\n"
+        "y0 = constant(1.0)\nlambda = 1e-2\n"
         f"target_file = {sim_out / 'state_0010.field'}")
     cfg += "\n[study]\nlevels = 3\n"
     path = write_config(tmp_path, cfg, name="sc.ini")
@@ -772,7 +777,7 @@ def test_study_control_cli_distributed_target(tmp_path, capsys):
     cfg = BASE_CONFIG.replace("nodes = 33", "nodes = 17").replace(
         "N = 10", "N = 4").replace(
         "y0 = constant(1.0)",
-        "y0 = constant(0.0)\nlambda = 1e-2\ntarget = distributed\n"
+        "y0 = constant(0.0)\nlambda = 1e-2\n"
         f"target_dir = {tdir}")
     cfg += "\n[study]\nlevels = 2\n"
     path = write_config(tmp_path, cfg)
@@ -975,12 +980,9 @@ def test_every_key_rejects_or_runs_every_value(tmp_path, monkeypatch, capsys,
                     or key in message), (value, err)
 
 
-# a value of each key that some kind needs; {tmp} holds a target on the
-# 33-node grid of BASE_CONFIG and ten target fields
+# a value of each key that some kind needs
 KIND_NEEDS = {"anisotropy.matrices": "1", "potential.penalty": "10",
-              "potential.cutoff": "2",
-              "control.target_file": "{tmp}/target.field",
-              "control.target_dir": "{tmp}/fields"}
+              "potential.cutoff": "2"}
 
 
 # (kind key, kind, a key of the section that only other kinds read)
@@ -997,24 +999,14 @@ def test_a_key_under_another_kind_is_named(tmp_path, capsys, gate, kind,
                                            key):
     # BASE_CONFIG under a kind that does not read the key, with the keys
     # that kind needs: the run exits 1 naming the key
-    grid = build_grid(1, [33], [1.0])
-    write_field(tmp_path / "target.field", grid, np.ones(33))
-    (tmp_path / "fields").mkdir()
-    for j in range(1, 11):
-        write_field(tmp_path / "fields" / f"target_{j:04d}.field", grid,
-                    np.ones(33))
     section = gate.partition(".")[0]
-    command, overrides = "simulate", [f"{gate}={kind}"]
-    if gate == "control.target":
-        command = "optimize"
-        overrides += ["control.lambda=1e-2", "optimize.max_iters=0"]
+    overrides = [f"{gate}={kind}"]
     overrides += [f"{section}.{k}={KIND_NEEDS[f'{section}.{k}']}"
                   for k in _spec(gate).kinds[kind]
                   if _spec(f"{section}.{k}").default is _REQUIRED]
     overrides.append(f"{key}={KIND_NEEDS.get(key, '1')}")
     out = tmp_path / "out"
-    assert run(command, write_config(tmp_path),
-               [o.format(tmp=tmp_path) for o in overrides],
+    assert run("simulate", write_config(tmp_path), overrides,
                out_dir=str(out)) == 1
     assert capsys.readouterr().err == (
         f"config error at '{key}': would be ignored by "
@@ -1025,21 +1017,30 @@ def test_a_key_under_another_kind_is_named(tmp_path, capsys, gate, kind,
 @pytest.mark.parametrize("key", [k for k in TABLE_KEYS
                                  if _spec(k).replaced_by])
 def test_a_replaced_key_is_named(tmp_path, capsys, key):
-    # relaxation.ini at 9^2 on four breakpoints, without time.T and time.N,
-    # with one zero forcing field per interval: the run exits 0, and exits
-    # 1 naming the key once it is given too
+    # relaxation.ini at 9^2 given each input by the replacing key: four
+    # breakpoints, not time.T and time.N; y0 from a file, not an
+    # initializer; one zero forcing and one target field per interval.
+    # The run exits 0, and exits 1 naming the key once it is given too
     config = tmp_path / "run.ini"
     config.write_text((CONFIGS / "relaxation.ini").read_text().replace(
-        "T = 2.0\nN = 20\n", ""))
+        "T = 2.0\nN = 20\n", "").replace(
+        "y0 = random_uniform(-0.8, 0.8, 7)\n", ""))
     grid = build_grid(2, [9, 9], [1.0, 1.0])
+    write_field(tmp_path / "y0.field", grid,
+                random_uniform_field(grid, -0.8, 0.8, 7))
     for j in range(1, 5):
-        write_field(tmp_path / f"control_{j:04d}.field", grid, np.zeros(81))
+        for prefix in ("control", "target"):
+            write_field(tmp_path / f"{prefix}_{j:04d}.field", grid,
+                        np.zeros(81))
     overrides = ["grid.nodes=9,9", "time.breakpoints=0 .1 .2 .3 .4",
-                 f"control.forcing_dir={tmp_path}"]
-    assert run("simulate", str(config), overrides,
+                 f"control.y0_file={tmp_path / 'y0.field'}",
+                 f"control.forcing_dir={tmp_path}",
+                 f"control.target_dir={tmp_path}", "control.lambda=1"]
+    command = "optimize" if key.startswith("control.target") else "simulate"
+    assert run(command, str(config), overrides + ["optimize.max_iters=0"],
                out_dir=str(tmp_path / "ok")) == 0
     out = tmp_path / "out"
-    assert run("simulate", str(config), overrides + [f"{key}=1"],
+    assert run(command, str(config), overrides + [f"{key}=1"],
                out_dir=str(out)) == 1
     assert capsys.readouterr().err == (
         f"config error at '{key}': would be ignored alongside "
@@ -1068,6 +1069,19 @@ def test_optimize_whose_right_hand_side_overflows_exits_2(tmp_path, capsys,
     assert not (out / "optimize_summary.txt").exists()
 
 
+def test_a_failed_direction_solve_fails_its_step(tmp_path, capsys):
+    # the first Newton right-hand side of a forcing of 1e300 has a norm past
+    # the largest double: step 1 fails, and diagnostics row 0 is written
+    out = tmp_path / "out"
+    assert run("simulate", str(CONFIGS / "relaxation.ini"), [
+        "grid.nodes=9,9", "time.N=8", "control.forcing=constant(1e300)"],
+        out_dir=str(out)) == 2
+    assert capsys.readouterr().err == (
+        "failure at step 1: CG right-hand side norm is inf\n")
+    rows = (out / "diagnostics.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows] == ["j", "0"]
+
+
 def test_optimize_at_a_large_lambda_converges(tmp_path, steering_target):
     # a step along -g passes the Armijo test only below about 1/lambda;
     # from step 1 the line search stalled after 47 trials
@@ -1093,17 +1107,24 @@ def test_study_tau_fits_no_rate_through_errors_at_noise(tmp_path, capsys):
         "rate not fitted"]
 
 
-@pytest.mark.parametrize("key", [k for k in TABLE_KEYS if _spec(k).refused_by])
+@pytest.mark.parametrize("key", ["control.forcing", "control.forcing_dir"])
 def test_a_refused_key_is_named(tmp_path, capsys, key):
-    # the command takes the key only at its default: given so it runs, and
-    # given otherwise it exits 1 naming the key and why
-    command, why = _spec(key).refused_by
-    if _spec(key).default is not None:
-        assert run(command, write_config(tmp_path),
-                   [f"{key}={_spec(key).default}"],
-                   out_dir=str(tmp_path / "ok")) == 0
+    # verify-energy reads the forcing's values, not how it is given: a zero
+    # forcing runs, and a nonzero one exits 1 naming the key it came by
+    grid = build_grid(1, [33], [1.0])
+    values = {}
+    for name, value in (("zero", 0.0), ("one", 1.0)):
+        (tmp_path / name).mkdir()
+        for j in range(1, 11):
+            write_field(tmp_path / name / f"control_{j:04d}.field", grid,
+                        np.full(33, value))
+        values[name] = (f"constant({value:g})" if key == "control.forcing"
+                        else tmp_path / name)
+    assert run("verify-energy", write_config(tmp_path),
+               [f"{key}={values['zero']}"], out_dir=str(tmp_path / "ok")) == 0
     out = tmp_path / "out"
-    assert run(command, write_config(tmp_path), [f"{key}=constant(1)"],
-               out_dir=str(out)) == 1
-    assert capsys.readouterr().err == f"config error at '{key}': {why}\n"
+    assert run("verify-energy", write_config(tmp_path),
+               [f"{key}={values['one']}"], out_dir=str(out)) == 1
+    assert capsys.readouterr().err == (
+        f"config error at '{key}': the energy check requires zero forcing\n")
     assert not out.exists()

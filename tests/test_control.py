@@ -12,6 +12,7 @@ from anisoflow import (AdjointUnavailable, ControlProblem, DistributedTarget,
                        optimize, reduced_gradient, solve_state,
                        write_history)
 from anisoflow.cli import tanh_circle_field
+from anisoflow.linalg import LinearSolveError
 
 ISO = IsotropicAnisotropy()
 DW = DoubleWell()
@@ -434,6 +435,31 @@ def test_optimize_backtracks_over_failed_trial_solve(monkeypatch):
     assert report.j_values[1] < report.j_values[0]
     # every forward solve after the first is a counted line-search trial
     assert len(calls) == 1 + sum(report.linesearch_evals)
+
+
+def test_optimize_backtracks_over_a_failed_linear_solve(monkeypatch):
+    # the first trial's first Newton direction fails to solve, which fails
+    # that trial's forward solve; the optimizer backtracks over it
+    prob, _ = make_problem(seed=14)
+    original, calls = anisoflow.grid.conjugate_gradient, []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == first_trial:
+            raise LinearSolveError("CG breakdown: d'Ad = inf")
+        return original(*args, **kwargs)
+
+    # the solves of the gradient at u_init come before the first trial's
+    first_trial = 0
+    monkeypatch.setattr(anisoflow.grid, "conjugate_gradient", counting)
+    reduced_gradient(prob, prob.zero_control())
+    first_trial, calls[:] = len(calls) + 1, []
+    _, _, report = optimize(prob, prob.zero_control(),
+                            OptimizeOptions(max_iters=3, grad_tol=1e-14))
+    assert len(calls) > first_trial
+    assert report.failed_trials == 1
+    assert report.iterations >= 1
+    assert report.j_values[1] < report.j_values[0]
 
 
 def test_stalled_line_search_counts_its_trials(monkeypatch, tmp_path):

@@ -348,6 +348,15 @@ def test_cg_breakdown_raises():
         conjugate_gradient(np.diag([1.0, -1.0]), np.array([1.0, 1.0]))
 
 
+def test_cg_stops_at_a_non_finite_curvature():
+    # A d overflows in the first iteration, so d'Ad is inf; CG ran on NaN
+    # iterates to its cap of 20 applications
+    op = CountingOperator(sp.diags([1e300, 1.0]).tocsr())
+    with pytest.raises(LinearSolveError, match="CG breakdown: d'Ad = inf"):
+        conjugate_gradient(op, np.array([1e10, 1.0]))
+    assert op.calls == 1
+
+
 @pytest.mark.parametrize("value", [1e200, np.nan])
 def test_cg_rejects_a_right_hand_side_whose_norm_is_not_finite(value):
     # ||b||^2 of 1e200 entries overflows; the stopping test inf <= inf then

@@ -12,7 +12,7 @@ from anisoflow import (DoubleWell, IsotropicAnisotropy, MatrixFamilyAnisotropy,
                        solve_trajectory, step, step_residual,
                        trajectory_bounds, write_diagnostics)
 from anisoflow import grid, stepper
-from anisoflow.linalg import conjugate_gradient
+from anisoflow.linalg import LinearSolveError, conjugate_gradient
 from anisoflow.stepper import newton_matrix, step_regimes
 
 ISO = IsotropicAnisotropy()
@@ -487,6 +487,31 @@ def test_stalled_line_search_raises_with_the_best_state(monkeypatch):
     assert exc.residual_inf == np.max(np.abs(start_res))
     assert np.array_equal(exc.partial_trajectory.states, y0[None])
     assert len(exc.partial_trajectory.diagnostics) == 1
+
+
+def test_a_failed_direction_solve_fails_its_step(monkeypatch):
+    # the linear solve of step 2's first Newton direction raises: the step
+    # fails as NonConvergence, with the states before it attached
+    g = build_grid(1, [17], [1.0])
+    y0 = np.random.default_rng(4).uniform(-1, 1, g.n_nodes)
+    part = TimePartition.uniform(1.0, 5)
+    step_one = solve_trajectory(g, ISO, DW, y0, None, part).diagnostics[1]
+    original, calls = grid.conjugate_gradient, []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        # one solve per Newton iteration, so this is step 2's first
+        if len(calls) == step_one.iterations + 1:
+            raise LinearSolveError("CG breakdown: d'Ad = inf")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(grid, "conjugate_gradient", failing)
+    with pytest.raises(NonConvergence, match="CG breakdown") as err:
+        solve_trajectory(g, ISO, DW, y0, None, part)
+    exc = err.value
+    assert (exc.step_index, exc.iterations) == (2, 1)
+    assert exc.partial_trajectory.states.shape == (2, g.n_nodes)
+    assert len(exc.partial_trajectory.diagnostics) == 2
 
 
 class CountingPasses:
